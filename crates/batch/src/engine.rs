@@ -233,9 +233,8 @@ impl BatchSim {
         seeds: &[u64],
     ) -> Self {
         assert!(!seeds.is_empty(), "batch needs at least one replica seed");
-        let compiled = CompiledModel::try_compile(model)
-            .map(Arc::new)
-            .expect("model is not kernel-compilable");
+        psr_kernel::require_masks(model.num_reactions()).unwrap_or_else(|e| panic!("{e}"));
+        let compiled = Arc::new(CompiledModel::compile(model));
         assert!(
             compiled.has_lut(),
             "batch engine requires the LUT kernel path"
@@ -860,5 +859,18 @@ mod tests {
                 assert_eq!(state, reference.state()[0]);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_KERNEL_REACTIONS = 64")]
+    fn more_reaction_types_than_masks_track_are_rejected() {
+        let mut builder = psr_model::ModelBuilder::new(&["*", "A"]);
+        for i in 0..=psr_kernel::MAX_KERNEL_REACTIONS {
+            builder = builder.reaction(format!("r{i}"), 1.0, |r| {
+                r.site((0, 0), "*", "A");
+            });
+        }
+        let algorithm = BatchAlgorithm::Ndca { shuffled: false };
+        BatchSim::new(&builder.build(), Dims::square(8), algorithm, &[1, 2]);
     }
 }

@@ -109,6 +109,35 @@ fn ndca_rowmajor_zgb_slots_match_single() {
     );
 }
 
+/// A model whose patterns reach only east and north: its read cells are not
+/// closed under reflection, the kernel's stencil is. The LUT follows the
+/// read cells (3⁴ codes), so the batch engine still builds and tracks it.
+#[test]
+fn one_sided_stencil_slots_match_single() {
+    let model = psr_model::ModelBuilder::new(&["*", "A", "B"])
+        .reaction("ads", 1.0, |r| {
+            r.site((0, 0), "*", "A");
+        })
+        .reaction("jump-east", 2.0, |r| {
+            r.site((0, 0), "A", "*").site((2, 0), "*", "B");
+        })
+        .reaction("hop-north", 1.5, |r| {
+            r.site((0, 0), "B", "*").site((0, 1), "*", "A");
+        })
+        .reaction("react", 3.0, |r| {
+            r.site((0, 0), "A", "*").site((1, 1), "B", "*");
+        })
+        .build();
+    let seeds: Vec<u64> = (40..45).collect();
+    assert_batch_matches_single(
+        &model,
+        Dims::new(9, 7),
+        BatchAlgorithm::Ndca { shuffled: false },
+        &seeds,
+        200,
+    );
+}
+
 #[test]
 fn ndca_shuffled_zgb_slots_match_single() {
     let model = zgb_ziff(0.45, 5.0);

@@ -157,10 +157,11 @@ fn main() {
     };
     // The smoke side must be big enough that the socket arms' fixed
     // per-step protocol cost (~600 frames/step of encode + syscall +
-    // decode, a few µs each) doesn't drown the per-worker compute — at
-    // 64 the socket speedup is latency-dominated noise; at 512 the
-    // compute dominates and the arm clears a real bar.
-    let sides: &[u32] = if smoke { &[512] } else { &[1024, 2048] };
+    // decode, a few µs each: ~2 ms/step) doesn't drown the per-worker
+    // compute. At 512 a worker's share of a sweep is ~1 ms and the socket
+    // ratio (1.2–1.5x) measures the wire; at the headline 1024 it is
+    // ~4 ms, so smoke runs that size with a short sample.
+    let sides: &[u32] = if smoke { &[1024] } else { &[1024, 2048] };
     let warm_steps: u64 = if smoke { 10 } else { 40 };
     let ident_steps: u64 = if smoke { 5 } else { 3 };
     let model = zgb_ziff(0.5, 2.0);

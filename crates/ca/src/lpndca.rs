@@ -90,9 +90,8 @@ pub struct LPndca<'m, 'p> {
     time_mode: TimeMode,
     /// Cumulative chunk-size weights for size-proportional selection.
     size_cumulative: Vec<f64>,
-    /// Compiled matcher; `None` when naive matching was requested.
-    compiled: Option<Arc<CompiledModel>>,
-    /// Lattice-bound kernel, built lazily on the first step.
+    compiled: Arc<CompiledModel>,
+    /// Lattice-bound kernel, bound on every step.
     kernel: Option<SiteKernel>,
 }
 
@@ -127,22 +126,9 @@ impl<'m, 'p> LPndca<'m, 'p> {
             visit: ChunkVisit::SizeWeighted,
             time_mode: TimeMode::Discretized,
             size_cumulative,
-            compiled: CompiledModel::try_compile(model).map(Arc::new),
+            compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
-    }
-
-    /// Disable (or re-enable) the compiled kernel and match patterns with
-    /// the naive per-reaction scan. Trajectories are bit-identical either
-    /// way; this is the escape hatch and the benchmark baseline.
-    pub fn with_naive_matching(mut self, naive: bool) -> Self {
-        self.kernel = None;
-        self.compiled = if naive {
-            None
-        } else {
-            CompiledModel::try_compile(self.model).map(Arc::new)
-        };
-        self
     }
 
     /// Select the chunk-visit mode.
@@ -168,22 +154,6 @@ impl<'m, 'p> LPndca<'m, 'p> {
         self.size_cumulative.partition_point(|&c| c <= x)
     }
 
-    /// Take the lattice-bound kernel out of `self`, building or refreshing
-    /// it for the current lattice; `None` when naive matching was requested.
-    fn take_fresh_kernel(&mut self, state: &SimState) -> Option<SiteKernel> {
-        let compiled = self.compiled.as_ref()?;
-        let mut kernel = match self.kernel.take() {
-            Some(k) if k.dims() == state.lattice.dims() => k,
-            _ => {
-                let mut k = SiteKernel::new(Arc::clone(compiled), &state.lattice);
-                k.note_epoch(state.mutation_epoch());
-                k
-            }
-        };
-        kernel.ensure_fresh(&state.lattice, state.mutation_epoch());
-        Some(kernel)
-    }
-
     /// `count` trials at random sites of `chunk`. `nk` and `dt_disc` are the
     /// loop-invariant `N·K` and `1/(N·K)` hoisted by the caller.
     #[allow(clippy::too_many_arguments)]
@@ -196,7 +166,7 @@ impl<'m, 'p> LPndca<'m, 'p> {
         changes: &mut Vec<(Site, u8, u8)>,
         stats: &mut RunStats,
         hook: &mut impl EventHook,
-        mut kernel: Option<&mut SiteKernel>,
+        kernel: &mut SiteKernel,
         nk: f64,
         dt_disc: f64,
     ) {
@@ -204,30 +174,7 @@ impl<'m, 'p> LPndca<'m, 'p> {
         for _ in 0..count {
             let site = sites[rng.index(sites.len())];
             let reaction = self.alias.sample(rng);
-            changes.clear();
-            // The enabled check consumes no randomness, so the compiled and
-            // naive arms produce bit-identical trajectories.
-            let executed = if let Some(k) = kernel.as_deref_mut() {
-                let enabled = k.is_enabled(site, reaction);
-                if enabled {
-                    self.model
-                        .reaction(reaction)
-                        .execute(&mut state.lattice, site, changes);
-                    state.apply_changes(changes);
-                    k.apply_changes(&state.lattice, changes);
-                    k.note_epoch(state.mutation_epoch());
-                }
-                enabled
-            } else {
-                let executed =
-                    self.model
-                        .reaction(reaction)
-                        .try_execute(&mut state.lattice, site, changes);
-                if executed {
-                    state.apply_changes(changes);
-                }
-                executed
-            };
+            let executed = state.fire(kernel, site, reaction, changes);
             state.time += match self.time_mode {
                 TimeMode::Stochastic => exponential(rng, nk),
                 TimeMode::Discretized => dt_disc,
@@ -255,7 +202,14 @@ impl<'m, 'p> LPndca<'m, 'p> {
         let n = state.num_sites();
         let nk = n as f64 * self.model.total_rate();
         let dt_disc = 1.0 / nk;
-        let mut kernel = self.take_fresh_kernel(state);
+        // Detached while sweeping so `burst` can borrow `self`.
+        let mut slot = self.kernel.take();
+        let kernel = SiteKernel::bind(
+            &mut slot,
+            &self.compiled,
+            &state.lattice,
+            state.mutation_epoch(),
+        );
         match self.visit {
             ChunkVisit::SizeWeighted => {
                 let mut trials = 0usize;
@@ -271,7 +225,7 @@ impl<'m, 'p> LPndca<'m, 'p> {
                         &mut changes,
                         &mut stats,
                         hook,
-                        kernel.as_mut(),
+                        kernel,
                         nk,
                         dt_disc,
                     );
@@ -291,14 +245,14 @@ impl<'m, 'p> LPndca<'m, 'p> {
                         &mut changes,
                         &mut stats,
                         hook,
-                        kernel.as_mut(),
+                        kernel,
                         nk,
                         dt_disc,
                     );
                 }
             }
         }
-        self.kernel = kernel;
+        self.kernel = slot;
         stats
     }
 
@@ -323,6 +277,7 @@ impl<'m, 'p> LPndca<'m, 'p> {
                 rec.record(state.time, &state.coverage);
             }
         }
+        debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
 
@@ -351,6 +306,7 @@ impl<'m, 'p> LPndca<'m, 'p> {
                 rec.record(state.time.min(t_end), &state.coverage);
             }
         }
+        debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
 }

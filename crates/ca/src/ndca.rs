@@ -43,22 +43,21 @@ pub struct Ndca<'m> {
     alias: AliasTable,
     time_mode: TimeMode,
     order: SweepOrder,
-    /// Compiled matcher; `None` when naive matching was requested.
-    compiled: Option<Arc<CompiledModel>>,
-    /// Lattice-bound kernel, built lazily on the first run (the geometry is
-    /// only known then) and kept fresh via the mutation-epoch protocol.
+    compiled: Arc<CompiledModel>,
+    /// Lattice-bound kernel, bound on every run (the geometry is only known
+    /// then) and kept fresh via the mutation-epoch protocol.
     kernel: Option<SiteKernel>,
 }
 
 impl<'m> Ndca<'m> {
-    /// NDCA with row-major sweeps, discretised time, and compiled matching.
+    /// NDCA with row-major sweeps and discretised time.
     pub fn new(model: &'m Model) -> Self {
         Ndca {
             model,
             alias: AliasTable::new(&model.rate_weights()),
             time_mode: TimeMode::Discretized,
             order: SweepOrder::RowMajor,
-            compiled: CompiledModel::try_compile(model).map(Arc::new),
+            compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
     }
@@ -75,38 +74,23 @@ impl<'m> Ndca<'m> {
         self
     }
 
-    /// Disable (or re-enable) the compiled kernel and match patterns with
-    /// the naive per-reaction scan. Trajectories are bit-identical either
-    /// way; this is the escape hatch and the benchmark baseline.
-    pub fn with_naive_matching(mut self, naive: bool) -> Self {
-        self.kernel = None;
-        self.compiled = if naive {
-            None
-        } else {
-            CompiledModel::try_compile(self.model).map(Arc::new)
-        };
-        self
-    }
-
-    /// (Re)bind the kernel to the state's lattice and bring it up to date.
-    fn ensure_kernel(&mut self, state: &SimState) {
-        let Some(compiled) = &self.compiled else {
-            return;
-        };
-        match &mut self.kernel {
-            Some(k) if k.dims() == state.lattice.dims() => {
-                k.ensure_fresh(&state.lattice, state.mutation_epoch());
-            }
-            _ => {
-                let mut k = SiteKernel::new(Arc::clone(compiled), &state.lattice);
-                k.note_epoch(state.mutation_epoch());
-                self.kernel = Some(k);
-            }
-        }
-    }
-
     /// Run `steps` CA steps (each visits all N sites once).
     pub fn run_steps(
+        &mut self,
+        state: &mut SimState,
+        rng: &mut SimRng,
+        steps: u64,
+        recorder: Option<&mut Recorder>,
+        hook: &mut impl EventHook,
+    ) -> RunStats {
+        let stats = self.advance(state, rng, steps, recorder, hook);
+        debug_assert!(state.agrees_with(&self.kernel, self.model));
+        stats
+    }
+
+    /// [`run_steps`](Self::run_steps) without its closing debug-build
+    /// kernel check, so `run_until` can step without a scan per step.
+    fn advance(
         &mut self,
         state: &mut SimState,
         rng: &mut SimRng,
@@ -114,7 +98,12 @@ impl<'m> Ndca<'m> {
         mut recorder: Option<&mut Recorder>,
         hook: &mut impl EventHook,
     ) -> RunStats {
-        self.ensure_kernel(state);
+        let kernel = SiteKernel::bind(
+            &mut self.kernel,
+            &self.compiled,
+            &state.lattice,
+            state.mutation_epoch(),
+        );
         let mut stats = RunStats::default();
         let mut changes = Vec::with_capacity(4);
         let n = state.num_sites();
@@ -137,13 +126,29 @@ impl<'m> Ndca<'m> {
                 }
                 shuffle(rng, &mut order);
             }
-            // The enabled check consumes no randomness, so the compiled and
-            // naive arms produce bit-identical trajectories. Row-major
-            // sweeps take the monomorphized sequential path: no per-trial
-            // indirection through the order array.
-            match &mut self.kernel {
-                Some(kernel) if self.order == SweepOrder::RowMajor => Self::sweep_kernel(
-                    self.model,
+            // Row-major sweeps take the monomorphized sequential path: no
+            // per-trial indirection through the order array.
+            if !kernel.is_tracked() {
+                // No masks to scan: every trial asks the kernel.
+                for &site_id in &order {
+                    let site = Site(site_id);
+                    let reaction = self.alias.sample(rng);
+                    let executed = state.fire(kernel, site, reaction, &mut changes);
+                    state.time += match self.time_mode {
+                        TimeMode::Stochastic => exponential(rng, nk),
+                        TimeMode::Discretized => dt_disc,
+                    };
+                    stats.executed += executed as u64;
+                    hook.on_event(Event {
+                        time: state.time,
+                        site,
+                        reaction,
+                        executed,
+                    });
+                }
+                stats.trials += n as u64;
+            } else if self.order == SweepOrder::RowMajor {
+                Self::sweep_tracked(
                     &self.alias,
                     self.time_mode,
                     kernel,
@@ -155,9 +160,9 @@ impl<'m> Ndca<'m> {
                     hook,
                     nk,
                     dt_disc,
-                ),
-                Some(kernel) => Self::sweep_kernel(
-                    self.model,
+                );
+            } else {
+                Self::sweep_tracked(
                     &self.alias,
                     self.time_mode,
                     kernel,
@@ -169,34 +174,7 @@ impl<'m> Ndca<'m> {
                     hook,
                     nk,
                     dt_disc,
-                ),
-                None => {
-                    for &site_id in &order {
-                        let site = Site(site_id);
-                        let reaction = self.alias.sample(rng);
-                        changes.clear();
-                        let executed = self.model.reaction(reaction).try_execute(
-                            &mut state.lattice,
-                            site,
-                            &mut changes,
-                        );
-                        if executed {
-                            state.apply_changes(&changes);
-                        }
-                        state.time += match self.time_mode {
-                            TimeMode::Stochastic => exponential(rng, nk),
-                            TimeMode::Discretized => dt_disc,
-                        };
-                        stats.trials += 1;
-                        stats.executed += executed as u64;
-                        hook.on_event(Event {
-                            time: state.time,
-                            site,
-                            reaction,
-                            executed,
-                        });
-                    }
-                }
+                );
             }
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.record(state.time, &state.coverage);
@@ -205,15 +183,14 @@ impl<'m> Ndca<'m> {
         stats
     }
 
-    /// One compiled-matcher sweep over `order`.
+    /// One sweep over `order` with a tracked kernel: the tuned T(1,N) loop.
     ///
-    /// Trial-for-trial this performs the exact operations of the naive
-    /// sweep — same RNG draws in the same order, same event sequence — but
-    /// the enabled check is one mask load instead of a per-transform
-    /// translate-and-compare walk.
+    /// Trial-for-trial this performs the exact operations of the per-trial
+    /// loop — same RNG draws in the same order, same event sequence — but
+    /// non-executing trials are scanned against the borrowed mask slice and
+    /// the kernel fires only on a hit.
     #[allow(clippy::too_many_arguments)]
-    fn sweep_kernel(
-        model: &Model,
+    fn sweep_tracked(
         alias: &psr_rng::AliasTable,
         time_mode: TimeMode,
         kernel: &mut SiteKernel,
@@ -265,13 +242,8 @@ impl<'m> Ndca<'m> {
                     });
                 }
             }
-            changes.clear();
-            model
-                .reaction(hit_reaction)
-                .execute(&mut state.lattice, hit_site, changes);
-            state.apply_changes(changes);
-            kernel.apply_changes(&state.lattice, changes);
-            kernel.note_epoch(state.mutation_epoch());
+            let executed = state.fire(kernel, hit_site, hit_reaction, changes);
+            debug_assert!(executed, "mask and kernel disagree");
             stats.executed += 1;
             time += match time_mode {
                 TimeMode::Stochastic => exponential(&mut local_rng, nk),
@@ -307,10 +279,11 @@ impl<'m> Ndca<'m> {
         // extra step.
         let eps = 0.5 / (state.num_sites() as f64 * self.model.total_rate());
         while state.time < t_end - eps {
-            let s = self.run_steps(state, rng, 1, recorder.as_deref_mut(), hook);
+            let s = self.advance(state, rng, 1, recorder.as_deref_mut(), hook);
             stats.trials += s.trials;
             stats.executed += s.executed;
         }
+        debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
 }

@@ -45,8 +45,7 @@ pub enum ChunkSelection {
     RandomWithReplacement,
     /// `|P|` draws weighted by each chunk's summed enabled-reaction rate,
     /// served from the incremental [`ChunkPropensityCache`] (O(|P|) per
-    /// draw, O(affected) per executed event). See
-    /// [`Pndca::with_scanned_weights`] for the scanning baseline.
+    /// draw, O(affected) per executed event).
     WeightedByRates,
 }
 
@@ -89,12 +88,8 @@ pub struct Pndca<'m, 'p> {
     selection: ChunkSelection,
     /// Incremental chunk weights, built lazily on the first weighted step.
     cache: Option<ChunkPropensityCache>,
-    /// Recompute weights by chunk scans instead of the cache (the
-    /// O(N·|T|)-per-draw baseline; kept for benchmarking the cache).
-    scan_weights: bool,
-    /// Compiled matcher; `None` when naive matching was requested.
-    compiled: Option<Arc<CompiledModel>>,
-    /// Lattice-bound kernel, built lazily on the first step.
+    compiled: Arc<CompiledModel>,
+    /// Lattice-bound kernel, bound on every step.
     kernel: Option<SiteKernel>,
 }
 
@@ -114,40 +109,23 @@ impl<'m, 'p> Pndca<'m, 'p> {
             time_mode: TimeMode::Discretized,
             selection: ChunkSelection::InOrder,
             cache: None,
-            scan_weights: false,
-            compiled: CompiledModel::try_compile(model).map(Arc::new),
+            compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
     }
 
-    /// Disable (or re-enable) the compiled kernel and match patterns with
-    /// the naive per-reaction scan. Trajectories are bit-identical either
-    /// way; this is the escape hatch and the benchmark baseline.
-    pub fn with_naive_matching(mut self, naive: bool) -> Self {
-        self.kernel = None;
-        self.compiled = if naive {
-            None
-        } else {
-            CompiledModel::try_compile(self.model).map(Arc::new)
-        };
-        self
-    }
-
     /// Select the chunk-selection strategy.
-    pub fn with_selection(mut self, selection: ChunkSelection) -> Self {
-        self.selection = selection;
-        self
-    }
-
-    /// Force [`ChunkSelection::WeightedByRates`] to rescan every chunk for
-    /// every draw instead of using the incremental cache.
     ///
-    /// Both paths compute each weight as `Σ_Rt count·k_Rt` in reaction
-    /// order, so they consume identical random numbers and sweep identical
-    /// chunk sequences — this switch trades speed only, never trajectories,
-    /// which is what makes it a meaningful benchmark baseline.
-    pub fn with_scanned_weights(mut self, yes: bool) -> Self {
-        self.scan_weights = yes;
+    /// # Panics
+    ///
+    /// Panics for [`ChunkSelection::WeightedByRates`] if the model fails
+    /// [`psr_kernel::require_masks`]: chunk weights are counted from
+    /// enabled-set masks.
+    pub fn with_selection(mut self, selection: ChunkSelection) -> Self {
+        if selection == ChunkSelection::WeightedByRates {
+            psr_kernel::require_masks(self.model.num_reactions()).unwrap_or_else(|e| panic!("{e}"));
+        }
+        self.selection = selection;
         self
     }
 
@@ -164,12 +142,10 @@ impl<'m, 'p> Pndca<'m, 'p> {
 
     /// Simulate one chunk: one trial per site, sweeping the chunk.
     ///
-    /// When a kernel is passed, the enabled check is one table load and the
-    /// changes are folded back into the kernel; when a propensity cache is
-    /// passed, every executed reaction's changes are folded into it too,
-    /// keeping the chunk weights exact as the sweep proceeds. `nk` and
-    /// `dt_disc` are the loop-invariant `N·K` and `1/(N·K)` hoisted by the
-    /// caller.
+    /// When a propensity cache is passed, every executed reaction's changes
+    /// are folded into it too, keeping the chunk weights exact as the sweep
+    /// proceeds. `nk` and `dt_disc` are the loop-invariant `N·K` and
+    /// `1/(N·K)` hoisted by the caller.
     #[allow(clippy::too_many_arguments)]
     fn sweep_chunk(
         &self,
@@ -180,45 +156,16 @@ impl<'m, 'p> Pndca<'m, 'p> {
         stats: &mut RunStats,
         hook: &mut impl EventHook,
         mut cache: Option<&mut ChunkPropensityCache>,
-        mut kernel: Option<&mut SiteKernel>,
+        kernel: &mut SiteKernel,
         nk: f64,
         dt_disc: f64,
     ) {
-        let sites = self.partition.chunk(chunk);
-        for &site in sites {
+        for &site in self.partition.chunk(chunk) {
             let reaction = self.alias.sample(rng);
-            changes.clear();
-            // The enabled check consumes no randomness, so the compiled and
-            // naive arms produce bit-identical trajectories.
-            let executed = if let Some(k) = kernel.as_deref_mut() {
-                let enabled = k.is_enabled(site, reaction);
-                if enabled {
-                    self.model
-                        .reaction(reaction)
-                        .execute(&mut state.lattice, site, changes);
-                    state.apply_changes(changes);
-                    k.apply_changes(&state.lattice, changes);
-                    k.note_epoch(state.mutation_epoch());
-                }
-                enabled
-            } else {
-                let executed =
-                    self.model
-                        .reaction(reaction)
-                        .try_execute(&mut state.lattice, site, changes);
-                if executed {
-                    state.apply_changes(changes);
-                }
-                executed
-            };
+            let executed = state.fire(kernel, site, reaction, changes);
             if executed {
                 if let Some(c) = cache.as_deref_mut() {
-                    match kernel.as_deref() {
-                        Some(k) => c.apply_changes_with_kernel(k, self.partition, changes),
-                        None => {
-                            c.apply_changes(self.model, self.partition, &state.lattice, changes)
-                        }
-                    }
+                    c.apply_changes(kernel, self.partition, changes);
                     c.note_epoch(state.mutation_epoch());
                 }
             }
@@ -237,19 +184,6 @@ impl<'m, 'p> Pndca<'m, 'p> {
         }
     }
 
-    /// Summed rate of enabled reactions within one chunk (strategy 4),
-    /// recomputed by scanning the chunk. Counts enabled sites per reaction
-    /// and sums `count·k` in reaction order — the exact formula the cache
-    /// uses, so scan and cache weights agree bit-for-bit.
-    fn chunk_propensity(&self, chunk: usize, state: &SimState) -> f64 {
-        ChunkPropensityCache::scan_chunk_weight_all(
-            self.model,
-            self.partition,
-            &state.lattice,
-            chunk,
-        )
-    }
-
     /// Build (or refresh) the propensity cache for the current lattice.
     fn take_fresh_cache(&mut self, state: &SimState) -> ChunkPropensityCache {
         let mut cache = self.cache.take().unwrap_or_else(|| {
@@ -266,22 +200,6 @@ impl<'m, 'p> Pndca<'m, 'p> {
         cache
     }
 
-    /// Take the lattice-bound kernel out of `self`, building or refreshing
-    /// it for the current lattice; `None` when naive matching was requested.
-    fn take_fresh_kernel(&mut self, state: &SimState) -> Option<SiteKernel> {
-        let compiled = self.compiled.as_ref()?;
-        let mut kernel = match self.kernel.take() {
-            Some(k) if k.dims() == state.lattice.dims() => k,
-            _ => {
-                let mut k = SiteKernel::new(Arc::clone(compiled), &state.lattice);
-                k.note_epoch(state.mutation_epoch());
-                k
-            }
-        };
-        kernel.ensure_fresh(&state.lattice, state.mutation_epoch());
-        Some(kernel)
-    }
-
     /// Run one PNDCA step (each strategy performs `|P|` chunk sweeps).
     pub fn step(
         &mut self,
@@ -294,103 +212,49 @@ impl<'m, 'p> Pndca<'m, 'p> {
         let m = self.partition.num_chunks();
         let nk = state.num_sites() as f64 * self.model.total_rate();
         let dt_disc = 1.0 / nk;
-        let mut kernel = self.take_fresh_kernel(state);
-        match self.selection {
-            ChunkSelection::InOrder => {
-                for c in 0..m {
-                    self.sweep_chunk(
-                        c,
-                        state,
-                        rng,
-                        &mut changes,
-                        &mut stats,
-                        hook,
-                        None,
-                        kernel.as_mut(),
-                        nk,
-                        dt_disc,
-                    );
-                }
-            }
-            ChunkSelection::RandomOrder => {
-                let mut order: Vec<usize> = (0..m).collect();
-                shuffle(rng, &mut order);
-                for &c in &order {
-                    self.sweep_chunk(
-                        c,
-                        state,
-                        rng,
-                        &mut changes,
-                        &mut stats,
-                        hook,
-                        None,
-                        kernel.as_mut(),
-                        nk,
-                        dt_disc,
-                    );
-                }
-            }
-            ChunkSelection::RandomWithReplacement => {
-                for _ in 0..m {
-                    let c = rng.index(m);
-                    self.sweep_chunk(
-                        c,
-                        state,
-                        rng,
-                        &mut changes,
-                        &mut stats,
-                        hook,
-                        None,
-                        kernel.as_mut(),
-                        nk,
-                        dt_disc,
-                    );
-                }
-            }
-            ChunkSelection::WeightedByRates if self.scan_weights => {
-                for _ in 0..m {
-                    let weights: Vec<f64> =
-                        (0..m).map(|c| self.chunk_propensity(c, state)).collect();
-                    let c = crate::propensity::draw_weighted(rng, &weights);
-                    self.sweep_chunk(
-                        c,
-                        state,
-                        rng,
-                        &mut changes,
-                        &mut stats,
-                        hook,
-                        None,
-                        kernel.as_mut(),
-                        nk,
-                        dt_disc,
-                    );
-                }
-            }
-            ChunkSelection::WeightedByRates => {
-                let mut cache = self.take_fresh_cache(state);
-                let mut weights = Vec::with_capacity(m);
-                for _ in 0..m {
-                    cache.weights_into(&mut weights);
-                    let c = crate::propensity::draw_weighted(rng, &weights);
-                    self.sweep_chunk(
-                        c,
-                        state,
-                        rng,
-                        &mut changes,
-                        &mut stats,
-                        hook,
-                        Some(&mut cache),
-                        kernel.as_mut(),
-                        nk,
-                        dt_disc,
-                    );
-                }
-                #[cfg(debug_assertions)]
-                cache.assert_matches_scan(self.model, self.partition, &state.lattice);
-                self.cache = Some(cache);
-            }
+        // Detached while sweeping so `sweep_chunk` can borrow `self`.
+        let mut slot = self.kernel.take();
+        let kernel = SiteKernel::bind(
+            &mut slot,
+            &self.compiled,
+            &state.lattice,
+            state.mutation_epoch(),
+        );
+        let mut cache = (self.selection == ChunkSelection::WeightedByRates)
+            .then(|| self.take_fresh_cache(state));
+        let mut order: Vec<usize> = (0..m).collect();
+        if self.selection == ChunkSelection::RandomOrder {
+            shuffle(rng, &mut order);
         }
-        self.kernel = kernel;
+        let mut weights = Vec::new();
+        for &scheduled in &order {
+            let chunk = match (&cache, self.selection) {
+                (Some(cache), _) => {
+                    cache.weights_into(&mut weights);
+                    crate::propensity::draw_weighted(rng, &weights)
+                }
+                (None, ChunkSelection::RandomWithReplacement) => rng.index(m),
+                (None, _) => scheduled,
+            };
+            self.sweep_chunk(
+                chunk,
+                state,
+                rng,
+                &mut changes,
+                &mut stats,
+                hook,
+                cache.as_mut(),
+                kernel,
+                nk,
+                dt_disc,
+            );
+        }
+        if let Some(cache) = cache {
+            #[cfg(debug_assertions)]
+            cache.assert_matches_scan(self.model, self.partition, &state.lattice);
+            self.cache = Some(cache);
+        }
+        self.kernel = slot;
         stats
     }
 
@@ -415,6 +279,7 @@ impl<'m, 'p> Pndca<'m, 'p> {
                 rec.record(state.time, &state.coverage);
             }
         }
+        debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
 
@@ -443,6 +308,7 @@ impl<'m, 'p> Pndca<'m, 'p> {
                 rec.record(state.time.min(t_end), &state.coverage);
             }
         }
+        debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
 }

@@ -13,10 +13,9 @@
 //! - per site: a bitmask of which tracked reactions are enabled there,
 //! - per chunk and reaction: the *count* of sites where it is enabled,
 //!
-//! and updates them in O(affected sites) after each executed reaction using
-//! the model's update stencil (the negated transform offsets: an anchor `a`
-//! reads site `a + t.offset`, so the anchors reading a changed site `x` are
-//! exactly `{x − t.offset}`).
+//! and updates them in O(affected sites) after each executed reaction from
+//! the compiled [`SiteKernel`]: its anchor table lists the sites whose
+//! patterns can read a changed cell, its masks say what is enabled there.
 //!
 //! Storing integer counts instead of a running float sum has two payoffs:
 //! no drift (the cache stays *exactly* equal to a fresh scan, which
@@ -34,7 +33,7 @@
 
 use crate::partition::Partition;
 use psr_kernel::SiteKernel;
-use psr_lattice::{Change, Lattice, Neighborhood, Site};
+use psr_lattice::{Change, Lattice, Site};
 use psr_model::Model;
 use psr_rng::SimRng;
 
@@ -60,10 +59,6 @@ pub fn draw_weighted(rng: &mut SimRng, weights: &[f64]) -> usize {
     chosen
 }
 
-/// Per-site enabled-reaction bitmask width: tracked reaction subsets are
-/// limited to the bits of a `u64`.
-pub const MAX_TRACKED_REACTIONS: usize = 64;
-
 /// Incrementally maintained per-chunk enabled-reaction rates.
 #[derive(Clone, Debug)]
 pub struct ChunkPropensityCache {
@@ -72,8 +67,6 @@ pub struct ChunkPropensityCache {
     reaction_ids: Vec<usize>,
     /// Rate constant per tracked reaction, in `reaction_ids` order.
     rates: Vec<f64>,
-    /// Union of negated transform offsets of the tracked reactions.
-    stencil: Neighborhood,
     /// Per-site bitmask: bit `m` set iff `reaction_ids[m]` is enabled there.
     enabled: Vec<u64>,
     /// `counts[c * reaction_ids.len() + m]` = sites of chunk `c` where
@@ -89,8 +82,9 @@ impl ChunkPropensityCache {
     ///
     /// # Panics
     ///
-    /// Panics if the model has more than [`MAX_TRACKED_REACTIONS`] reaction
-    /// types, or if `partition` does not match the lattice dimensions.
+    /// Panics if the model has more reaction types than enabled-set masks
+    /// track ([`psr_kernel::require_masks`]), or if `partition` does not
+    /// match the lattice dimensions.
     pub fn new(model: &Model, partition: &Partition, lattice: &Lattice) -> Self {
         Self::for_reactions(
             model,
@@ -105,8 +99,8 @@ impl ChunkPropensityCache {
     ///
     /// # Panics
     ///
-    /// Panics if `reaction_ids` is empty, exceeds
-    /// [`MAX_TRACKED_REACTIONS`], or references an unknown reaction.
+    /// Panics if `reaction_ids` is empty or references an unknown reaction,
+    /// or if the model fails [`psr_kernel::require_masks`].
     pub fn for_reactions(
         model: &Model,
         reaction_ids: &[usize],
@@ -117,11 +111,7 @@ impl ChunkPropensityCache {
             !reaction_ids.is_empty(),
             "cache needs at least one reaction"
         );
-        assert!(
-            reaction_ids.len() <= MAX_TRACKED_REACTIONS,
-            "cache tracks at most {MAX_TRACKED_REACTIONS} reactions, got {}",
-            reaction_ids.len()
-        );
+        psr_kernel::require_masks(model.num_reactions()).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
             partition.dims(),
             lattice.dims(),
@@ -131,22 +121,9 @@ impl ChunkPropensityCache {
             .iter()
             .map(|&ri| model.reaction(ri).rate())
             .collect();
-        let stencil = Neighborhood::new(
-            reaction_ids
-                .iter()
-                .flat_map(|&ri| {
-                    model
-                        .reaction(ri)
-                        .transforms()
-                        .iter()
-                        .map(|t| t.offset.negated())
-                })
-                .collect(),
-        );
         let mut cache = ChunkPropensityCache {
             reaction_ids: reaction_ids.to_vec(),
             rates,
-            stencil,
             enabled: Vec::new(),
             counts: Vec::new(),
             epoch: 0,
@@ -211,46 +188,23 @@ impl ChunkPropensityCache {
     }
 
     /// Fold a batch of `(site, old, new)` mutation records into the cache:
-    /// every anchor whose pattern can see a changed site is re-evaluated
-    /// against the *current* lattice.
+    /// every anchor whose pattern can see a changed site takes its enabled
+    /// set from `kernel`, which must already reflect the changes
+    /// (simulators fold changes into the kernel first, then into this
+    /// cache).
     ///
-    /// Re-evaluation is idempotent (it diffs the stored mask against a
-    /// fresh one), so overlapping neighborhoods and repeated sites across
-    /// `changes` are harmless and the record order is irrelevant — the
-    /// lattice passed in must simply already contain all the changes.
+    /// Re-evaluation is idempotent (it diffs the stored mask against the
+    /// kernel's), so overlapping neighborhoods and repeated sites across
+    /// `changes` are harmless and the record order is irrelevant.
     pub fn apply_changes(
-        &mut self,
-        model: &Model,
-        partition: &Partition,
-        lattice: &Lattice,
-        changes: &[Change],
-    ) {
-        let dims = lattice.dims();
-        for &(site, _, _) in changes {
-            for i in 0..self.stencil.offsets().len() {
-                let offset = self.stencil.offsets()[i];
-                self.refresh_site(model, partition, lattice, dims.translate(site, offset));
-            }
-        }
-    }
-
-    /// Like [`apply_changes`](Self::apply_changes), but reads each anchor's
-    /// enabled set from a compiled [`SiteKernel`] (one table load) instead
-    /// of the naive per-reaction scan. The kernel must already reflect the
-    /// changes (simulators fold changes into the kernel first, then into
-    /// this cache). The kernel's anchor table enumerates exactly the sites
-    /// whose patterns can read a changed cell, so the refresh set matches
-    /// the stencil walk of the naive path.
-    pub fn apply_changes_with_kernel(
         &mut self,
         kernel: &SiteKernel,
         partition: &Partition,
         changes: &[Change],
     ) {
-        let cells = kernel.compiled().cells().len();
         for &(site, _, _) in changes {
-            for j in 0..cells {
-                let anchor = kernel.anchor(site, j);
+            for &j in kernel.compiled().read_cells() {
+                let anchor = kernel.anchor(site, j as usize);
                 let new_mask = self.member_mask(kernel.enabled_mask(anchor));
                 self.store_mask(partition, anchor, new_mask);
             }
@@ -266,18 +220,6 @@ impl ChunkPropensityCache {
             mask |= ((kernel_mask >> ri) & 1) << m;
         }
         mask
-    }
-
-    /// Re-evaluate one anchor site against the lattice, adjusting counts.
-    fn refresh_site(
-        &mut self,
-        model: &Model,
-        partition: &Partition,
-        lattice: &Lattice,
-        site: Site,
-    ) {
-        let new_mask = self.site_mask(model, lattice, site);
-        self.store_mask(partition, site, new_mask);
     }
 
     /// Install a freshly computed mask for `site`, adjusting counts by the
@@ -381,18 +323,6 @@ impl ChunkPropensityCache {
         w
     }
 
-    /// [`scan_chunk_weight`](Self::scan_chunk_weight) over all reactions of
-    /// the model — the scanning baseline for full-model weighted PNDCA.
-    pub fn scan_chunk_weight_all(
-        model: &Model,
-        partition: &Partition,
-        lattice: &Lattice,
-        chunk: usize,
-    ) -> f64 {
-        let ids: Vec<usize> = (0..model.num_reactions()).collect();
-        Self::scan_chunk_weight(model, &ids, partition, lattice, chunk)
-    }
-
     /// True if every per-site mask and per-chunk count equals a fresh scan.
     pub fn matches_scan(&self, model: &Model, partition: &Partition, lattice: &Lattice) -> bool {
         let mut fresh = self.clone();
@@ -425,9 +355,11 @@ impl ChunkPropensityCache {
 mod tests {
     use super::*;
     use crate::partition_builder::five_coloring;
+    use psr_kernel::CompiledModel;
     use psr_lattice::{Dims, Lattice};
     use psr_model::library::zgb::zgb_ziff;
     use psr_rng::rng_from_seed;
+    use std::sync::Arc;
 
     #[test]
     fn fresh_cache_matches_scan_weights() {
@@ -442,8 +374,10 @@ mod tests {
         }
         let cache = ChunkPropensityCache::new(&model, &partition, &lattice);
         cache.assert_matches_scan(&model, &partition, &lattice);
+        let all: Vec<usize> = (0..model.num_reactions()).collect();
         for c in 0..partition.num_chunks() {
-            let scan = ChunkPropensityCache::scan_chunk_weight_all(&model, &partition, &lattice, c);
+            let scan =
+                ChunkPropensityCache::scan_chunk_weight(&model, &all, &partition, &lattice, c);
             assert_eq!(cache.chunk_weight(c), scan, "chunk {c} weight");
         }
     }
@@ -470,6 +404,7 @@ mod tests {
         let partition = five_coloring(d);
         let mut lattice = Lattice::filled(d, 0);
         let mut cache = ChunkPropensityCache::new(&model, &partition, &lattice);
+        let mut kernel = SiteKernel::new(Arc::new(CompiledModel::compile(&model)), &lattice);
         let mut rng = rng_from_seed(7);
         let mut changes = Vec::new();
         // Execute 200 random enabled reactions, updating incrementally.
@@ -481,7 +416,8 @@ mod tests {
                 .reaction(ri)
                 .try_execute(&mut lattice, site, &mut changes)
             {
-                cache.apply_changes(&model, &partition, &lattice, &changes);
+                kernel.apply_changes(&lattice, &changes);
+                cache.apply_changes(&kernel, &partition, &changes);
             }
         }
         cache.assert_matches_scan(&model, &partition, &lattice);
@@ -525,11 +461,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 64")]
-    fn more_than_max_tracked_reactions_rejected() {
+    #[should_panic(expected = "MAX_KERNEL_REACTIONS = 64")]
+    fn more_reactions_than_masks_track_rejected() {
         use psr_model::ModelBuilder;
         let mut builder = ModelBuilder::new(&["*", "A"]);
-        for i in 0..=MAX_TRACKED_REACTIONS {
+        for i in 0..=psr_kernel::MAX_KERNEL_REACTIONS {
             builder = builder.reaction(format!("r{i}"), 1.0, |r| {
                 r.site((0, 0), "*", "A");
             });

@@ -38,7 +38,7 @@ use psr_dmc::rsm::RunStats;
 use psr_dmc::sim::SimState;
 use psr_dmc::vssm::SiteSet;
 use psr_kernel::{CompiledModel, SiteKernel};
-use psr_lattice::{Dims, Lattice, Offset, Site};
+use psr_lattice::{Dims, Lattice, Site};
 use psr_model::Model;
 use psr_rng::{exponential, SimRng, StreamFactory};
 
@@ -288,11 +288,8 @@ pub struct FractionalStepKmc<'m, 'p> {
     /// Per-reaction enabled-anchor sets, rebuilt per (slot, block) and
     /// restricted to the active block; allocations reused across blocks.
     enabled: Vec<SiteSet>,
-    /// `z − offset` candidates per reaction (naive matching arm).
-    anchor_offsets: Vec<Vec<Offset>>,
-    /// Stencil cell per transform offset (compiled kernel arm).
-    anchor_cells: Vec<Vec<u16>>,
-    compiled: Option<Arc<CompiledModel>>,
+    compiled: Arc<CompiledModel>,
+    /// Lattice-bound kernel, bound on every `run_windows`.
     kernel: Option<SiteKernel>,
 }
 
@@ -309,29 +306,6 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
             window.is_finite() && window > 0.0,
             "fskmc window must be positive and finite (got {window})"
         );
-        let anchor_offsets = model
-            .reactions()
-            .iter()
-            .map(|rt| rt.transforms().iter().map(|t| t.offset.negated()).collect())
-            .collect();
-        let compiled = CompiledModel::try_compile(model).map(Arc::new);
-        let anchor_cells = match &compiled {
-            Some(c) => model
-                .reactions()
-                .iter()
-                .map(|rt| {
-                    rt.transforms()
-                        .iter()
-                        .map(|t| {
-                            c.cells()
-                                .binary_search(&t.offset)
-                                .expect("offset in stencil") as u16
-                        })
-                        .collect()
-                })
-                .collect(),
-            None => Vec::new(),
-        };
         let slots = slot_table(schedule, plan.groups().len());
         FractionalStepKmc {
             model,
@@ -341,24 +315,9 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
             slots,
             next_window: 0,
             enabled: Vec::new(),
-            anchor_offsets,
-            anchor_cells,
-            compiled,
+            compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
-    }
-
-    /// Disable (or re-enable) the compiled kernel and match patterns with
-    /// the naive per-reaction scan. Trajectories are bit-identical either
-    /// way.
-    pub fn with_naive_matching(mut self, naive: bool) -> Self {
-        self.kernel = None;
-        self.compiled = if naive {
-            None
-        } else {
-            CompiledModel::try_compile(self.model).map(Arc::new)
-        };
-        self
     }
 
     /// Resume support: the index of the next window (= whole windows already
@@ -388,28 +347,11 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
         self.window * (window as f64 + frac)
     }
 
-    /// (Re)bind the kernel to the state's lattice and bring it up to date.
-    fn ensure_kernel(&mut self, state: &SimState) {
-        let Some(compiled) = &self.compiled else {
-            return;
-        };
-        match &mut self.kernel {
-            Some(k) if k.dims() == state.lattice.dims() => {
-                k.ensure_fresh(&state.lattice, state.mutation_epoch());
-            }
-            _ => {
-                let mut k = SiteKernel::new(Arc::clone(compiled), &state.lattice);
-                k.note_epoch(state.mutation_epoch());
-                self.kernel = Some(k);
-            }
-        }
-    }
-
     /// Rebuild the enabled sets for `block` from the current lattice. The
     /// per-set insertion order (block sites row-major) matches a fresh
     /// [`Vssm::new`](psr_dmc::Vssm::new) scan when the block is the whole
     /// lattice — the single-chunk bit-identity hinges on this.
-    fn rebuild_block_sets(&mut self, state: &SimState, block: usize) {
+    fn rebuild_block_sets(&mut self, kernel: &SiteKernel, state: &SimState, block: usize) {
         let n = state.lattice.len();
         let reactions = self.model.num_reactions();
         if self.enabled.len() != reactions
@@ -425,21 +367,10 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
             }
         }
         let sites = self.plan.partition.chunk(block);
-        if let Some(kernel) = &self.kernel {
-            for (ri, set) in self.enabled.iter_mut().enumerate() {
-                for &site in sites {
-                    if kernel.is_enabled(site, ri) {
-                        set.insert(site);
-                    }
-                }
-            }
-        } else {
-            for (ri, set) in self.enabled.iter_mut().enumerate() {
-                let rt = self.model.reaction(ri);
-                for &site in sites {
-                    if rt.is_enabled(&state.lattice, site) {
-                        set.insert(site);
-                    }
+        for (ri, set) in self.enabled.iter_mut().enumerate() {
+            for &site in sites {
+                if kernel.is_enabled(site, ri, |s| state.lattice.get(s)) {
+                    set.insert(site);
                 }
             }
         }
@@ -460,36 +391,24 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
     /// blocks are picked up when their own fractional step rebuilds its
     /// sets. Visits the exact `(reaction, anchor)` sequence of
     /// [`Vssm`](psr_dmc::Vssm) so the swap-remove order matches.
-    fn refresh_around_in_block(&mut self, lattice: &Lattice, changed_site: Site, block: usize) {
+    fn refresh_around_in_block(
+        &mut self,
+        kernel: &SiteKernel,
+        lattice: &Lattice,
+        changed_site: Site,
+        block: usize,
+    ) {
         let partition = &self.plan.partition;
-        if let Some(kernel) = &self.kernel {
-            for ri in 0..self.enabled.len() {
-                for &cell in &self.anchor_cells[ri] {
-                    let anchor = kernel.anchor(changed_site, cell as usize);
-                    if partition.chunk_of(anchor) != block {
-                        continue;
-                    }
-                    if kernel.is_enabled(anchor, ri) {
-                        self.enabled[ri].insert(anchor);
-                    } else {
-                        self.enabled[ri].remove(anchor);
-                    }
+        for (ri, set) in self.enabled.iter_mut().enumerate() {
+            for r in kernel.compiled().requirements(ri) {
+                let anchor = kernel.anchor(changed_site, r.cell as usize);
+                if partition.chunk_of(anchor) != block {
+                    continue;
                 }
-            }
-        } else {
-            let dims = lattice.dims();
-            for ri in 0..self.enabled.len() {
-                let rt = self.model.reaction(ri);
-                for k in 0..self.anchor_offsets[ri].len() {
-                    let anchor = dims.translate(changed_site, self.anchor_offsets[ri][k]);
-                    if partition.chunk_of(anchor) != block {
-                        continue;
-                    }
-                    if rt.is_enabled(lattice, anchor) {
-                        self.enabled[ri].insert(anchor);
-                    } else {
-                        self.enabled[ri].remove(anchor);
-                    }
+                if kernel.is_enabled(anchor, ri, |s| lattice.get(s)) {
+                    set.insert(anchor);
+                } else {
+                    set.remove(anchor);
                 }
             }
         }
@@ -502,6 +421,7 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
     #[allow(clippy::too_many_arguments)]
     fn run_block_slot(
         &mut self,
+        kernel: &mut SiteKernel,
         state: &mut SimState,
         rng: &mut SimRng,
         block: usize,
@@ -510,7 +430,7 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
         changes: &mut Vec<(Site, u8, u8)>,
         hook: &mut impl EventHook,
     ) -> u64 {
-        self.rebuild_block_sets(state, block);
+        self.rebuild_block_sets(kernel, state, block);
         let mut t = t_lo;
         let mut events = 0u64;
         loop {
@@ -543,17 +463,10 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
             }
             let site = self.enabled[chosen].sample(rng);
             t += dt;
-            changes.clear();
-            let rt = self.model.reaction(chosen);
-            debug_assert!(rt.is_enabled(&state.lattice, site));
-            rt.execute(&mut state.lattice, site, changes);
-            state.apply_changes(changes);
-            if let Some(kernel) = &mut self.kernel {
-                kernel.apply_changes(&state.lattice, changes);
-                kernel.note_epoch(state.mutation_epoch());
-            }
+            let executed = state.fire(kernel, site, chosen, changes);
+            debug_assert!(executed, "enabled index held a disabled reaction");
             for &(z, _, _) in changes.iter() {
-                self.refresh_around_in_block(&state.lattice, z, block);
+                self.refresh_around_in_block(kernel, &state.lattice, z, block);
             }
             hook.on_event(Event {
                 time: t,
@@ -567,7 +480,13 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
     }
 
     /// Run one whole window (index `w`); returns executed events.
-    fn run_window(&mut self, state: &mut SimState, w: u64, hook: &mut impl EventHook) -> u64 {
+    fn run_window(
+        &mut self,
+        kernel: &mut SiteKernel,
+        state: &mut SimState,
+        w: u64,
+        hook: &mut impl EventHook,
+    ) -> u64 {
         let mut events = 0;
         let mut changes = Vec::with_capacity(4);
         for slot_idx in 0..self.slots.len() {
@@ -576,8 +495,16 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
             let (t_lo, t_hi) = (self.time_at(w, slot.lo), self.time_at(w, slot.hi));
             for &block in &plan.groups()[slot.group] {
                 let mut rng = self.stream(w, slot_idx, block);
-                events +=
-                    self.run_block_slot(state, &mut rng, block, t_lo, t_hi, &mut changes, hook);
+                events += self.run_block_slot(
+                    kernel,
+                    state,
+                    &mut rng,
+                    block,
+                    t_lo,
+                    t_hi,
+                    &mut changes,
+                    hook,
+                );
             }
         }
         // The window boundary is the checkpoint seam: the clock is a pure
@@ -595,11 +522,18 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
         mut recorder: Option<&mut Recorder>,
         hook: &mut impl EventHook,
     ) -> RunStats {
-        self.ensure_kernel(state);
+        // Detached while running so the window methods can borrow `self`.
+        let mut slot = self.kernel.take();
+        let kernel = SiteKernel::bind(
+            &mut slot,
+            &self.compiled,
+            &state.lattice,
+            state.mutation_epoch(),
+        );
         let mut stats = RunStats::default();
         for _ in 0..windows {
             let w = self.next_window;
-            let events = self.run_window(state, w, hook);
+            let events = self.run_window(kernel, state, w, hook);
             self.next_window += 1;
             stats.trials += events;
             stats.executed += events;
@@ -607,6 +541,8 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
                 rec.record(state.time, &state.coverage);
             }
         }
+        debug_assert!(kernel.matches_scan(self.model, &state.lattice));
+        self.kernel = slot;
         stats
     }
 
@@ -717,19 +653,12 @@ mod tests {
         assert_eq!(slot_table(Schedule::Strang, 1).len(), 1);
     }
 
-    fn run(
-        schedule: Schedule,
-        window: f64,
-        seed: u64,
-        naive: bool,
-        windows: u64,
-    ) -> (Lattice, f64) {
+    fn run(schedule: Schedule, window: f64, seed: u64, windows: u64) -> (Lattice, f64) {
         let model = zgb_ziff(0.5, 4.0);
         let dims = Dims::square(12);
         let plan = SplitPlan::new(dims, 2, 2, model.interaction_radius()).expect("plan");
         let mut state = SimState::new(Lattice::filled(dims, 0), &model);
-        let mut exec = FractionalStepKmc::new(&model, &plan, schedule, window, seed)
-            .with_naive_matching(naive);
+        let mut exec = FractionalStepKmc::new(&model, &plan, schedule, window, seed);
         let stats = exec.run_windows(&mut state, windows, None, &mut NoHook);
         assert!(stats.executed > 0, "no events executed");
         assert!(state.coverage.matches(&state.lattice), "coverage diverged");
@@ -737,18 +666,8 @@ mod tests {
     }
 
     #[test]
-    fn compiled_and_naive_matching_are_bit_identical() {
-        for schedule in [Schedule::Lie, Schedule::Strang] {
-            let (fast, tf) = run(schedule, 0.25, 42, false, 8);
-            let (naive, tn) = run(schedule, 0.25, 42, true, 8);
-            assert_eq!(fast, naive, "{schedule}: kernel arm diverged from naive");
-            assert_eq!(tf.to_bits(), tn.to_bits());
-        }
-    }
-
-    #[test]
     fn window_boundaries_are_pure_functions_of_the_window_index() {
-        let (_, t) = run(Schedule::Strang, 0.25, 7, false, 8);
+        let (_, t) = run(Schedule::Strang, 0.25, 7, 8);
         assert_eq!(t.to_bits(), (0.25f64 * 8.0).to_bits());
     }
 

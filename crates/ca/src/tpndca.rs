@@ -148,9 +148,8 @@ pub struct TPndca<'m> {
     /// weighted step. All subsets' caches are updated on every executed
     /// reaction so none goes stale mid-step.
     caches: Option<Vec<ChunkPropensityCache>>,
-    /// Compiled matcher; `None` when naive matching was requested.
-    compiled: Option<Arc<CompiledModel>>,
-    /// Lattice-bound kernel, built lazily on the first step.
+    compiled: Arc<CompiledModel>,
+    /// Lattice-bound kernel, bound on every step.
     kernel: Option<SiteKernel>,
 }
 
@@ -187,7 +186,7 @@ impl<'m> TPndca<'m> {
             time_mode: TimeMode::Discretized,
             weighted_chunks: false,
             caches: None,
-            compiled: CompiledModel::try_compile(model).map(Arc::new),
+            compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
     }
@@ -198,25 +197,20 @@ impl<'m> TPndca<'m> {
         self
     }
 
-    /// Disable (or re-enable) the compiled kernel and match patterns with
-    /// the naive per-reaction scan. Trajectories are bit-identical either
-    /// way; this is the escape hatch and the benchmark baseline.
-    pub fn with_naive_matching(mut self, naive: bool) -> Self {
-        self.kernel = None;
-        self.compiled = if naive {
-            None
-        } else {
-            CompiledModel::try_compile(self.model).map(Arc::new)
-        };
-        self
-    }
-
     /// Draw each swept chunk weighted by `count·k` of the selected reaction
     /// type (served from per-subset [`ChunkPropensityCache`]s) instead of
     /// uniformly. Subset and member-type draws are unchanged; only the
     /// chunk draw gains the weighting, concentrating sweeps where the
     /// chosen type is actually enabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `yes` and the model fails [`psr_kernel::require_masks`]:
+    /// chunk weights are counted from enabled-set masks.
     pub fn with_weighted_chunks(mut self, yes: bool) -> Self {
+        if yes {
+            psr_kernel::require_masks(self.model.num_reactions()).unwrap_or_else(|e| panic!("{e}"));
+        }
         self.weighted_chunks = yes;
         self
     }
@@ -262,22 +256,6 @@ impl<'m> TPndca<'m> {
         caches
     }
 
-    /// Take the lattice-bound kernel out of `self`, building or refreshing
-    /// it for the current lattice; `None` when naive matching was requested.
-    fn take_fresh_kernel(&mut self, state: &SimState) -> Option<SiteKernel> {
-        let compiled = self.compiled.as_ref()?;
-        let mut kernel = match self.kernel.take() {
-            Some(k) if k.dims() == state.lattice.dims() => k,
-            _ => {
-                let mut k = SiteKernel::new(Arc::clone(compiled), &state.lattice);
-                k.note_epoch(state.mutation_epoch());
-                k
-            }
-        };
-        kernel.ensure_fresh(&state.lattice, state.mutation_epoch());
-        Some(kernel)
-    }
-
     /// One step: `|T|` subset draws, each sweeping one chunk with one
     /// reaction type.
     pub fn step(
@@ -293,13 +271,18 @@ impl<'m> TPndca<'m> {
         } else {
             None
         };
-        let mut kernel = self.take_fresh_kernel(state);
+        let mut slot = self.kernel.take();
+        let kernel = SiteKernel::bind(
+            &mut slot,
+            &self.compiled,
+            &state.lattice,
+            state.mutation_epoch(),
+        );
         let mut weights: Vec<f64> = Vec::new();
         for _ in 0..self.types.num_subsets() {
             let j = self.subset_alias.sample(rng);
             let member = self.member_alias[j].sample(rng);
             let ri = self.types.subsets[j][member];
-            let rt = self.model.reaction(ri);
             let partition = &self.types.partitions[j];
             let chunk = match caches.as_ref() {
                 Some(cs) => {
@@ -310,43 +293,13 @@ impl<'m> TPndca<'m> {
             };
             for idx in 0..partition.chunk(chunk).len() {
                 let site = partition.chunk(chunk)[idx];
-                changes.clear();
-                // The enabled check consumes no randomness, so the compiled
-                // and naive arms produce bit-identical trajectories.
-                let executed = if let Some(k) = kernel.as_mut() {
-                    let enabled = k.is_enabled(site, ri);
-                    if enabled {
-                        rt.execute(&mut state.lattice, site, &mut changes);
-                        state.apply_changes(&changes);
-                        k.apply_changes(&state.lattice, &changes);
-                        k.note_epoch(state.mutation_epoch());
-                    }
-                    enabled
-                } else {
-                    let executed = rt.try_execute(&mut state.lattice, site, &mut changes);
-                    if executed {
-                        state.apply_changes(&changes);
-                    }
-                    executed
-                };
+                let executed = state.fire(kernel, site, ri, &mut changes);
                 if executed {
                     if let Some(cs) = caches.as_mut() {
                         // A change can flip enabledness of types in every
                         // subset, so all caches absorb it.
                         for (jj, c) in cs.iter_mut().enumerate() {
-                            match kernel.as_ref() {
-                                Some(k) => c.apply_changes_with_kernel(
-                                    k,
-                                    &self.types.partitions[jj],
-                                    &changes,
-                                ),
-                                None => c.apply_changes(
-                                    self.model,
-                                    &self.types.partitions[jj],
-                                    &state.lattice,
-                                    &changes,
-                                ),
-                            }
+                            c.apply_changes(kernel, &self.types.partitions[jj], &changes);
                             c.note_epoch(state.mutation_epoch());
                         }
                     }
@@ -369,7 +322,7 @@ impl<'m> TPndca<'m> {
             }
             self.caches = Some(cs);
         }
-        self.kernel = kernel;
+        self.kernel = slot;
         stats
     }
 
@@ -394,6 +347,7 @@ impl<'m> TPndca<'m> {
                 rec.record(state.time, &state.coverage);
             }
         }
+        debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
 
@@ -422,6 +376,7 @@ impl<'m> TPndca<'m> {
                 rec.record(state.time.min(t_end), &state.coverage);
             }
         }
+        debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
 }

@@ -1,31 +1,26 @@
 //! Property-based tests for partitions and the CA algorithms.
 
 use proptest::prelude::*;
+use psr_ca::ndca::Ndca;
 use psr_ca::partition::Partition;
 use psr_ca::partition_builder::{five_coloring, greedy_coloring, singleton_chunks};
 use psr_ca::pndca::{ChunkSelection, Pndca};
 use psr_ca::propensity::ChunkPropensityCache;
 use psr_dmc::events::{Event, EventHook};
+use psr_dmc::rsm::Rsm;
 use psr_dmc::sim::SimState;
+use psr_kernel::{CompiledModel, SiteKernel};
 use psr_lattice::{Dims, Lattice, Site};
 use psr_model::library::kuzovkov::{kuzovkov_model, KuzovkovParams};
 use psr_model::library::zgb::zgb_ziff;
 use psr_model::{Model, ModelBuilder};
 use psr_rng::rng_from_seed;
+use std::sync::Arc;
 
 struct CountVisits(Vec<u32>);
 impl EventHook for CountVisits {
     fn on_event(&mut self, event: Event) {
         self.0[event.site.0 as usize] += 1;
-    }
-}
-
-/// Records the trial-site sequence — identical sequences imply identical
-/// chunk-draw sequences.
-struct RecordSites(Vec<Site>);
-impl EventHook for RecordSites {
-    fn on_event(&mut self, event: Event) {
-        self.0.push(event.site);
     }
 }
 
@@ -142,7 +137,8 @@ proptest! {
 }
 
 /// Execute `n` randomly drawn reactions at randomly drawn sites directly on
-/// the lattice, mirroring every successful one into the cache.
+/// the lattice, mirroring every successful one into a kernel and through it
+/// into the cache.
 fn random_executions(
     model: &Model,
     partition: &Partition,
@@ -151,6 +147,7 @@ fn random_executions(
     seed: u64,
     n: usize,
 ) {
+    let mut kernel = SiteKernel::new(Arc::new(CompiledModel::compile(model)), lattice);
     let mut rng = rng_from_seed(seed);
     let mut changes = Vec::new();
     let sites = partition.dims().sites();
@@ -159,7 +156,8 @@ fn random_executions(
         let site = Site(rng.index(sites as usize) as u32);
         changes.clear();
         if model.reaction(ri).try_execute(lattice, site, &mut changes) {
-            cache.apply_changes(model, partition, lattice, &changes);
+            kernel.apply_changes(lattice, &changes);
+            cache.apply_changes(&kernel, partition, &changes);
         }
     }
 }
@@ -192,32 +190,78 @@ proptest! {
         prop_assert!(cache.matches_scan(&model, &p, &lattice));
         cache.assert_matches_scan(&model, &p, &lattice);
     }
+}
 
-    #[test]
-    fn weighted_selection_identical_with_and_without_cache(
-        seed in 0u64..1000,
-        steps in 1u64..4,
-    ) {
-        // The cache is a speed switch only: the cached and scanning
-        // weighted selections must consume identical random numbers, sweep
-        // identical chunk (hence site) sequences, and land on identical
-        // lattices.
-        let model = zgb_ziff(0.45, 5.0);
-        let dims = Dims::square(10);
-        let p = five_coloring(dims);
-        let run = |scan: bool| {
-            let mut pndca = Pndca::new(&model, &p)
-                .with_selection(ChunkSelection::WeightedByRates)
-                .with_scanned_weights(scan);
-            let mut state = SimState::new(Lattice::filled(dims, 0), &model);
-            let mut rng = rng_from_seed(seed);
-            let mut trace = RecordSites(Vec::new());
-            pndca.run_steps(&mut state, &mut rng, steps, None, &mut trace);
-            (state.lattice, trace.0)
-        };
-        let (lattice_scan, sites_scan) = run(true);
-        let (lattice_cache, sites_cache) = run(false);
-        prop_assert_eq!(sites_scan, sites_cache);
-        prop_assert_eq!(lattice_scan, lattice_cache);
+/// 65 reaction types — one more than enabled-set masks track — cycling
+/// single-site and pair patterns over three species.
+fn sixty_five_type_model() -> Model {
+    let mut builder = ModelBuilder::new(&["*", "A", "B"]);
+    for i in 0..=psr_kernel::MAX_KERNEL_REACTIONS {
+        builder = builder.reaction(format!("r{i}"), 1.0 + 0.01 * i as f64, |r| {
+            match i % 5 {
+                0 => r.site((0, 0), "*", "A"),
+                1 => r.site((0, 0), "A", "B"),
+                2 => r.site((0, 0), "B", "*"),
+                3 => r.site((0, 0), "A", "*").site((1, 0), "B", "*"),
+                _ => r.site((0, 0), "*", "B").site((0, 1), "*", "A"),
+            };
+        });
     }
+    builder.build()
+}
+
+#[test]
+fn models_beyond_the_mask_limit_run_through_the_untracked_kernel() {
+    let model = sixty_five_type_model();
+    let dims = Dims::square(10);
+    let partition = five_coloring(dims);
+    let fresh = || SimState::new(Lattice::filled(dims, 0), &model);
+    let hook = &mut psr_dmc::events::NoHook;
+
+    let mut ndca_state = fresh();
+    let stats = Ndca::new(&model).run_steps(&mut ndca_state, &mut rng_from_seed(5), 20, None, hook);
+    assert!(stats.executed > 0);
+    assert!(ndca_state.coverage.matches(&ndca_state.lattice));
+    // Row-major discretised NDCA is simple enough to restate on the
+    // model's own matcher: same draws, same lattice.
+    let alias = psr_rng::AliasTable::new(&model.rate_weights());
+    let (mut reference, mut rng, mut changes) = (fresh().lattice, rng_from_seed(5), Vec::new());
+    for _ in 0..20 {
+        for site in dims.iter_sites() {
+            let reaction = alias.sample(&mut rng);
+            model
+                .reaction(reaction)
+                .try_execute(&mut reference, site, &mut changes);
+        }
+    }
+    assert_eq!(ndca_state.lattice, reference);
+
+    let mut state = fresh();
+    let stats =
+        Pndca::new(&model, &partition).run_steps(&mut state, &mut rng_from_seed(6), 20, None, hook);
+    assert!(stats.executed > 0);
+    assert!(state.coverage.matches(&state.lattice));
+
+    let mut state = fresh();
+    let stats = Rsm::new(&model).run_mc_steps(&mut state, &mut rng_from_seed(7), 20, None, hook);
+    assert!(stats.executed > 0);
+    assert!(state.coverage.matches(&state.lattice));
+}
+
+#[test]
+#[should_panic(expected = "MAX_KERNEL_REACTIONS = 64")]
+fn weighted_selection_rejects_models_beyond_the_mask_limit() {
+    let model = sixty_five_type_model();
+    let partition = five_coloring(Dims::square(10));
+    let _ = Pndca::new(&model, &partition).with_selection(ChunkSelection::WeightedByRates);
+}
+
+#[test]
+#[should_panic(expected = "MAX_KERNEL_REACTIONS = 64")]
+fn weighted_type_chunks_reject_models_beyond_the_mask_limit() {
+    // Every subset of the type partition is small; it is the model's type
+    // count that the masks cannot hold.
+    let model = sixty_five_type_model();
+    let types = psr_ca::tpndca::axis_type_partition(&model, Dims::square(10));
+    let _ = psr_ca::tpndca::TPndca::new(&model, types).with_weighted_chunks(true);
 }

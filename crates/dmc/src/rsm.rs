@@ -56,20 +56,20 @@ pub struct Rsm<'m> {
     model: &'m Model,
     alias: AliasTable,
     time_mode: TimeMode,
-    /// Compiled matcher; `None` when naive matching was requested.
-    compiled: Option<Arc<CompiledModel>>,
-    /// Lattice-bound kernel, built lazily on the first run.
+    compiled: Arc<CompiledModel>,
+    /// Lattice-bound kernel, bound on every run (the geometry is only known
+    /// then) and kept fresh via the mutation-epoch protocol.
     kernel: Option<SiteKernel>,
 }
 
 impl<'m> Rsm<'m> {
-    /// Prepare RSM for `model` with stochastic time and compiled matching.
+    /// Prepare RSM for `model` with stochastic time.
     pub fn new(model: &'m Model) -> Self {
         Rsm {
             model,
             alias: AliasTable::new(&model.rate_weights()),
             time_mode: TimeMode::Stochastic,
-            compiled: CompiledModel::try_compile(model).map(Arc::new),
+            compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
     }
@@ -80,79 +80,25 @@ impl<'m> Rsm<'m> {
         self
     }
 
-    /// Disable (or re-enable) the compiled kernel and match patterns with
-    /// the naive per-reaction scan. Trajectories are bit-identical either
-    /// way; this is the escape hatch and the benchmark baseline.
-    pub fn with_naive_matching(mut self, naive: bool) -> Self {
-        self.kernel = None;
-        self.compiled = if naive {
-            None
-        } else {
-            CompiledModel::try_compile(self.model).map(Arc::new)
-        };
-        self
-    }
-
     /// The model being simulated.
     pub fn model(&self) -> &Model {
         self.model
-    }
-
-    /// (Re)bind the kernel to the state's lattice and bring it up to date.
-    /// Callers that drive [`trial`](Self::trial) directly should invoke this
-    /// once before their trial loop.
-    pub fn ensure_kernel(&mut self, state: &SimState) {
-        let Some(compiled) = &self.compiled else {
-            return;
-        };
-        match &mut self.kernel {
-            Some(k) if k.dims() == state.lattice.dims() => {
-                k.ensure_fresh(&state.lattice, state.mutation_epoch());
-            }
-            _ => {
-                let mut k = SiteKernel::new(Arc::clone(compiled), &state.lattice);
-                k.note_epoch(state.mutation_epoch());
-                self.kernel = Some(k);
-            }
-        }
     }
 
     /// One trial: select site and reaction type, execute if enabled.
     /// Does NOT advance the clock (the caller owns time bookkeeping so it
     /// can interleave recording correctly).
     #[inline]
-    pub fn trial(
-        &mut self,
+    fn trial(
+        alias: &AliasTable,
+        kernel: &mut SiteKernel,
         state: &mut SimState,
         rng: &mut SimRng,
         changes: &mut Vec<(Site, u8, u8)>,
     ) -> Event {
         let site = Site(rng.index(state.num_sites()) as u32);
-        let reaction = self.alias.sample(rng);
-        changes.clear();
-        // The enabled check consumes no randomness, so the compiled and
-        // naive arms produce bit-identical trajectories.
-        let executed = if let Some(kernel) = &mut self.kernel {
-            let enabled = kernel.is_enabled(site, reaction);
-            if enabled {
-                self.model
-                    .reaction(reaction)
-                    .execute(&mut state.lattice, site, changes);
-                state.apply_changes(changes);
-                kernel.apply_changes(&state.lattice, changes);
-                kernel.note_epoch(state.mutation_epoch());
-            }
-            enabled
-        } else {
-            let executed =
-                self.model
-                    .reaction(reaction)
-                    .try_execute(&mut state.lattice, site, changes);
-            if executed {
-                state.apply_changes(changes);
-            }
-            executed
-        };
+        let reaction = alias.sample(rng);
+        let executed = state.fire(kernel, site, reaction, changes);
         Event {
             time: state.time,
             site,
@@ -170,7 +116,12 @@ impl<'m> Rsm<'m> {
         mut recorder: Option<&mut Recorder>,
         hook: &mut impl EventHook,
     ) -> RunStats {
-        self.ensure_kernel(state);
+        let kernel = SiteKernel::bind(
+            &mut self.kernel,
+            &self.compiled,
+            &state.lattice,
+            state.mutation_epoch(),
+        );
         let mut stats = RunStats::default();
         let mut changes = Vec::with_capacity(4);
         // Hoisted out of the trial loop: same operands, same values, so the
@@ -192,7 +143,7 @@ impl<'m> Rsm<'m> {
                 break;
             }
             state.time = t_next;
-            let event = self.trial(state, rng, &mut changes);
+            let event = Self::trial(&self.alias, kernel, state, rng, &mut changes);
             stats.trials += 1;
             stats.executed += event.executed as u64;
             hook.on_event(event);
@@ -200,6 +151,7 @@ impl<'m> Rsm<'m> {
         if let Some(rec) = recorder {
             rec.record(t_end, &state.coverage);
         }
+        debug_assert!(kernel.matches_scan(self.model, &state.lattice));
         stats
     }
 
@@ -213,7 +165,12 @@ impl<'m> Rsm<'m> {
         mut recorder: Option<&mut Recorder>,
         hook: &mut impl EventHook,
     ) -> RunStats {
-        self.ensure_kernel(state);
+        let kernel = SiteKernel::bind(
+            &mut self.kernel,
+            &self.compiled,
+            &state.lattice,
+            state.mutation_epoch(),
+        );
         let mut stats = RunStats::default();
         let mut changes = Vec::with_capacity(4);
         let nk = state.num_sites() as f64 * self.model.total_rate();
@@ -229,7 +186,7 @@ impl<'m> Rsm<'m> {
                 rec.record_until(t_next, &state.coverage);
             }
             state.time = t_next;
-            let event = self.trial(state, rng, &mut changes);
+            let event = Self::trial(&self.alias, kernel, state, rng, &mut changes);
             stats.trials += 1;
             stats.executed += event.executed as u64;
             hook.on_event(event);
@@ -237,6 +194,7 @@ impl<'m> Rsm<'m> {
         if let Some(rec) = recorder {
             rec.record(state.time, &state.coverage);
         }
+        debug_assert!(kernel.matches_scan(self.model, &state.lattice));
         stats
     }
 }

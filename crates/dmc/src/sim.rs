@@ -1,6 +1,9 @@
 //! Shared simulation state: lattice + incrementally tracked coverage + clock.
 
-use psr_lattice::{Coverage, Lattice, Site};
+use std::cell::Cell;
+
+use psr_kernel::SiteKernel;
+use psr_lattice::{Change, Coverage, Lattice, Site};
 use psr_model::Model;
 use psr_rng::SimRng;
 
@@ -59,6 +62,45 @@ impl SimState {
             self.coverage.transition(old, new);
         }
         self.mutations += changes.len() as u64;
+    }
+
+    /// One trial of `reaction` at `site` on this state's lattice:
+    /// [`SiteKernel::fire`], and on a hit the journaled writes (left in
+    /// `changes`, cleared first) folded into the coverage, the mutation
+    /// epoch and the kernel. Returns whether the reaction executed.
+    #[inline]
+    pub fn fire(
+        &mut self,
+        kernel: &mut SiteKernel,
+        site: Site,
+        reaction: usize,
+        changes: &mut Vec<Change>,
+    ) -> bool {
+        changes.clear();
+        // Reader and writer share the cells; the kernel finishes reading
+        // before it writes.
+        let cells = Cell::from_mut(self.lattice.cells_mut()).as_slice_of_cells();
+        let executed = kernel.fire(
+            site,
+            reaction,
+            |s| cells[s.0 as usize].get(),
+            |s, new| changes.push((s, cells[s.0 as usize].replace(new), new)),
+        );
+        if executed {
+            self.apply_changes(changes);
+            kernel.apply_changes(&self.lattice, changes);
+            kernel.note_epoch(self.mutations);
+        }
+        executed
+    }
+
+    /// The debug-build check executors end a run call with: the kernel kept
+    /// in `slot`, if it claims to reflect this state's mutation epoch,
+    /// [`matches_scan`](SiteKernel::matches_scan). O(N·|T|), so once per
+    /// run call, not per step.
+    pub fn agrees_with(&self, slot: &Option<SiteKernel>, model: &Model) -> bool {
+        slot.as_ref()
+            .is_none_or(|k| k.epoch() != self.mutations || k.matches_scan(model, &self.lattice))
     }
 
     /// Randomise the lattice: each site takes a uniformly random state from

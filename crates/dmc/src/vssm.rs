@@ -104,18 +104,8 @@ impl SiteSet {
 pub struct Vssm<'m> {
     model: &'m Model,
     enabled: Vec<SiteSet>,
-    /// For each changed lattice site `z`, the candidate anchors whose
-    /// enabledness may have changed are `z − offset` for every pattern
-    /// offset; precomputed per reaction type.
-    anchor_offsets: Vec<Vec<psr_lattice::Offset>>,
-    /// `anchor_cells[ri][k]` = stencil cell index of reaction `ri`'s `k`-th
-    /// transform offset in the compiled model — so the kernel's anchor table
-    /// yields the exact same candidate sequence as `anchor_offsets`.
-    anchor_cells: Vec<Vec<u16>>,
-    /// Compiled matcher; `None` when naive matching was requested (or the
-    /// model is not kernel-eligible).
-    compiled: Option<Arc<CompiledModel>>,
-    /// Lattice-bound kernel, built lazily on the first step.
+    compiled: Arc<CompiledModel>,
+    /// Lattice-bound kernel, bound on every step.
     kernel: Option<SiteKernel>,
 }
 
@@ -131,50 +121,12 @@ impl<'m> Vssm<'m> {
                 }
             }
         }
-        let anchor_offsets = model
-            .reactions()
-            .iter()
-            .map(|rt| rt.transforms().iter().map(|t| t.offset.negated()).collect())
-            .collect();
-        let compiled = CompiledModel::try_compile(model).map(Arc::new);
-        let anchor_cells = match &compiled {
-            Some(c) => model
-                .reactions()
-                .iter()
-                .map(|rt| {
-                    rt.transforms()
-                        .iter()
-                        .map(|t| {
-                            c.cells()
-                                .binary_search(&t.offset)
-                                .expect("offset in stencil") as u16
-                        })
-                        .collect()
-                })
-                .collect(),
-            None => Vec::new(),
-        };
         Vssm {
             model,
             enabled,
-            anchor_offsets,
-            anchor_cells,
-            compiled,
+            compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
-    }
-
-    /// Disable (or re-enable) the compiled kernel and match patterns with
-    /// the naive per-reaction scan. Trajectories are bit-identical either
-    /// way; this is the escape hatch and the benchmark baseline.
-    pub fn with_naive_matching(mut self, naive: bool) -> Self {
-        self.kernel = None;
-        self.compiled = if naive {
-            None
-        } else {
-            CompiledModel::try_compile(self.model).map(Arc::new)
-        };
-        self
     }
 
     /// Summed rate of all enabled reactions (`Σ kSS'` of the ME, Eq. 1).
@@ -193,53 +145,24 @@ impl<'m> Vssm<'m> {
     }
 
     /// Re-examine enabledness of all reactions whose pattern could touch
-    /// `changed_site`.
-    ///
-    /// The kernel arm visits the exact same `(reaction, anchor)` sequence
-    /// with the exact same verdicts as the naive arm, so the swap-remove
-    /// site sets — whose iteration order affects sampling — evolve
-    /// identically and trajectories stay bit-identical.
-    fn refresh_around(&mut self, lattice: &Lattice, changed_site: Site) {
-        if let Some(kernel) = &self.kernel {
-            for ri in 0..self.enabled.len() {
-                for &cell in &self.anchor_cells[ri] {
-                    let anchor = kernel.anchor(changed_site, cell as usize);
-                    if kernel.is_enabled(anchor, ri) {
-                        self.enabled[ri].insert(anchor);
-                    } else {
-                        self.enabled[ri].remove(anchor);
-                    }
+    /// `changed_site`: for every reaction, the anchors `changed_site −
+    /// offset` in transform order. The swap-remove site sets' iteration
+    /// order affects sampling, so this visiting order is part of the
+    /// trajectory.
+    fn refresh_around(
+        enabled: &mut [SiteSet],
+        kernel: &SiteKernel,
+        lattice: &Lattice,
+        changed_site: Site,
+    ) {
+        for (ri, set) in enabled.iter_mut().enumerate() {
+            for r in kernel.compiled().requirements(ri) {
+                let anchor = kernel.anchor(changed_site, r.cell as usize);
+                if kernel.is_enabled(anchor, ri, |s| lattice.get(s)) {
+                    set.insert(anchor);
+                } else {
+                    set.remove(anchor);
                 }
-            }
-        } else {
-            let dims = lattice.dims();
-            for ri in 0..self.enabled.len() {
-                let rt = self.model.reaction(ri);
-                for k in 0..self.anchor_offsets[ri].len() {
-                    let anchor = dims.translate(changed_site, self.anchor_offsets[ri][k]);
-                    if rt.is_enabled(lattice, anchor) {
-                        self.enabled[ri].insert(anchor);
-                    } else {
-                        self.enabled[ri].remove(anchor);
-                    }
-                }
-            }
-        }
-    }
-
-    /// (Re)bind the kernel to the state's lattice and bring it up to date.
-    fn ensure_kernel(&mut self, state: &SimState) {
-        let Some(compiled) = &self.compiled else {
-            return;
-        };
-        match &mut self.kernel {
-            Some(k) if k.dims() == state.lattice.dims() => {
-                k.ensure_fresh(&state.lattice, state.mutation_epoch());
-            }
-            _ => {
-                let mut k = SiteKernel::new(Arc::clone(compiled), &state.lattice);
-                k.note_epoch(state.mutation_epoch());
-                self.kernel = Some(k);
             }
         }
     }
@@ -265,7 +188,6 @@ impl<'m> Vssm<'m> {
         changes: &mut Vec<(Site, u8, u8)>,
         t_end: f64,
     ) -> Option<Event> {
-        self.ensure_kernel(state);
         let total = self.total_propensity();
         if total <= 0.0 {
             return None;
@@ -293,19 +215,18 @@ impl<'m> Vssm<'m> {
         }
         let site = self.enabled[chosen].sample(rng);
         state.time += dt;
-        changes.clear();
-        let rt = self.model.reaction(chosen);
-        debug_assert!(rt.is_enabled(&state.lattice, site));
-        rt.execute(&mut state.lattice, site, changes);
-        state.apply_changes(changes);
-        if let Some(kernel) = &mut self.kernel {
-            // Masks must reflect the post-change lattice before the
-            // enabled-set refresh reads them.
-            kernel.apply_changes(&state.lattice, changes);
-            kernel.note_epoch(state.mutation_epoch());
-        }
+        let kernel = SiteKernel::bind(
+            &mut self.kernel,
+            &self.compiled,
+            &state.lattice,
+            state.mutation_epoch(),
+        );
+        // The kernel reflects the post-change lattice before the
+        // enabled-set refresh reads it.
+        let executed = state.fire(kernel, site, chosen, changes);
+        debug_assert!(executed, "enabled index held a disabled reaction");
         for &(z, _, _) in changes.iter() {
-            self.refresh_around(&state.lattice, z);
+            Self::refresh_around(&mut self.enabled, kernel, &state.lattice, z);
         }
         Some(Event {
             time: state.time,
@@ -343,6 +264,7 @@ impl<'m> Vssm<'m> {
         if let Some(rec) = recorder {
             rec.record(t_end, &state.coverage);
         }
+        debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
 

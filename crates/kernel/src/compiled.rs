@@ -4,17 +4,27 @@
 //! that does not depend on the lattice geometry:
 //!
 //! - the **stencil**: the deduplicated, sorted union of all transform
-//!   offsets — the cells any reaction's source pattern can read;
-//! - per-reaction **requirements**: each source pattern re-expressed as
-//!   `(stencil cell index, required state)` pairs;
+//!   offsets *and their negations*. The offsets themselves are the **read
+//!   cells** — what a source pattern can read; the negations close the
+//!   stencil under point reflection so that the anchors reading a site are
+//!   among that site's own stencil cells (one neighbor table serves both
+//!   directions, see [`SiteKernel`](crate::SiteKernel)). A symmetric
+//!   stencil, as in every library model, has nothing but read cells;
+//! - per-reaction **requirements**: each transform re-expressed as
+//!   `(stencil cell index, required state, target state)`;
 //! - the **reaction LUT**: for every base-S *neighborhood code* (the packed
-//!   radix-S encoding of the stencil cells' states, S = number of species),
+//!   radix-S encoding of the read cells' states, S = number of species),
 //!   the bitmask of enabled reactions and the summed rate of that enabled
-//!   set. The LUT has `S^|stencil|` entries (ZGB: 3⁵ = 243); when that
+//!   set. The LUT has `S^|read cells|` entries (ZGB: 3⁵ = 243); when that
 //!   exceeds [`DEFAULT_LUT_CAP`] (large state spaces à la Kuzovkov's
 //!   phase-augmented models with wide stencils) compilation falls back to
 //!   per-reaction requirement masks evaluated on demand — still
 //!   division-free and allocation-free, just not a single table load.
+//!
+//! A model with more than [`MAX_KERNEL_REACTIONS`] types compiles too, but
+//! its enabled sets do not fit a `u64`: it gets the stencil and the
+//! requirements only, and every kernel bound to it is *untracked* (see
+//! [`SiteKernel`](crate::SiteKernel)).
 
 use psr_lattice::Offset;
 use psr_model::Model;
@@ -23,17 +33,35 @@ use psr_model::Model;
 /// at the cap). Beyond this the kernel uses per-reaction requirement masks.
 pub const DEFAULT_LUT_CAP: usize = 1 << 20;
 
-/// Reaction bitmasks are `u64`: compiled kernels track at most 64 types,
-/// matching `psr-ca`'s propensity-cache limit.
+/// Reaction bitmasks are `u64`: kernels track the enabled sets of at most
+/// 64 types. Larger models still compile and run, untracked.
 pub const MAX_KERNEL_REACTIONS: usize = 64;
 
-/// One source-pattern condition: stencil cell `cell` must hold `src`.
+/// `Err` with the one message every mask-dependent consumer (weighted
+/// chunk selection, the sharded and batched executors) reports for a model
+/// with too many reaction types for enabled-set bitmasks.
+pub fn require_masks(num_reactions: usize) -> Result<(), String> {
+    if num_reactions <= MAX_KERNEL_REACTIONS {
+        Ok(())
+    } else {
+        Err(format!(
+            "model has {num_reactions} reaction types; enabled-set masks track at most \
+             MAX_KERNEL_REACTIONS = {MAX_KERNEL_REACTIONS}"
+        ))
+    }
+}
+
+/// One transform of a reaction, on stencil coordinates: cell `cell` must
+/// hold `src` for the reaction to be enabled, and holds `tgt` after it
+/// fires. A reaction's requirements keep its transforms' order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Requirement {
     /// Index into [`CompiledModel::cells`].
     pub cell: u16,
     /// Required state id.
     pub src: u8,
+    /// State id written on execution.
+    pub tgt: u8,
 }
 
 /// The full enabled-set lookup table, indexed by neighborhood code.
@@ -52,7 +80,11 @@ pub struct CompiledModel {
     num_reactions: usize,
     num_states: u32,
     cells: Vec<Offset>,
-    /// `weights[j] = S^j`: the radix weight of stencil cell `j` in the code.
+    /// The stencil cells some transform sits on, ascending: the digits of
+    /// the neighborhood code.
+    read_cells: Vec<u16>,
+    /// Radix weight of stencil cell `j` in the code: `S^k` for the `k`-th
+    /// read cell, 0 for a cell that is in the stencil only as a reflection.
     weights: Vec<u32>,
     rates: Vec<f64>,
     /// Requirements of reaction `i` are
@@ -64,38 +96,30 @@ pub struct CompiledModel {
 
 impl CompiledModel {
     /// Compile `model` with the default LUT size cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model has more than [`MAX_KERNEL_REACTIONS`] reaction
-    /// types.
     pub fn compile(model: &Model) -> Self {
         Self::compile_with_cap(model, DEFAULT_LUT_CAP)
-    }
-
-    /// Compile `model` if it is kernel-eligible (at most
-    /// [`MAX_KERNEL_REACTIONS`] reaction types); `None` otherwise. The
-    /// simulators use this so oversized models transparently keep the naive
-    /// matcher instead of panicking.
-    pub fn try_compile(model: &Model) -> Option<Self> {
-        (model.num_reactions() <= MAX_KERNEL_REACTIONS).then(|| Self::compile(model))
     }
 
     /// Compile with an explicit LUT entry cap (`0` forces the per-reaction
     /// fallback; used by the differential tests to exercise both paths).
     pub fn compile_with_cap(model: &Model, lut_cap: usize) -> Self {
-        assert!(
-            model.num_reactions() <= MAX_KERNEL_REACTIONS,
-            "compiled kernels support at most {MAX_KERNEL_REACTIONS} reaction types, got {}",
-            model.num_reactions()
-        );
         let mut cells: Vec<Offset> = model
             .reactions()
             .iter()
-            .flat_map(|rt| rt.transforms().iter().map(|t| t.offset))
+            .flat_map(|rt| rt.transforms().iter())
+            .flat_map(|t| [t.offset, t.offset.negated()])
             .collect();
         cells.sort_unstable();
         cells.dedup();
+        // Sorted and reflection-closed: negation reverses the order, which
+        // is how `SiteKernel::anchor` finds `site − cells[j]` in the table.
+        assert!(
+            cells
+                .iter()
+                .zip(cells.iter().rev())
+                .all(|(a, b)| *a == b.negated()),
+            "stencil order is not reversed by negation"
+        );
         assert!(
             cells.len() <= u16::MAX as usize,
             "stencil of {} cells exceeds u16 indexing",
@@ -112,27 +136,35 @@ impl CompiledModel {
                 reqs.push(Requirement {
                     cell,
                     src: t.src.id(),
+                    tgt: t.tgt.id(),
                 });
             }
             req_ranges.push((start, reqs.len() as u32));
         }
 
-        // Radix weights S^j; also detects code overflow (u32 codes).
-        let mut weights = Vec::with_capacity(cells.len());
+        let mut read_cells: Vec<u16> = reqs.iter().map(|r| r.cell).collect();
+        read_cells.sort_unstable();
+        read_cells.dedup();
+
+        // Radix weights S^k over the read cells; also detects code overflow
+        // (u32 codes).
+        let mut weights = vec![0u32; cells.len()];
         let mut entries: Option<usize> = Some(1);
         let mut w: Option<u32> = Some(1);
-        for _ in 0..cells.len() {
-            weights.push(w.unwrap_or(0));
+        for &j in &read_cells {
+            weights[j as usize] = w.unwrap_or(0);
             entries = entries.and_then(|e| e.checked_mul(num_states as usize));
             w = w.and_then(|w| w.checked_mul(num_states));
         }
-        let lut_entries = entries.filter(|&e| e <= lut_cap && w.is_some());
+        let tracks_masks = model.num_reactions() <= MAX_KERNEL_REACTIONS;
+        let lut_entries = entries.filter(|&e| tracks_masks && e <= lut_cap && w.is_some());
 
         let rates: Vec<f64> = model.reactions().iter().map(|rt| rt.rate()).collect();
         let mut compiled = CompiledModel {
             num_reactions: model.num_reactions(),
             num_states,
             cells,
+            read_cells,
             weights,
             rates,
             req_ranges,
@@ -145,8 +177,8 @@ impl CompiledModel {
         compiled
     }
 
-    /// Enumerate every code with an odometer over the stencil digits and
-    /// evaluate all reactions' requirements against it.
+    /// Enumerate every code with an odometer over the read cells' digits
+    /// and evaluate all reactions' requirements against it.
     fn build_lut(&self, entries: usize) -> Lut {
         let mut mask = Vec::with_capacity(entries);
         let mut rate_sum = Vec::with_capacity(entries);
@@ -157,7 +189,8 @@ impl CompiledModel {
             rate_sum.push(self.rate_of_mask(m));
             // Advance the odometer (skip after the last code).
             if code + 1 < entries {
-                for d in digits.iter_mut() {
+                for &j in &self.read_cells {
+                    let d = &mut digits[j as usize];
                     *d += 1;
                     if u32::from(*d) < self.num_states {
                         break;
@@ -174,17 +207,33 @@ impl CompiledModel {
         self.num_reactions
     }
 
+    /// True when the enabled set of a site fits a `u64` bitmask, so kernels
+    /// can track per-site masks (at most [`MAX_KERNEL_REACTIONS`] types).
+    #[inline]
+    pub fn tracks_masks(&self) -> bool {
+        self.num_reactions <= MAX_KERNEL_REACTIONS
+    }
+
     /// Number of states `S` (the code radix).
     pub fn num_states(&self) -> u32 {
         self.num_states
     }
 
-    /// The stencil cells, sorted and deduplicated.
+    /// The stencil cells, sorted, deduplicated and closed under negation:
+    /// `cells[len − 1 − j] == −cells[j]`.
     pub fn cells(&self) -> &[Offset] {
         &self.cells
     }
 
-    /// Radix weight `S^j` of stencil cell `j`.
+    /// Indices into [`cells`](Self::cells) of the cells a source pattern
+    /// can read (some transform's offset), ascending. Only the anchors
+    /// `site − cells[j]` for these `j` see a change at `site`.
+    pub fn read_cells(&self) -> &[u16] {
+        &self.read_cells
+    }
+
+    /// Radix weight of stencil cell `j` in the neighborhood code: `S^k` for
+    /// the `k`-th read cell, 0 for a cell no pattern reads.
     #[inline]
     pub fn weight(&self, cell: usize) -> u32 {
         self.weights[cell]
@@ -201,7 +250,7 @@ impl CompiledModel {
         self.table.is_some()
     }
 
-    /// Number of LUT entries (`S^|stencil|`), or 0 in fallback mode.
+    /// Number of LUT entries (`S^|read cells|`), or 0 in fallback mode.
     pub fn lut_entries(&self) -> usize {
         self.table.as_ref().map_or(0, |t| t.mask.len())
     }
@@ -234,8 +283,10 @@ impl CompiledModel {
     /// Evaluate the enabled-reaction bitmask from a cell-state oracle
     /// (`get(cell)` returns the state of stencil cell `cell`). Used to build
     /// the LUT, to rebuild site masks in fallback mode, and by tests.
+    /// Requires [`tracks_masks`](Self::tracks_masks).
     #[inline]
     pub fn eval(&self, get: impl Fn(u16) -> u8) -> u64 {
+        debug_assert!(self.tracks_masks());
         let mut mask = 0u64;
         for (ri, &(start, end)) in self.req_ranges.iter().enumerate() {
             let ok = self.reqs[start as usize..end as usize]
@@ -298,7 +349,14 @@ mod tests {
         assert!(!c.has_lut());
         assert_eq!(c.lut_entries(), 0);
         // Requirements still compiled: CO adsorption needs vacant origin.
-        assert_eq!(c.requirements(0), &[Requirement { cell: 2, src: 0 }]);
+        assert_eq!(
+            c.requirements(0),
+            &[Requirement {
+                cell: 2,
+                src: 0,
+                tgt: 1
+            }]
+        );
     }
 
     #[test]

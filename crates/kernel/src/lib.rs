@@ -1,30 +1,40 @@
-//! Compiled reaction kernels: LUT-based pattern matching for hot loops.
+//! Compiled reaction kernels: the one trial body and the tables under it.
 //!
-//! The paper's NDCA/DMC trial loop spends most of its time answering one
-//! question: *which reactions are enabled at this site?* The naive answer
-//! walks every reaction's transforms and calls `Dims::translate` (three
-//! integer divisions) per cell. This crate compiles a `Model` once into a
-//! form where the same question is a single table load:
+//! Every method of the paper is the same trial — *test a reaction type's
+//! source pattern at a site, write its target pattern* — under a different
+//! schedule of sites. This crate holds that trial once:
 //!
-//! 1. [`CompiledModel`] — lattice-independent: the stencil (union of all
-//!    pattern offsets), per-reaction requirements, and the reaction LUT
-//!    mapping every base-S neighborhood code to an enabled-reaction bitmask
-//!    plus its summed rate. Falls back to per-reaction requirement masks
-//!    when `S^|stencil|` exceeds [`DEFAULT_LUT_CAP`].
-//! 2. [`SiteKernel`] — lattice-bound: precomputed neighbor/anchor index
-//!    tables (no div/mod in the inner loop) and the incrementally maintained
-//!    per-site codes or masks, updated from the simulators' change journals.
+//! 1. [`CompiledModel`] — lattice-independent: the stencil (the
+//!    reflection-closed union of all pattern offsets), per-reaction
+//!    requirements `(cell, src, tgt)`, and the reaction LUT mapping every
+//!    base-S neighborhood code (over the cells some pattern reads) to an
+//!    enabled-reaction bitmask plus its summed rate. Falls back to
+//!    per-reaction requirement masks when `S^|read cells|` exceeds
+//!    [`DEFAULT_LUT_CAP`].
+//! 2. [`SiteKernel`] — lattice-bound: the precomputed neighbor table (no
+//!    div/mod in the inner loop), the incrementally maintained per-site
+//!    codes and masks, and [`SiteKernel::fire`]: enabled test, then the
+//!    target states written through the neighbor table into the caller's
+//!    cells — a plain lattice, a shared one, a shard's owned-or-deferred
+//!    write-back. [`SiteKernel::bind`] is the one build-or-refresh step;
+//!    [`SiteKernel::split_anchors`] lends disjoint site ranges of the codes
+//!    and masks to concurrent folds ([`AnchorRange`]).
 //!
-//! Both layers answer *exactly* the same predicate as
-//! `ReactionType::is_enabled`, so swapping them into a simulator cannot
-//! change trajectories: the enabled check consumes no randomness and the
-//! execution path is untouched. Every simulator that adopts the kernel keeps
-//! a `with_naive_matching` escape hatch that restores the original scan.
+//! A kernel is *tracked* (the enabled test is one mask load) unless the
+//! model has more than [`MAX_KERNEL_REACTIONS`] types; then it is
+//! *untracked* and walks the reaction's requirements instead — the only
+//! such scan outside `psr-model`'s own matcher, which stays as the
+//! independent reference the differential tests compare against. Either
+//! way the verdict equals `ReactionType::is_enabled`, consumes no
+//! randomness, and the writes keep transform order, so trajectories do not
+//! depend on the kernel.
 
 #![warn(missing_docs)]
 
 pub mod compiled;
 pub mod site;
 
-pub use compiled::{CompiledModel, Requirement, DEFAULT_LUT_CAP, MAX_KERNEL_REACTIONS};
-pub use site::SiteKernel;
+pub use compiled::{
+    require_masks, CompiledModel, Requirement, DEFAULT_LUT_CAP, MAX_KERNEL_REACTIONS,
+};
+pub use site::{AnchorRange, SiteKernel};

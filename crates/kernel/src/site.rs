@@ -1,23 +1,33 @@
-//! Per-site kernel state: neighbor tables, neighborhood codes, masks.
+//! Per-site kernel state: neighbor tables, neighborhood codes, masks — and
+//! the one trial body, [`SiteKernel::fire`].
 //!
 //! A [`SiteKernel`] binds a [`CompiledModel`] to one lattice geometry. At
 //! construction it precomputes, for every site, the flat indices of its
-//! stencil cells (`neighbors`) and of the anchors that read it (`anchors`) —
-//! so the hot loop never touches `Dims::translate`'s div/mod arithmetic —
-//! and then scans the lattice once to seed the per-site neighborhood codes
-//! (LUT mode) or enabled-reaction masks (fallback mode).
+//! stencil cells — so the hot loop never touches `Dims::translate`'s
+//! div/mod arithmetic. The stencil is closed under point reflection, so
+//! the same row read backwards lists the anchors that read the site: a
+//! firing trial writes through it and folds the write back from it.
 //!
-//! From then on the kernel is maintained *incrementally* from the same
-//! change lists the simulators already journal: a change `(x, old → new)` at
-//! site `x` adds `weight_j · (new − old)` to the code of every anchor
-//! `x − cells[j]` — exact in wrapping `u32` arithmetic because each stencil
+//! A **tracked** kernel additionally scans the lattice once to seed the
+//! per-site neighborhood codes (LUT mode) or enabled-reaction masks
+//! (fallback mode) and is maintained *incrementally* from the change lists
+//! the simulators journal: a change `(x, old → new)` at site `x` adds
+//! `weight_j · (new − old)` to the code of every anchor `x − cells[j]`, `j`
+//! over the read cells — exact in wrapping `u32` arithmetic because each
 //! digit transitions independently, even when torus aliasing folds several
-//! cells of one anchor onto `x`.
+//! cells of one anchor onto `x`. Its enabled test is one mask load.
+//!
+//! An **untracked** kernel holds the tables only and answers the enabled
+//! test by walking the reaction's requirements through the neighbor table
+//! and the caller's cell reader — the single requirement-walk scan in the
+//! workspace. A kernel is untracked exactly when it has no masks to
+//! consult: the model has more than
+//! [`MAX_KERNEL_REACTIONS`](crate::MAX_KERNEL_REACTIONS) types.
 //!
 //! Freshness follows the same mutation-epoch protocol as `psr-ca`'s
-//! propensity cache: simulators call [`SiteKernel::ensure_fresh`] with the
-//! state's `mutation_epoch()` before a sweep and [`SiteKernel::note_epoch`]
-//! after applying changes through the kernel.
+//! propensity cache: simulators call [`SiteKernel::bind`] with the state's
+//! `mutation_epoch()` before a sweep and [`SiteKernel::note_epoch`] after
+//! applying changes through the kernel.
 
 use std::sync::Arc;
 
@@ -25,16 +35,22 @@ use crate::compiled::CompiledModel;
 use psr_lattice::{Change, Dims, Lattice, Site};
 use psr_model::Model;
 
+/// Row `site` of the neighbor table: the flat indices of `site + cells[j]`.
+/// Because `cells[c − 1 − j] == −cells[j]`, entry `c − 1 − j` is also the
+/// anchor `site − cells[j]` whose stencil cell `j` reads `site`.
+#[inline]
+fn neighbors_of(table: &[u32], c: usize, site: usize) -> &[u32] {
+    &table[site * c..site * c + c]
+}
+
 /// A [`CompiledModel`] instantiated for one lattice geometry.
 #[derive(Clone, Debug)]
 pub struct SiteKernel {
     compiled: Arc<CompiledModel>,
     dims: Dims,
-    /// `neighbors[site·C + j]` = flat index of `site + cells[j]`.
-    neighbors: Vec<u32>,
-    /// `anchors[site·C + j]` = flat index of `site − cells[j]` (the anchors
-    /// whose cell `j` reads `site`).
-    anchors: Vec<u32>,
+    /// `table[site·C + j]` = flat index of `site + cells[j]` (see
+    /// [`neighbors_of`]).
+    table: Vec<u32>,
     /// LUT mode: the base-S neighborhood code of every site.
     codes: Vec<u32>,
     /// LUT mode: a flat copy of the compiled mask table (refresh source for
@@ -48,36 +64,124 @@ pub struct SiteKernel {
     masks: Vec<u64>,
     /// Mutation epoch of the `SimState` this kernel last reflected.
     epoch: u64,
+    /// `compiled.tracks_masks()`, kept here so the per-trial branch does
+    /// not chase the `Arc`.
+    tracked: bool,
+}
+
+/// Exclusive access to the codes and masks of the anchors in one contiguous
+/// site range of a tracked [`SiteKernel`] (see
+/// [`SiteKernel::split_anchors`]).
+pub struct AnchorRange<'k> {
+    compiled: &'k CompiledModel,
+    table: &'k [u32],
+    lut_mask: &'k [u64],
+    /// First site of the range; `codes[i]`/`masks[i]` belong to `lo + i`.
+    lo: u32,
+    codes: &'k mut [u32],
+    masks: &'k mut [u64],
+}
+
+impl AnchorRange<'_> {
+    /// The sites whose codes and masks this range holds.
+    pub fn sites(&self) -> std::ops::Range<u32> {
+        self.lo..self.lo + self.masks.len() as u32
+    }
+
+    /// Fold `changes` into the anchors of this range; every entry that also
+    /// reaches an anchor outside it is appended to `spill`, for
+    /// [`SiteKernel::apply_changes_outside`]. `lattice` must reflect the
+    /// changes and be quiescent.
+    pub fn apply_changes(
+        &mut self,
+        lattice: &Lattice,
+        changes: &[Change],
+        spill: &mut Vec<Change>,
+    ) {
+        let sites = self.sites();
+        let mut spilled = false;
+        for change in changes {
+            self.fold(lattice, std::slice::from_ref(change), |anchor| {
+                let mine = sites.contains(&anchor);
+                spilled |= !mine;
+                mine
+            });
+            if std::mem::take(&mut spilled) {
+                spill.push(*change);
+            }
+        }
+    }
+
+    /// Update the anchors reading each changed site, `keep` deciding which
+    /// of them (all of those it keeps must lie in this range).
+    #[inline]
+    fn fold(&mut self, lattice: &Lattice, changes: &[Change], mut keep: impl FnMut(u32) -> bool) {
+        let c = self.compiled.cells().len();
+        let reads = self.compiled.read_cells();
+        // `row[c − 1 − j]` is the anchor `site − cells[j]`, which reads
+        // `site` as its cell `j`.
+        if self.compiled.has_lut() {
+            for &(site, old, new) in changes {
+                if old == new {
+                    continue;
+                }
+                let row = neighbors_of(self.table, c, site.0 as usize);
+                for &j in reads {
+                    let anchor = row[c - 1 - j as usize];
+                    if !keep(anchor) {
+                        continue;
+                    }
+                    let w = self.compiled.weight(j as usize);
+                    let delta = w
+                        .wrapping_mul(u32::from(new))
+                        .wrapping_sub(w.wrapping_mul(u32::from(old)));
+                    let code = &mut self.codes[(anchor - self.lo) as usize];
+                    *code = code.wrapping_add(delta);
+                    self.masks[(anchor - self.lo) as usize] = self.lut_mask[*code as usize];
+                }
+            }
+        } else {
+            for &(site, _, _) in changes {
+                let row = neighbors_of(self.table, c, site.0 as usize);
+                for &j in reads {
+                    let anchor = row[c - 1 - j as usize];
+                    if !keep(anchor) {
+                        continue;
+                    }
+                    let nb = neighbors_of(self.table, c, anchor as usize);
+                    self.masks[(anchor - self.lo) as usize] = self
+                        .compiled
+                        .eval(|cell| lattice.cells()[nb[cell as usize] as usize]);
+                }
+            }
+        }
+    }
 }
 
 impl SiteKernel {
-    /// Build the kernel for `lattice`'s geometry and seed it from the
-    /// current configuration.
+    /// Build the kernel for `lattice`'s geometry and, when the compiled
+    /// model tracks masks, seed it from the current configuration.
     pub fn new(compiled: Arc<CompiledModel>, lattice: &Lattice) -> Self {
         let dims = lattice.dims();
         let n = lattice.len();
         let c = compiled.cells().len();
-        let mut neighbors = vec![0u32; n * c];
-        let mut anchors = vec![0u32; n * c];
+        let mut table = vec![0u32; n * c];
         let wrap = lattice.wrap_tables();
         for (j, &offset) in compiled.cells().iter().enumerate() {
-            let back = offset.negated();
-            if wrap.covers(offset) && wrap.covers(back) {
+            if wrap.covers(offset) {
                 // Division-free: sweep coordinates row-major and translate
                 // through the wrap tables.
                 let mut site = 0usize;
                 for y in 0..dims.height() {
                     for x in 0..dims.width() {
-                        neighbors[site * c + j] = wrap.translate_xy(x, y, offset).0;
-                        anchors[site * c + j] = wrap.translate_xy(x, y, back).0;
+                        table[site * c + j] = wrap.translate_xy(x, y, offset).0;
                         site += 1;
                     }
                 }
             } else {
                 // Wide stencil cell: exact one-time fallback.
                 for site in dims.iter_sites() {
-                    neighbors[site.0 as usize * c + j] = dims.translate(site, offset).0;
-                    anchors[site.0 as usize * c + j] = dims.translate(site, back).0;
+                    table[site.0 as usize * c + j] = dims.translate(site, offset).0;
                 }
             }
         }
@@ -86,10 +190,10 @@ impl SiteKernel {
             .map(<[u64]>::to_vec)
             .unwrap_or_default();
         let mut kernel = SiteKernel {
+            tracked: compiled.tracks_masks(),
             compiled,
             dims,
-            neighbors,
-            anchors,
+            table,
             codes: Vec::new(),
             lut_mask,
             masks: Vec::new(),
@@ -114,6 +218,34 @@ impl SiteKernel {
         self.epoch
     }
 
+    /// True when the kernel maintains per-site enabled masks (see the
+    /// module docs); false when every enabled test is a requirement walk.
+    #[inline]
+    pub fn is_tracked(&self) -> bool {
+        self.tracked
+    }
+
+    /// Make `slot` hold a kernel for `compiled` that is bound to
+    /// `lattice`'s geometry and reflects its cells at mutation `epoch`:
+    /// built on first use or after a geometry change, rebuilt when the
+    /// lattice was mutated behind its back, untouched otherwise.
+    pub fn bind<'a>(
+        slot: &'a mut Option<SiteKernel>,
+        compiled: &Arc<CompiledModel>,
+        lattice: &Lattice,
+        epoch: u64,
+    ) -> &'a mut SiteKernel {
+        match slot {
+            Some(k) if k.dims == lattice.dims() => k.ensure_fresh(lattice, epoch),
+            _ => *slot = None,
+        }
+        slot.get_or_insert_with(|| {
+            let mut k = SiteKernel::new(Arc::clone(compiled), lattice);
+            k.epoch = epoch;
+            k
+        })
+    }
+
     /// Record the mutation epoch the kernel is now consistent with.
     pub fn note_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
@@ -128,13 +260,17 @@ impl SiteKernel {
         }
     }
 
-    /// Re-derive all codes/masks from the lattice (cold path).
+    /// Re-derive all codes/masks from the lattice (cold path; nothing to
+    /// derive for an untracked kernel).
     ///
     /// # Panics
     ///
     /// Panics if a cell holds a state outside the compiled model's domain.
     pub fn rebuild(&mut self, lattice: &Lattice) {
         assert_eq!(self.dims, lattice.dims(), "kernel built for other dims");
+        if !self.is_tracked() {
+            return;
+        }
         let n = lattice.len();
         let c = self.compiled.cells().len();
         let num_states = self.compiled.num_states();
@@ -148,7 +284,7 @@ impl SiteKernel {
             self.codes.clear();
             self.codes.resize(n, 0);
             for (site, code) in self.codes.iter_mut().enumerate() {
-                let row = &self.neighbors[site * c..site * c + c];
+                let row = neighbors_of(&self.table, c, site);
                 let mut acc = 0u32;
                 for (j, &nb) in row.iter().enumerate() {
                     acc += self.compiled.weight(j) * u32::from(lattice.cells()[nb as usize]);
@@ -163,7 +299,7 @@ impl SiteKernel {
             self.masks.clear();
             self.masks.resize(n, 0);
             for site in 0..n {
-                let row = &self.neighbors[site * c..site * c + c];
+                let row = neighbors_of(&self.table, c, site);
                 self.masks[site] = self
                     .compiled
                     .eval(|cell| lattice.cells()[row[cell as usize] as usize]);
@@ -179,43 +315,122 @@ impl SiteKernel {
     /// compose.
     #[inline]
     pub fn apply_changes(&mut self, lattice: &Lattice, changes: &[Change]) {
-        let c = self.compiled.cells().len();
-        if self.compiled.has_lut() {
-            for &(site, old, new) in changes {
-                if old == new {
-                    continue;
-                }
-                let row = &self.anchors[site.0 as usize * c..site.0 as usize * c + c];
-                for (j, &anchor) in row.iter().enumerate() {
-                    let w = self.compiled.weight(j);
-                    let delta = w
-                        .wrapping_mul(u32::from(new))
-                        .wrapping_sub(w.wrapping_mul(u32::from(old)));
-                    let code = &mut self.codes[anchor as usize];
-                    *code = code.wrapping_add(delta);
-                    self.masks[anchor as usize] = self.lut_mask[*code as usize];
-                }
-            }
-        } else {
-            for &(site, _, _) in changes {
-                let row = &self.anchors[site.0 as usize * c..site.0 as usize * c + c];
-                for &anchor in row {
-                    let nb = &self.neighbors[anchor as usize * c..anchor as usize * c + c];
-                    self.masks[anchor as usize] = self
-                        .compiled
-                        .eval(|cell| lattice.cells()[nb[cell as usize] as usize]);
-                }
-            }
+        if self.is_tracked() {
+            self.all_anchors().fold(lattice, changes, |_| true);
         }
     }
 
+    /// [`apply_changes`](Self::apply_changes) restricted to the anchors
+    /// *outside* `range`: the serial tail after an
+    /// [`AnchorRange::apply_changes`] over `range` left these entries.
+    pub fn apply_changes_outside(
+        &mut self,
+        lattice: &Lattice,
+        changes: &[Change],
+        range: std::ops::Range<u32>,
+    ) {
+        if self.is_tracked() {
+            self.all_anchors()
+                .fold(lattice, changes, |anchor| !range.contains(&anchor));
+        }
+    }
+
+    /// Split the codes and masks at the ascending site indices `bounds`
+    /// into `bounds.len() + 1` disjoint [`AnchorRange`]s covering every
+    /// site, so that concurrent writers over disjoint site ranges can each
+    /// fold their own journal. Empty for an untracked kernel (nothing to
+    /// fold).
+    pub fn split_anchors(&mut self, bounds: &[u32]) -> Vec<AnchorRange<'_>> {
+        if !self.is_tracked() {
+            return Vec::new();
+        }
+        let n = self.masks.len() as u32;
+        let (mut codes, mut masks) = (self.codes.as_mut_slice(), self.masks.as_mut_slice());
+        let mut ranges = Vec::with_capacity(bounds.len() + 1);
+        let mut lo = 0u32;
+        for &hi in bounds.iter().chain([&n]) {
+            assert!(lo <= hi && hi <= n, "bounds must ascend within the lattice");
+            let len = (hi - lo) as usize;
+            // Mask mode keeps no codes.
+            let (c, c_rest) = codes.split_at_mut(len.min(codes.len()));
+            let (m, m_rest) = masks.split_at_mut(len);
+            (codes, masks) = (c_rest, m_rest);
+            ranges.push(AnchorRange {
+                compiled: &self.compiled,
+                table: &self.table,
+                lut_mask: &self.lut_mask,
+                lo,
+                codes: c,
+                masks: m,
+            });
+            lo = hi;
+        }
+        ranges
+    }
+
+    fn all_anchors(&mut self) -> AnchorRange<'_> {
+        AnchorRange {
+            compiled: &self.compiled,
+            table: &self.table,
+            lut_mask: &self.lut_mask,
+            lo: 0,
+            codes: &mut self.codes,
+            masks: &mut self.masks,
+        }
+    }
+
+    /// The one trial: if `reaction` is enabled at `site`, write its target
+    /// states — in transform order, through the neighbor table — into
+    /// `write` and return true; otherwise write nothing and return false.
+    ///
+    /// `read` and `write` are the caller's cells: a plain lattice, a shared
+    /// one, a shard's owned-or-deferred write-back. `read` is consulted only
+    /// by an untracked kernel. A tracked kernel trusts its masks, so the
+    /// caller folds the writes back with [`apply_changes`]
+    /// (Self::apply_changes) before any trial whose pattern can see them.
+    #[inline]
+    pub fn fire(
+        &self,
+        site: Site,
+        reaction: usize,
+        read: impl Fn(Site) -> u8,
+        mut write: impl FnMut(Site, u8),
+    ) -> bool {
+        if !self.is_enabled(site, reaction, read) {
+            return false;
+        }
+        let c = self.compiled.cells().len();
+        let row = neighbors_of(&self.table, c, site.0 as usize);
+        for r in self.compiled.requirements(reaction) {
+            write(Site(row[r.cell as usize]), r.tgt);
+        }
+        true
+    }
+
+    /// Is `reaction` enabled at `site`? One mask load when tracked; the
+    /// requirement walk over `read` when not.
+    #[inline]
+    pub fn is_enabled(&self, site: Site, reaction: usize, read: impl Fn(Site) -> u8) -> bool {
+        if self.is_tracked() {
+            return (self.masks[site.0 as usize] >> reaction) & 1 != 0;
+        }
+        let c = self.compiled.cells().len();
+        let row = neighbors_of(&self.table, c, site.0 as usize);
+        self.compiled
+            .requirements(reaction)
+            .iter()
+            .all(|r| read(Site(row[r.cell as usize])) == r.src)
+    }
+
     /// Enabled-reaction bitmask at `site` (bit `i` ↔ reaction `i`).
+    /// Tracked kernels only.
     #[inline]
     pub fn enabled_mask(&self, site: Site) -> u64 {
         self.masks[site.0 as usize]
     }
 
-    /// The per-site enabled-reaction bitmasks, indexed by flat site id.
+    /// The per-site enabled-reaction bitmasks, indexed by flat site id
+    /// (empty for an untracked kernel).
     ///
     /// Trial loops borrow this once per scan so the per-trial check is a
     /// single indexed load with the bounds check lifted out of the loop.
@@ -224,14 +439,9 @@ impl SiteKernel {
         &self.masks
     }
 
-    /// Is reaction `reaction` enabled at `site`?
-    #[inline]
-    pub fn is_enabled(&self, site: Site, reaction: usize) -> bool {
-        (self.enabled_mask(site) >> reaction) & 1 != 0
-    }
-
     /// Summed rate of the reactions enabled at `site` (the LUT's
     /// cumulative-rate row; recomputed from the mask in fallback mode).
+    /// Tracked kernels only.
     #[inline]
     pub fn enabled_rate_sum(&self, site: Site) -> f64 {
         if self.compiled.has_lut() {
@@ -246,28 +456,33 @@ impl SiteKernel {
     #[inline]
     pub fn anchor(&self, site: Site, cell: usize) -> Site {
         let c = self.compiled.cells().len();
-        Site(self.anchors[site.0 as usize * c + cell])
+        Site(neighbors_of(&self.table, c, site.0 as usize)[c - 1 - cell])
     }
 
     /// The neighbor `site + cells[cell]` from the precomputed table.
     #[inline]
     pub fn neighbor(&self, site: Site, cell: usize) -> Site {
         let c = self.compiled.cells().len();
-        Site(self.neighbors[site.0 as usize * c + cell])
+        Site(neighbors_of(&self.table, c, site.0 as usize)[cell])
     }
 
-    /// Check every site's mask against the naive per-reaction scan; true iff
-    /// they all agree.
+    /// Check every site's mask against the model's own per-reaction scan;
+    /// true iff they all agree (an untracked kernel has no masks to go
+    /// stale, so it always does).
     pub fn matches_scan(&self, model: &Model, lattice: &Lattice) -> bool {
-        lattice
-            .dims()
-            .iter_sites()
-            .all(|site| self.enabled_mask(site) == model.enabled_mask_at(lattice, site))
+        !self.is_tracked()
+            || lattice
+                .dims()
+                .iter_sites()
+                .all(|site| self.enabled_mask(site) == model.enabled_mask_at(lattice, site))
     }
 
     /// Assert [`matches_scan`](Self::matches_scan), reporting the first
     /// disagreeing site.
     pub fn assert_matches_scan(&self, model: &Model, lattice: &Lattice) {
+        if !self.is_tracked() {
+            return;
+        }
         for site in lattice.dims().iter_sites() {
             let compiled = self.enabled_mask(site);
             let naive = model.enabled_mask_at(lattice, site);
@@ -350,20 +565,66 @@ mod tests {
     }
 
     #[test]
-    fn ensure_fresh_rebuilds_on_epoch_mismatch() {
+    fn range_folds_plus_their_tails_equal_one_fold() {
+        // Three ranges each fold "their" journal (here: the changes at
+        // sites they hold), the tails go through `apply_changes_outside`.
+        // The torus wrap reaches from the last range into the first, and the
+        // bounds cut through lattice rows; LUT and mask mode.
+        let model = zgb_ziff(0.4, 3.0);
+        for cap in [crate::DEFAULT_LUT_CAP, 0] {
+            let compiled = Arc::new(CompiledModel::compile_with_cap(&model, cap));
+            let mut lattice = checker_lattice(Dims::new(7, 12));
+            let mut kernel = SiteKernel::new(Arc::clone(&compiled), &lattice);
+            let mut changes = Vec::new();
+            for site in (0..84u32).step_by(2) {
+                let old = lattice.get(Site(site));
+                lattice.set(Site(site), (old + 1) % 3);
+                changes.push((Site(site), old, (old + 1) % 3));
+            }
+            let mut tails = Vec::new();
+            for mut range in kernel.split_anchors(&[27, 58]) {
+                let sites = range.sites();
+                let journal: Vec<Change> = changes
+                    .iter()
+                    .copied()
+                    .filter(|(s, _, _)| sites.contains(&s.0))
+                    .collect();
+                let mut tail = Vec::new();
+                range.apply_changes(&lattice, &journal, &mut tail);
+                assert!(tail.len() < journal.len(), "interior changes stay home");
+                tails.push((sites, tail));
+            }
+            assert_eq!(tails.len(), 3);
+            for (sites, tail) in tails {
+                kernel.apply_changes_outside(&lattice, &tail, sites);
+            }
+            kernel.assert_matches_scan(&model, &lattice);
+        }
+    }
+
+    #[test]
+    fn bind_builds_once_and_rescans_on_epoch_or_geometry_change() {
         let model = zgb_ziff(0.5, 2.0);
+        let compiled = Arc::new(CompiledModel::compile(&model));
         let mut lattice = Lattice::filled(Dims::new(4, 4), 0);
-        let mut kernel = SiteKernel::new(Arc::new(CompiledModel::compile(&model)), &lattice);
-        kernel.note_epoch(1);
-        // Mutate behind the kernel's back.
+        let mut slot = None;
+        assert_eq!(
+            SiteKernel::bind(&mut slot, &compiled, &lattice, 1).epoch(),
+            1
+        );
+        // Mutate behind the kernel's back: same epoch trusts the stale
+        // masks, a new epoch rescans.
         lattice.set(Site(5), 1);
+        let kernel = SiteKernel::bind(&mut slot, &compiled, &lattice, 1);
         assert!(!kernel.matches_scan(&model, &lattice));
-        kernel.ensure_fresh(&lattice, 2);
+        let kernel = SiteKernel::bind(&mut slot, &compiled, &lattice, 2);
         assert_eq!(kernel.epoch(), 2);
         kernel.assert_matches_scan(&model, &lattice);
-        // Same epoch again: no rebuild needed, still consistent.
-        kernel.ensure_fresh(&lattice, 2);
-        kernel.assert_matches_scan(&model, &lattice);
+        // Another geometry: a new kernel.
+        let wide = Lattice::filled(Dims::new(6, 4), 0);
+        let kernel = SiteKernel::bind(&mut slot, &compiled, &wide, 2);
+        assert_eq!(kernel.dims(), wide.dims());
+        kernel.assert_matches_scan(&model, &wide);
     }
 
     #[test]

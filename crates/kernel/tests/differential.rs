@@ -1,18 +1,22 @@
-//! Differential tests: compiled kernels vs the naive per-reaction matcher.
+//! Differential tests: compiled kernels vs the model's own per-reaction
+//! matcher — the one reference comparison.
 //!
 //! Every library model is compiled both ways (full LUT and the per-reaction
 //! fallback via a zero cap) and checked against `Model::enabled_mask_at` on
 //! random lattices — for the full scan, for summed enabled rates, and for
-//! incremental maintenance under random reaction executions.
+//! incremental maintenance under random reaction executions. The trial body
+//! `SiteKernel::fire` is checked against `ReactionType::try_execute` in all
+//! three kernel modes: tracked LUT, tracked masks, and untracked.
 
 use proptest::prelude::*;
-use psr_kernel::{CompiledModel, SiteKernel};
-use psr_lattice::{Dims, Lattice, Site};
+use psr_kernel::{CompiledModel, SiteKernel, MAX_KERNEL_REACTIONS};
+use psr_lattice::{Change, Dims, Lattice, Site};
 use psr_model::library::{
     ab_annihilation, diffusion_model, ising_glauber, kuzovkov_model, single_file_model,
     triangular_diffusion_model, zgb_ziff, KuzovkovParams,
 };
-use psr_model::Model;
+use psr_model::{Model, ModelBuilder};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Every model shipped in `psr_model::library`, by name.
@@ -26,6 +30,35 @@ fn library_models() -> Vec<(&'static str, Model)> {
         ("ising", ising_glauber(2.0)),
         ("annihilation", ab_annihilation(1.0, 2.0)),
     ]
+}
+
+/// A model whose patterns all reach east and north of the anchor: seven
+/// read cells, none of them the reflection of another except the origin, so
+/// the reflection-closed stencil has thirteen. No library model is like
+/// this (their stencils are symmetric).
+fn one_sided_model() -> Model {
+    ModelBuilder::new(&["*", "A", "B"])
+        .reaction("ads", 1.0, |r| {
+            r.site((0, 0), "*", "A");
+        })
+        .reaction("hop-east", 2.0, |r| {
+            r.site((0, 0), "A", "*").site((1, 0), "*", "A");
+        })
+        .reaction("jump-east", 0.5, |r| {
+            r.site((0, 0), "A", "B").site((2, 0), "*", "B");
+        })
+        .reaction("hop-north", 1.5, |r| {
+            r.site((0, 0), "B", "*").site((0, 1), "*", "A");
+        })
+        .reaction("jump-north", 0.7, |r| {
+            r.site((0, 0), "A", "*").site((0, 2), "B", "*");
+        })
+        .reaction("knight", 3.0, |r| {
+            r.site((0, 0), "*", "*")
+                .site((1, 1), "A", "B")
+                .site((2, 1), "*", "A");
+        })
+        .build()
 }
 
 fn random_lattice(model: &Model, dims: Dims, seed: u64) -> Lattice {
@@ -105,36 +138,113 @@ fn library_models_stay_exact_under_incremental_updates() {
     }
 }
 
-/// T-PNDCA (the Ω×T algorithm) with and without the compiled kernel must
-/// produce bit-identical trajectories over ≥1000 steps — including the
-/// weighted-chunk arm, whose per-subset propensity caches are maintained
-/// *through* the kernel (`apply_changes_with_kernel`) on the compiled side
-/// and by naive rescans on the other. The enabled check consumes no RNG
-/// either way, so lattice, clock, and stream position must all agree.
-#[test]
-fn tpndca_trajectories_bit_identical_for_1000_steps() {
-    use psr_ca::tpndca::{axis_type_partition, TPndca};
-    use psr_dmc::events::NoHook;
-    use psr_dmc::rsm::TimeMode;
-    use psr_dmc::sim::SimState;
+/// The same physics with more than `MAX_KERNEL_REACTIONS` types (the
+/// reaction list repeated), which is what makes a kernel untracked.
+fn widened(model: &Model) -> Model {
+    let reactions = model
+        .reactions()
+        .iter()
+        .cycle()
+        .take(MAX_KERNEL_REACTIONS + 1 + model.num_reactions())
+        .cloned()
+        .collect();
+    Model::new(model.species().clone(), reactions)
+}
 
-    let model = zgb_ziff(0.45, 10.0);
-    let dims = Dims::square(10);
-    for weighted in [false, true] {
-        for mode in [TimeMode::Discretized, TimeMode::Stochastic] {
-            let run = |naive: bool| {
-                let mut state = SimState::new(Lattice::filled(dims, 0), &model);
-                let mut rng = psr_rng::rng_from_seed(0xD1CE);
-                TPndca::new(&model, axis_type_partition(&model, dims))
-                    .with_time_mode(mode)
-                    .with_weighted_chunks(weighted)
-                    .with_naive_matching(naive)
-                    .run_steps(&mut state, &mut rng, 1000, None, &mut NoHook);
-                (state.lattice, state.time, rng.f64())
-            };
-            assert_eq!(run(true), run(false), "weighted {weighted}, mode {mode:?}");
+/// `SiteKernel::fire` on a plain lattice, journaling `(site, old, new)`.
+fn fire_on(
+    kernel: &SiteKernel,
+    lattice: &mut Lattice,
+    site: Site,
+    reaction: usize,
+    changes: &mut Vec<Change>,
+) -> bool {
+    let cells = Cell::from_mut(lattice.cells_mut()).as_slice_of_cells();
+    kernel.fire(
+        site,
+        reaction,
+        |s| cells[s.0 as usize].get(),
+        |s, new| changes.push((s, cells[s.0 as usize].replace(new), new)),
+    )
+}
+
+/// `fire` ≡ `try_execute` over random (site, reaction) trials: same
+/// verdict, same cells written in the same order, and the kernel — folded
+/// from the journal after every hit — still matches a fresh scan. Runs the
+/// tracked LUT mode, the tracked mask mode and the untracked mode; returns
+/// the fewest executed trials any mode saw.
+fn assert_fire_is_try_execute(name: &str, model: &Model, start: &Lattice, seed: u64) -> u32 {
+    let wide = widened(model);
+    let modes = [
+        ("lut", model, CompiledModel::compile(model)),
+        ("masks", model, CompiledModel::compile_with_cap(model, 0)),
+        ("untracked", &wide, CompiledModel::compile(&wide)),
+    ];
+    let mut fewest_hits = u32::MAX;
+    for (mode, model, compiled) in modes {
+        assert_eq!(compiled.tracks_masks(), mode != "untracked", "{name}");
+        let mut lattice = start.clone();
+        let mut reference = start.clone();
+        let mut kernel = SiteKernel::new(Arc::new(compiled), &lattice);
+        let mut rng = psr_rng::rng_from_seed(seed);
+        let (mut changes, mut expected) = (Vec::new(), Vec::new());
+        let mut hits = 0;
+        for _ in 0..300 {
+            let site = Site(rng.index(lattice.len()) as u32);
+            let reaction = rng.index(model.num_reactions());
+            changes.clear();
+            expected.clear();
+            let want = model
+                .reaction(reaction)
+                .try_execute(&mut reference, site, &mut expected);
+            let got = fire_on(&kernel, &mut lattice, site, reaction, &mut changes);
+            assert_eq!(
+                got, want,
+                "{name}/{mode}: verdict at {site:?}, type {reaction}"
+            );
+            assert_eq!(
+                changes, expected,
+                "{name}/{mode}: written cells at {site:?}"
+            );
+            kernel.apply_changes(&lattice, &changes);
+            hits += got as u32;
         }
+        assert_eq!(lattice, reference, "{name}/{mode}");
+        assert!(kernel.matches_scan(model, &lattice), "{name}/{mode}");
+        fewest_hits = fewest_hits.min(hits);
     }
+    fewest_hits
+}
+
+#[test]
+fn fire_is_try_execute_on_library_models() {
+    for (name, model) in library_models() {
+        let lattice = random_lattice(&model, Dims::square(10), 0xF1BE);
+        let hits = assert_fire_is_try_execute(name, &model, &lattice, 11);
+        assert!(hits > 0, "{name}: no trial executed");
+    }
+}
+
+/// The LUT is sized by what patterns read, not by the reflection-closed
+/// stencil the tables are addressed through: a one-sided model keeps its
+/// `S^|read cells|` table, and every kernel mode stays exact on it.
+#[test]
+fn one_sided_stencil_keeps_its_lut_and_stays_exact() {
+    let model = one_sided_model();
+    let compiled = CompiledModel::compile(&model);
+    assert_eq!(compiled.read_cells().len(), 7);
+    assert_eq!(compiled.cells().len(), 13, "closed under reflection");
+    assert!(compiled.has_lut());
+    assert_eq!(compiled.lut_entries(), 3usize.pow(7));
+
+    for cap in [psr_kernel::DEFAULT_LUT_CAP, 0] {
+        let mut lattice = random_lattice(&model, Dims::new(11, 9), 0xA51);
+        assert_agrees("one-sided", &model, &lattice, cap);
+        assert_incremental("one-sided", &model, &mut lattice, cap, 5);
+    }
+    let lattice = random_lattice(&model, Dims::new(11, 9), 0xA52);
+    let hits = assert_fire_is_try_execute("one-sided", &model, &lattice, 13);
+    assert!(hits > 0, "no trial executed");
 }
 
 proptest! {
@@ -176,9 +286,29 @@ proptest! {
         for (name, model) in [
             ("zgb", zgb_ziff(0.45, 10.0)),
             ("single-file", single_file_model(1.0)),
+            ("one-sided", one_sided_model()),
         ] {
             let mut lattice = random_lattice(&model, dims, seed);
             assert_incremental(name, &model, &mut lattice, cap, seed ^ 0x5EED);
+        }
+    }
+
+    // The trial body against the model's matcher on random geometries
+    // (torus aliasing included), in all three kernel modes.
+    #[test]
+    fn fire_agreement_on_random_geometries(
+        w in 2u32..10,
+        h in 2u32..10,
+        seed in 0u64..1_000_000,
+    ) {
+        for (name, model) in [
+            ("zgb", zgb_ziff(0.45, 10.0)),
+            ("kuzovkov", kuzovkov_model(KuzovkovParams::default())),
+            ("single-file", single_file_model(1.0)),
+            ("one-sided", one_sided_model()),
+        ] {
+            let lattice = random_lattice(&model, Dims::new(w, h), seed);
+            assert_fire_is_try_execute(name, &model, &lattice, seed ^ 0xF12E);
         }
     }
 }

@@ -9,6 +9,15 @@
 //! mirroring the paper's "updates in the same partition can be done
 //! simultaneously".
 //!
+//! Every slice runs the one trial body, [`SiteKernel::fire`], against one
+//! tracked kernel shared read-only across the slices: same-chunk
+//! neighborhoods are disjoint, so no trial of a sweep can change what
+//! another one's mask says. The slices journal their writes and the
+//! barrier folds the journals into the kernel against the quiescent
+//! lattice — on the pool, each slice's journal into its own range of
+//! anchors ([`fold_journals`]) — and then, on the calling thread, into the
+//! coverage and the weighted selection's propensity cache.
+//!
 //! Determinism: every *trial* gets its own RNG stream, keyed by
 //! `(step, sweep position, site)` and derived from the master seed. Within
 //! one chunk sweep the trials are order-independent (disjoint
@@ -27,20 +36,19 @@ use psr_ca::propensity::{draw_weighted, ChunkPropensityCache};
 use psr_dmc::recorder::Recorder;
 use psr_dmc::rsm::RunStats;
 use psr_dmc::sim::SimState;
-use psr_lattice::{Change, Site};
-use psr_model::{Model, ReactionType};
+use psr_kernel::{CompiledModel, SiteKernel};
+use psr_lattice::{Change, Lattice, Site};
+use psr_model::Model;
 use psr_rng::{AliasTable, Pcg32, StreamFactory};
+use std::sync::Arc;
 
-/// Outcome of one slice sweep.
+/// Outcome of one slice sweep (and, summed, of one chunk sweep).
+#[derive(Default)]
 struct SliceOutcome {
     trials: u64,
     executed: u64,
-    /// Net coverage change per species id.
-    deltas: Vec<i64>,
     conflicts: u64,
-    /// Journal of `(site, old, new)` writes, recorded only when the step
-    /// needs them (weighted selection feeds them to the propensity cache at
-    /// the chunk barrier); empty otherwise.
+    /// Journal of `(site, old, new)` writes, folded at the chunk barrier.
     changes: Vec<Change>,
 }
 
@@ -59,6 +67,9 @@ pub struct ParallelPndca<'m, 'p> {
     selection: ChunkSelection,
     /// Incremental chunk weights for `WeightedByRates`, built lazily.
     cache: Option<ChunkPropensityCache>,
+    compiled: Arc<CompiledModel>,
+    /// Lattice-bound kernel, bound on every run.
+    kernel: Option<SiteKernel>,
 }
 
 impl<'m, 'p> ParallelPndca<'m, 'p> {
@@ -71,30 +82,13 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
     /// sweep, so it is enforced in all build profiles), if `threads == 0`,
     /// or if the rayon pool cannot be created.
     pub fn new(model: &'m Model, partition: &'p Partition, threads: usize, seed: u64) -> Self {
-        assert!(threads > 0, "need at least one thread");
         assert!(
             partition.is_valid_for(model),
             "partition violates the non-overlap restriction; \
              parallel execution would race"
         );
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("failed to build thread pool");
-        ParallelPndca {
-            model,
-            partition,
-            pool,
-            threads,
-            alias: AliasTable::new(&model.rate_weights()),
-            factory: StreamFactory::new(seed),
-            checked: false,
-            claims: None,
-            step: 0,
-            conflicts: 0,
-            selection: ChunkSelection::InOrder,
-            cache: None,
-        }
+        // SAFETY: the partition was just validated.
+        unsafe { Self::new_unvalidated(model, partition, threads, seed) }
     }
 
     /// Build an executor that *skips* the partition validation — only for
@@ -104,12 +98,17 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
     ///
     /// Running an invalid partition unchecked is a data race; callers must
     /// enable checked mode and treat the lattice as poisoned afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0` or the rayon pool cannot be created.
     pub unsafe fn new_unvalidated(
         model: &'m Model,
         partition: &'p Partition,
         threads: usize,
         seed: u64,
     ) -> Self {
+        assert!(threads > 0, "need at least one thread");
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -127,6 +126,8 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
             conflicts: 0,
             selection: ChunkSelection::InOrder,
             cache: None,
+            compiled: Arc::new(CompiledModel::compile(model)),
+            kernel: None,
         }
     }
 
@@ -201,86 +202,73 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
         mut recorder: Option<&mut Recorder>,
     ) -> RunStats {
         let mut stats = RunStats::default();
-        let num_species = self.model.species().len();
         let k_total = self.model.total_rate();
+        let m = self.partition.num_chunks();
+        // Detached while sweeping so the chunk sweep can borrow `self`.
+        let mut slot = self.kernel.take();
+        let kernel = SiteKernel::bind(
+            &mut slot,
+            &self.compiled,
+            &state.lattice,
+            state.mutation_epoch(),
+        );
         if let Some(rec) = recorder.as_deref_mut() {
             rec.record(state.time, &state.coverage);
         }
         for _ in 0..steps {
-            let m = self.partition.num_chunks();
+            // The step's chunk draws come from dedicated per-step streams;
+            // weighted draws depend on the weights after the previous sweep,
+            // so they interleave with the chunk barriers.
+            let mut cache = (self.selection == ChunkSelection::WeightedByRates)
+                .then(|| self.take_fresh_cache(state));
+            let mut order: Vec<usize> = (0..m).collect();
+            let mut draw_rng = self.factory.stream(draw_stream_id(self.step));
             match self.selection {
-                ChunkSelection::InOrder
-                | ChunkSelection::RandomOrder
-                | ChunkSelection::RandomWithReplacement => {
-                    let order: Vec<usize> = match self.selection {
-                        ChunkSelection::InOrder => (0..m).collect(),
-                        ChunkSelection::RandomOrder => {
-                            let mut order: Vec<usize> = (0..m).collect();
-                            let mut rng = self.factory.stream(shuffle_stream_id(self.step));
-                            psr_rng::sample::shuffle(&mut rng, &mut order);
-                            order
-                        }
-                        _ => {
-                            let mut rng = self.factory.stream(draw_stream_id(self.step));
-                            (0..m).map(|_| rng.index(m)).collect()
-                        }
-                    };
-                    for (position, &chunk_idx) in order.iter().enumerate() {
-                        let outcome = self.sweep_chunk_parallel(
-                            state,
-                            chunk_idx,
-                            position,
-                            num_species,
-                            false,
-                        );
-                        stats.trials += outcome.trials;
-                        stats.executed += outcome.executed;
-                        self.conflicts += outcome.conflicts;
-                        apply_coverage_deltas(&mut state.coverage, &outcome.deltas);
-                        if let Some(claims) = &self.claims {
-                            claims.clear();
-                        }
-                    }
+                ChunkSelection::RandomOrder => {
+                    let mut rng = self.factory.stream(shuffle_stream_id(self.step));
+                    psr_rng::sample::shuffle(&mut rng, &mut order);
                 }
-                ChunkSelection::WeightedByRates => {
-                    // The next draw depends on the weights after the
-                    // previous sweep, so draws interleave with the chunk
-                    // barriers: draw → threaded sweep → merge the slices'
-                    // change journals into the cache against the quiescent
-                    // lattice → next draw.
-                    let mut cache = self.take_fresh_cache(state);
-                    let mut draw_rng = self.factory.stream(draw_stream_id(self.step));
-                    let mut weights = Vec::with_capacity(m);
-                    for position in 0..m {
+                ChunkSelection::RandomWithReplacement => {
+                    order.fill_with(|| draw_rng.index(m));
+                }
+                ChunkSelection::InOrder | ChunkSelection::WeightedByRates => {}
+            }
+            let mut weights = Vec::new();
+            for (position, &scheduled) in order.iter().enumerate() {
+                let chunk_idx = match &cache {
+                    Some(cache) => {
                         cache.weights_into(&mut weights);
-                        let chunk_idx = draw_weighted(&mut draw_rng, &weights);
-                        let outcome = self.sweep_chunk_parallel(
-                            state,
-                            chunk_idx,
-                            position,
-                            num_species,
-                            true,
-                        );
-                        stats.trials += outcome.trials;
-                        stats.executed += outcome.executed;
-                        self.conflicts += outcome.conflicts;
-                        apply_coverage_deltas(&mut state.coverage, &outcome.deltas);
-                        cache.apply_changes(
-                            self.model,
-                            self.partition,
-                            &state.lattice,
-                            &outcome.changes,
-                        );
-                        state.bump_mutations();
-                        cache.note_epoch(state.mutation_epoch());
-                        if let Some(claims) = &self.claims {
-                            claims.clear();
-                        }
+                        draw_weighted(&mut draw_rng, &weights)
                     }
-                    #[cfg(debug_assertions)]
-                    cache.assert_matches_scan(self.model, self.partition, &state.lattice);
-                    self.cache = Some(cache);
+                    None => scheduled,
+                };
+                let slices = self.slices_of(chunk_idx);
+                let outcomes = self.sweep_chunk_parallel(kernel, state, &slices, position);
+                // The barrier: the lattice is quiescent, fold the journals.
+                let journals: Vec<&[Change]> =
+                    outcomes.iter().map(|o| o.changes.as_slice()).collect();
+                fold_journals(&self.pool, kernel, &state.lattice, &slices, &journals);
+                for outcome in &outcomes {
+                    stats.trials += outcome.trials;
+                    stats.executed += outcome.executed;
+                    self.conflicts += outcome.conflicts;
+                    state.apply_changes(&outcome.changes);
                 }
+                kernel.note_epoch(state.mutation_epoch());
+                if let Some(cache) = &mut cache {
+                    for outcome in &outcomes {
+                        cache.apply_changes(kernel, self.partition, &outcome.changes);
+                    }
+                    cache.note_epoch(state.mutation_epoch());
+                }
+                if let Some(claims) = &self.claims {
+                    claims.clear();
+                }
+            }
+            if let Some(cache) = cache {
+                #[cfg(debug_assertions)]
+                cache.assert_matches_scan(self.model, self.partition, &state.lattice);
+                self.cache = Some(cache);
             }
             // Discretised time: one step = N trials of 1/(N·K) each = 1/K,
             // applied once per step (no float accumulation across trials).
@@ -290,25 +278,27 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
                 rec.record(state.time, &state.coverage);
             }
         }
+        debug_assert!(kernel.matches_scan(self.model, &state.lattice));
+        self.kernel = slot;
         stats
+    }
+
+    /// The chunk's site list cut into one contiguous slice per worker.
+    fn slices_of(&self, chunk_idx: usize) -> Vec<&'p [Site]> {
+        let chunk = self.partition.chunk(chunk_idx);
+        let slice_len = chunk.len().div_ceil(self.threads);
+        chunk.chunks(slice_len.max(1)).collect()
     }
 
     fn sweep_chunk_parallel(
         &self,
+        kernel: &SiteKernel,
         state: &mut SimState,
-        chunk_idx: usize,
+        slices: &[&[Site]],
         position: usize,
-        num_species: usize,
-        journal: bool,
-    ) -> SliceOutcome {
-        let chunk = self.partition.chunk(chunk_idx);
-        let slice_len = chunk.len().div_ceil(self.threads);
-        let slices: Vec<&[Site]> = chunk.chunks(slice_len.max(1)).collect();
+    ) -> Vec<SliceOutcome> {
         let shared = SharedCells::new(state.lattice.cells_mut(), self.partition.dims());
-        let model = self.model;
-        let alias = &self.alias;
-        let claims = self.claims.as_ref();
-        let checked = self.checked;
+        let claims = self.claims.as_ref().filter(|_| self.checked);
         // Keyed by sweep *position*, not chunk id: weighted selection and
         // with-replacement draws can sweep the same chunk twice in a step,
         // and each sweep must consume fresh streams.
@@ -318,45 +308,113 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
             position,
             self.partition.num_sites(),
         );
-        let factory = &self.factory;
-        let shared_ref = &shared;
-
-        let outcomes: Vec<SliceOutcome> = self.pool.install(|| {
+        self.pool.install(|| {
             slices
                 .par_iter()
-                .map(|sites| {
-                    sweep_slice(
-                        model,
-                        alias,
-                        shared_ref,
-                        sites,
-                        factory,
-                        base_stream,
-                        num_species,
-                        if checked { claims } else { None },
-                        journal,
-                    )
-                })
+                .map(|sites| self.sweep_slice(kernel, &shared, sites, base_stream, claims))
                 .collect()
-        });
+        })
+    }
 
-        let mut total = SliceOutcome {
-            trials: 0,
-            executed: 0,
-            deltas: vec![0; num_species],
-            conflicts: 0,
-            changes: Vec::new(),
-        };
-        for o in outcomes {
-            total.trials += o.trials;
-            total.executed += o.executed;
-            total.conflicts += o.conflicts;
-            for (d, od) in total.deltas.iter_mut().zip(&o.deltas) {
-                *d += od;
+    /// One slice sweep: one trial per site against the shared lattice, each
+    /// trial on its own site-keyed stream.
+    fn sweep_slice(
+        &self,
+        kernel: &SiteKernel,
+        shared: &SharedCells<'_>,
+        sites: &[Site],
+        base_stream: u64,
+        claims: Option<&ClaimTable>,
+    ) -> SliceOutcome {
+        let dims = shared.dims();
+        let mut outcome = SliceOutcome::default();
+        for &site in sites {
+            let mut rng: Pcg32 = self.factory.stream(base_stream + site.0 as u64);
+            let reaction = self.alias.sample(&mut rng);
+            outcome.trials += 1;
+
+            if let Some(table) = claims {
+                let mut ok = true;
+                for t in self.model.reaction(reaction).transforms() {
+                    let target = dims.translate(site, t.offset);
+                    if let Claim::Conflict { .. } = table.claim(target, site) {
+                        outcome.conflicts += 1;
+                        ok = false;
+                    }
+                }
+                if !ok {
+                    continue;
+                }
             }
-            total.changes.extend(o.changes);
+
+            let changes = &mut outcome.changes;
+            // SAFETY (both closures): the kernel touches only Nb(site);
+            // `site` belongs to the chunk being swept and no other
+            // concurrent slice holds a site whose neighborhood intersects
+            // Nb(site) — guaranteed by the partition validation in
+            // `ParallelPndca::new` (or detected by the claim table above
+            // when validation was bypassed).
+            let executed = kernel.fire(
+                site,
+                reaction,
+                |s| unsafe { shared.get(s) },
+                |s, new| changes.push((s, unsafe { shared.set(s, new) }, new)),
+            );
+            outcome.executed += executed as u64;
         }
-        total
+        outcome
+    }
+}
+
+/// Below this many journaled writes a chunk barrier folds them on the
+/// calling thread: a fork-join costs about as much as folding them.
+const MIN_PARALLEL_FOLD: usize = 2048;
+
+/// The chunk barrier's kernel fold. Slice `t` swept `slices[t]`, a
+/// contiguous run of the chunk's (ascending) site list, so its journal
+/// lands almost entirely on the anchors between its first site and the next
+/// slice's first: each such range folds its own journal on the pool, and
+/// only the entries that reach across a range border are left for the
+/// calling thread — the serial part of a barrier is the border, not the
+/// sweep's executed trials. Correct for any site order; an unsorted chunk
+/// merely leaves more to the tail.
+pub(crate) fn fold_journals(
+    pool: &rayon::ThreadPool,
+    kernel: &mut SiteKernel,
+    lattice: &Lattice,
+    slices: &[&[Site]],
+    journals: &[&[Change]],
+) {
+    if journals.iter().map(|j| j.len()).sum::<usize>() < MIN_PARALLEL_FOLD {
+        for journal in journals {
+            kernel.apply_changes(lattice, journal);
+        }
+        return;
+    }
+    let mut bound = 0;
+    let bounds: Vec<u32> = slices[1..]
+        .iter()
+        .map(|sites| {
+            bound = bound.max(sites[0].0);
+            bound
+        })
+        .collect();
+    let work: Vec<_> = kernel
+        .split_anchors(&bounds)
+        .into_iter()
+        .zip(journals)
+        .collect();
+    let tails: Vec<_> = pool.install(|| {
+        work.into_par_iter()
+            .map(|(mut range, journal)| {
+                let mut tail = Vec::new();
+                range.apply_changes(lattice, journal, &mut tail);
+                (range.sites(), tail)
+            })
+            .collect()
+    });
+    for (sites, tail) in tails {
+        kernel.apply_changes_outside(lattice, &tail, sites);
     }
 }
 
@@ -412,75 +470,6 @@ pub fn apply_coverage_deltas(coverage: &mut psr_lattice::Coverage, deltas: &[i64
     }
 }
 
-/// One slice sweep: one trial per site against the shared lattice, each
-/// trial on its own site-keyed stream.
-#[allow(clippy::too_many_arguments)]
-fn sweep_slice(
-    model: &Model,
-    alias: &AliasTable,
-    shared: &SharedCells<'_>,
-    sites: &[Site],
-    factory: &StreamFactory,
-    base_stream: u64,
-    num_species: usize,
-    claims: Option<&ClaimTable>,
-    journal: bool,
-) -> SliceOutcome {
-    let dims = shared.dims();
-    let mut outcome = SliceOutcome {
-        trials: 0,
-        executed: 0,
-        deltas: vec![0; num_species],
-        conflicts: 0,
-        changes: Vec::new(),
-    };
-    for &site in sites {
-        let mut rng: Pcg32 = factory.stream(base_stream + site.0 as u64);
-        let reaction = alias.sample(&mut rng);
-        let rt: &ReactionType = model.reaction(reaction);
-        outcome.trials += 1;
-
-        if let Some(table) = claims {
-            let mut ok = true;
-            for t in rt.transforms() {
-                let target = dims.translate(site, t.offset);
-                if let Claim::Conflict { .. } = table.claim(target, site) {
-                    outcome.conflicts += 1;
-                    ok = false;
-                }
-            }
-            if !ok {
-                continue;
-            }
-        }
-
-        // SAFETY: `site` belongs to the chunk being swept and no other
-        // concurrent slice holds a site whose neighborhood intersects
-        // Nb(site) — guaranteed by the partition validation in
-        // `ParallelPndca::new` (or detected by the claim table above when
-        // validation was bypassed).
-        unsafe {
-            let enabled = rt
-                .transforms()
-                .iter()
-                .all(|t| shared.get(dims.translate(site, t.offset)) == t.src.id());
-            if enabled {
-                for t in rt.transforms() {
-                    let target = dims.translate(site, t.offset);
-                    let old = shared.set(target, t.tgt.id());
-                    outcome.deltas[old as usize] -= 1;
-                    outcome.deltas[t.tgt.id() as usize] += 1;
-                    if journal {
-                        outcome.changes.push((target, old, t.tgt.id()));
-                    }
-                }
-                outcome.executed += 1;
-            }
-        }
-    }
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,6 +506,34 @@ mod tests {
         );
         assert!(state.coverage.matches(&state.lattice));
         assert!((state.time - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn barrier_fold_on_the_pool_keeps_the_kernel_exact() {
+        // Big enough that a chunk sweep journals more than
+        // MIN_PARALLEL_FOLD writes, so the barrier folds on the pool; the
+        // side is not a multiple of the slice count, so range borders cut
+        // through lattice rows.
+        let model = zgb_ziff(0.5, 0.2);
+        let d = Dims::square(250);
+        let p = five_coloring(d);
+        let run = |threads: usize| {
+            let mut exec = ParallelPndca::new(&model, &p, threads, 11);
+            let mut state = SimState::new(Lattice::filled(d, 0), &model);
+            let stats = exec.run_steps(&mut state, 3, None);
+            assert!(
+                stats.executed as usize > 3 * p.num_chunks() * MIN_PARALLEL_FOLD,
+                "{}",
+                stats.executed
+            );
+            let kernel = exec.kernel.as_ref().expect("bound by run_steps");
+            kernel.assert_matches_scan(&model, &state.lattice);
+            assert!(state.coverage.matches(&state.lattice));
+            state.lattice
+        };
+        let serial_fold = run(1);
+        assert_eq!(run(3), serial_fold);
+        assert_eq!(run(7), serial_fold);
     }
 
     #[test]

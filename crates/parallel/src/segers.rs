@@ -125,15 +125,6 @@ impl<'m> SegersDecomposition<'m> {
         }
     }
 
-    /// Disable (or re-enable) the compiled reaction kernel and match
-    /// patterns with the naive per-reaction scan. The RSM trajectory is
-    /// bit-identical either way (the enabled check consumes no randomness);
-    /// this is the escape hatch and the identity-test baseline.
-    pub fn with_naive_matching(mut self, naive: bool) -> Self {
-        self.rsm = self.rsm.with_naive_matching(naive);
-        self
-    }
-
     /// Number of processors (= blocks).
     pub fn num_blocks(&self) -> u32 {
         self.blocks_x * self.blocks_y
@@ -235,32 +226,6 @@ mod tests {
             "got {}",
             comm.boundary_fraction()
         );
-    }
-
-    #[test]
-    fn compiled_kernel_identity_with_naive_matching() {
-        // The Segers arm rides on Rsm, which routes enabled checks through
-        // the CompiledModel kernel by default. Pin that the compiled and
-        // naive arms stay bit-identical — trajectory AND communication
-        // accounting — over a long run.
-        let model = zgb_ziff(0.5, 2.0);
-        let d = Dims::new(20, 20);
-        let run = |naive: bool| {
-            let mut seg = SegersDecomposition::new(&model, d, 2, 2).with_naive_matching(naive);
-            let mut state = SimState::new(Lattice::filled(d, 0), &model);
-            let mut rng = rng_from_seed(23);
-            // 5 MC steps × 400 sites = 2000 trials ≥ the 1000-step identity
-            // budget used by the other kernel differential tests.
-            let (stats, comm) = seg.run_mc_steps(&mut state, &mut rng, 5, None, &mut NoHook);
-            (state.lattice, stats, comm)
-        };
-        let (lattice_c, stats_c, comm_c) = run(false);
-        let (lattice_n, stats_n, comm_n) = run(true);
-        assert_eq!(lattice_c, lattice_n);
-        assert_eq!(stats_c, stats_n);
-        assert_eq!(comm_c, comm_n);
-        assert_eq!(stats_c.trials, 2000);
-        assert!(stats_c.executed > 0);
     }
 
     #[test]

@@ -14,14 +14,17 @@
 
 use rayon::prelude::*;
 
+use crate::executor::fold_journals;
 use crate::shared::SharedCells;
 use psr_ca::tpndca::TypePartition;
 use psr_dmc::recorder::Recorder;
 use psr_dmc::rsm::RunStats;
 use psr_dmc::sim::SimState;
-use psr_lattice::Site;
+use psr_kernel::{CompiledModel, SiteKernel};
+use psr_lattice::{Change, Site};
 use psr_model::Model;
 use psr_rng::{AliasTable, StreamFactory};
+use std::sync::Arc;
 
 /// Threaded type-partitioned NDCA.
 pub struct ParallelTPndca<'m> {
@@ -33,6 +36,10 @@ pub struct ParallelTPndca<'m> {
     threads: usize,
     factory: StreamFactory,
     step: u64,
+    compiled: Arc<CompiledModel>,
+    /// Lattice-bound kernel, bound on every run; shared read-only by the
+    /// slices of a sweep and folded from their journals at the barrier.
+    kernel: Option<SiteKernel>,
 }
 
 impl<'m> ParallelTPndca<'m> {
@@ -76,6 +83,8 @@ impl<'m> ParallelTPndca<'m> {
             threads,
             factory: StreamFactory::new(seed),
             step: 0,
+            compiled: Arc::new(CompiledModel::compile(model)),
+            kernel: None,
         }
     }
 
@@ -95,14 +104,19 @@ impl<'m> ParallelTPndca<'m> {
         let mut stats = RunStats::default();
         let k_total = self.model.total_rate();
         let n = state.num_sites() as f64;
-        let num_species = self.model.species().len();
+        let kernel = SiteKernel::bind(
+            &mut self.kernel,
+            &self.compiled,
+            &state.lattice,
+            state.mutation_epoch(),
+        );
         if let Some(rec) = recorder.as_deref_mut() {
             rec.record(state.time, &state.coverage);
         }
         for _ in 0..steps {
             let mut draw_rng = self.factory.stream(0x4000_0000_0000_0000 | self.step);
             let mut trials_this_step = 0u64;
-            for draw in 0..self.types.num_subsets() {
+            for _ in 0..self.types.num_subsets() {
                 let j = self.subset_alias.sample(&mut draw_rng);
                 let member = self.member_alias[j].sample(&mut draw_rng);
                 let ri = self.types.subsets[j][member];
@@ -113,45 +127,41 @@ impl<'m> ParallelTPndca<'m> {
                 let slice_len = chunk.len().div_ceil(self.threads).max(1);
                 let slices: Vec<&[Site]> = chunk.chunks(slice_len).collect();
                 let shared = SharedCells::new(state.lattice.cells_mut(), partition.dims());
-                let rt = self.model.reaction(ri);
-                let dims = partition.dims();
-                let shared_ref = &shared;
+                let (kernel_ref, shared_ref) = (&*kernel, &shared);
 
-                let outcomes: Vec<(u64, Vec<i64>)> = self.pool.install(|| {
+                let journals: Vec<(u64, Vec<Change>)> = self.pool.install(|| {
                     slices
                         .par_iter()
                         .map(|sites| {
                             let mut executed = 0u64;
-                            let mut deltas = vec![0i64; num_species];
+                            let mut changes = Vec::new();
                             for &site in *sites {
-                                // SAFETY: one reaction type per sweep and a
-                                // per-reaction-valid partition — anchors'
-                                // neighborhoods are pairwise disjoint, so
-                                // concurrent access sets are disjoint.
-                                unsafe {
-                                    let enabled = rt.transforms().iter().all(|t| {
-                                        shared_ref.get(dims.translate(site, t.offset)) == t.src.id()
-                                    });
-                                    if enabled {
-                                        for t in rt.transforms() {
-                                            let old = shared_ref
-                                                .set(dims.translate(site, t.offset), t.tgt.id());
-                                            deltas[old as usize] -= 1;
-                                            deltas[t.tgt.id() as usize] += 1;
-                                        }
-                                        executed += 1;
-                                    }
-                                }
+                                // SAFETY (both closures): one reaction type
+                                // per sweep and a per-reaction-valid
+                                // partition — anchors' neighborhoods are
+                                // pairwise disjoint, so concurrent access
+                                // sets are disjoint.
+                                executed += kernel_ref.fire(
+                                    site,
+                                    ri,
+                                    |s| unsafe { shared_ref.get(s) },
+                                    |s, new| {
+                                        changes.push((s, unsafe { shared_ref.set(s, new) }, new))
+                                    },
+                                ) as u64;
                             }
-                            (executed, deltas)
+                            (executed, changes)
                         })
                         .collect()
                 });
-                let _ = draw;
-                for (executed, deltas) in outcomes {
+                // The barrier: the lattice is quiescent, fold the journals.
+                let writes: Vec<&[Change]> = journals.iter().map(|(_, c)| c.as_slice()).collect();
+                fold_journals(&self.pool, kernel, &state.lattice, &slices, &writes);
+                for (executed, changes) in &journals {
                     stats.executed += executed;
-                    crate::executor::apply_coverage_deltas(&mut state.coverage, &deltas);
+                    state.apply_changes(changes);
                 }
+                kernel.note_epoch(state.mutation_epoch());
                 stats.trials += chunk.len() as u64;
                 trials_this_step += chunk.len() as u64;
             }
@@ -162,6 +172,7 @@ impl<'m> ParallelTPndca<'m> {
                 rec.record(state.time, &state.coverage);
             }
         }
+        debug_assert!(kernel.matches_scan(self.model, &state.lattice));
         stats
     }
 }
@@ -198,6 +209,26 @@ mod tests {
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));
+    }
+
+    #[test]
+    fn pool_fold_keeps_the_kernel_exact_for_any_thread_count() {
+        // Half-lattice sweeps of an adsorption type journal far more writes
+        // than the serial-fold threshold, so the barrier folds on the pool.
+        let model = zgb_ziff(0.5, 0.2);
+        let dims = Dims::square(150);
+        let run = |threads| {
+            let tp = axis_type_partition(&model, dims);
+            let mut exec = ParallelTPndca::new(&model, tp, threads, 5);
+            let mut state = SimState::new(Lattice::filled(dims, 0), &model);
+            let stats = exec.run_steps(&mut state, 6, None);
+            assert!(stats.executed > 20_000, "{}", stats.executed);
+            let kernel = exec.kernel.as_ref().expect("bound by run_steps");
+            kernel.assert_matches_scan(&model, &state.lattice);
+            assert!(state.coverage.matches(&state.lattice));
+            state.lattice
+        };
+        assert_eq!(run(3), run(1));
     }
 
     #[test]

@@ -82,7 +82,8 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
     /// is what makes one sweep's write sets globally disjoint, which the
     /// write-back protocol relies on), if the grid does not evenly tile
     /// the lattice with domains larger than twice the interaction radius,
-    /// or if the model cannot be kernel-compiled.
+    /// or if the model fails [`psr_kernel::require_masks`] (workers exchange
+    /// enabled-set counts and trust their kernels' masks).
     pub fn new(model: &'m Model, partition: &'p Partition, grid: ShardGrid, seed: u64) -> Self {
         assert!(
             partition.is_valid_for(model),
@@ -90,10 +91,8 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
              sharded execution would race across domain edges"
         );
         grid.validate(partition.dims(), model.interaction_radius());
-        let compiled = Arc::new(
-            CompiledModel::try_compile(model)
-                .expect("sharded executor requires a kernel-compilable model"),
-        );
+        psr_kernel::require_masks(model.num_reactions()).unwrap_or_else(|e| panic!("{e}"));
+        let compiled = Arc::new(CompiledModel::compile(model));
         ShardedPndca {
             model,
             partition,

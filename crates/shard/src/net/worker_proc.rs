@@ -303,10 +303,8 @@ fn run(wire: Wire, hub_addr: &str, id: u32) -> Result<(), String> {
     }
 
     // Rebuild the run exactly as the in-process executors do.
-    let compiled = Arc::new(
-        CompiledModel::try_compile(&cfg.model)
-            .ok_or("model is not kernel-compilable in the worker process")?,
-    );
+    psr_kernel::require_masks(cfg.model.num_reactions())?;
+    let compiled = Arc::new(CompiledModel::compile(&cfg.model));
     let mut worker = Worker::new(
         &cfg.model,
         &cfg.partition,

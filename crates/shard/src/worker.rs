@@ -6,9 +6,11 @@
 //! Per sweep it runs the phases, in order:
 //!
 //! 1. **sweep** — one trial per owned site of the chunk, interior strip
-//!    first, then the boundary strip. Reads hit the padded lattice (halo
-//!    consistent from the end of the previous sweep); writes to owned cells
-//!    land immediately, writes into halo cells are *deferred* into
+//!    first, then the boundary strip, each through [`SiteKernel::fire`].
+//!    The enabled test is the kernel's mask of the owned anchor (folded up
+//!    to the end of the previous sweep, and same-chunk neighborhoods are
+//!    disjoint, so nothing in this sweep can stale it); writes to owned
+//!    cells land immediately, writes into halo cells are *deferred* into
 //!    per-direction write-back buffers (the owner applies them — the local
 //!    halo copy is refreshed by the owner's strip in phase 3).
 //! 2. **write-backs** — send the 8 buffers, apply the 8 received ones to
@@ -134,10 +136,9 @@ impl OwnedCounts {
     /// cell. The kernel must already reflect `changes`. Idempotent per
     /// anchor, so overlapping stencils across changes are harmless.
     fn fold(&mut self, kernel: &SiteKernel, changes: &[Change]) {
-        let cells = kernel.compiled().cells().len();
         for &(site, _, _) in changes {
-            for j in 0..cells {
-                let anchor = kernel.anchor(site, j);
+            for &j in kernel.compiled().read_cells() {
+                let anchor = kernel.anchor(site, j as usize);
                 if self.chunk_of[anchor.0 as usize] == u32::MAX {
                     continue;
                 }
@@ -361,8 +362,7 @@ impl<'m> Worker<'m> {
             position as usize,
             self.num_sites_global,
         );
-        let dims = self.sub.lattice().dims();
-        let model = self.model;
+        let mut writes: Vec<(Site, u8)> = Vec::with_capacity(4);
         for boundary in [false, true] {
             // Detach the site list so the trial body can borrow the rest
             // of the worker mutably; restored below.
@@ -374,28 +374,29 @@ impl<'m> Worker<'m> {
             for &(local, global) in &sites {
                 let mut rng: Pcg32 = self.factory.stream(base + global.0 as u64);
                 let reaction = self.alias.sample(&mut rng);
-                let rt = model.reaction(reaction);
                 self.report.trials += 1;
                 if boundary {
                     self.report.comm.boundary_trials += 1;
                 } else {
                     self.report.comm.local_trials += 1;
                 }
-                let enabled = rt
-                    .transforms()
-                    .iter()
-                    .all(|t| self.sub.lattice().get(dims.translate(local, t.offset)) == t.src.id());
-                if !enabled {
+                let lattice = self.sub.lattice();
+                writes.clear();
+                if !self.kernel.fire(
+                    local,
+                    reaction,
+                    |s| lattice.get(s),
+                    |s, new| writes.push((s, new)),
+                ) {
                     continue;
                 }
-                for t in rt.transforms() {
-                    let target = dims.translate(local, t.offset);
+                for &(target, new) in &writes {
                     if self.sub.is_owned(target) {
-                        let old = self.sub.lattice_mut().set(target, t.tgt.id());
+                        let old = self.sub.lattice_mut().set(target, new);
                         self.report.deltas[old as usize] -= 1;
-                        self.report.deltas[t.tgt.id() as usize] += 1;
-                        if old != t.tgt.id() {
-                            self.journal.push((target, old, t.tgt.id()));
+                        self.report.deltas[new as usize] += 1;
+                        if old != new {
+                            self.journal.push((target, old, new));
                         }
                     } else {
                         // Deferred write into a neighbor-owned cell: the
@@ -404,7 +405,7 @@ impl<'m> Worker<'m> {
                         let d = self.halo_dir_of(target);
                         let g = self.sub.to_global(target);
                         self.wb_out[d].extend_from_slice(&g.0.to_le_bytes());
-                        self.wb_out[d].push(t.tgt.id());
+                        self.wb_out[d].push(new);
                     }
                 }
                 self.report.executed += 1;

@@ -194,6 +194,20 @@ fn comm_stats_are_measured() {
     assert!(per_reaction > 0);
 }
 
+#[test]
+#[should_panic(expected = "MAX_KERNEL_REACTIONS = 64")]
+fn more_reaction_types_than_masks_track_are_rejected_at_construction() {
+    let mut builder = ModelBuilder::new(&["*", "A"]);
+    for i in 0..=psr_kernel::MAX_KERNEL_REACTIONS {
+        builder = builder.reaction(format!("r{i}"), 1.0, |r| {
+            r.site((0, 0), "*", "A");
+        });
+    }
+    let model = builder.build();
+    let partition = five_coloring(Dims::square(20));
+    ShardedPndca::new(&model, &partition, ShardGrid::new(2, 2), 1);
+}
+
 /// A radius-0 model (single-site patterns only): empty halo strips, no
 /// write-backs, still identical to the shared executor.
 #[test]

@@ -16,25 +16,16 @@ fn main() {
     let dims = Dims::square(60);
     let partition = five_coloring(dims);
 
-    // Sequential weighted PNDCA: cache vs per-draw rescan must agree
-    // trajectory-for-trajectory (the cache is a speed switch only).
-    let run = |scan: bool| {
-        let mut pndca = Pndca::new(&model, &partition)
-            .with_selection(ChunkSelection::WeightedByRates)
-            .with_scanned_weights(scan);
-        let mut state = SimState::new(Lattice::filled(dims, 0), &model);
-        let mut rng = rng_from_seed(7);
-        pndca.run_steps(&mut state, &mut rng, 20, None, &mut NoHook);
-        state
-    };
-    let cached = run(false);
-    let scanned = run(true);
-    assert_eq!(cached.lattice, scanned.lattice);
+    // Sequential weighted PNDCA: every draw is served from the incremental
+    // cache (debug builds re-verify it against a full scan after each step).
+    let mut pndca = Pndca::new(&model, &partition).with_selection(ChunkSelection::WeightedByRates);
+    let mut state = SimState::new(Lattice::filled(dims, 0), &model);
+    let mut rng = rng_from_seed(7);
+    pndca.run_steps(&mut state, &mut rng, 20, None, &mut NoHook);
     println!(
-        "sequential weighted PNDCA, 20 steps: CO {:.3}, O {:.3} (cache == rescan: {})",
-        cached.coverage.fraction(1),
-        cached.coverage.fraction(2),
-        cached.lattice == scanned.lattice,
+        "sequential weighted PNDCA, 20 steps: CO {:.3}, O {:.3}",
+        state.coverage.fraction(1),
+        state.coverage.fraction(2),
     );
 
     // Threaded executor with the same strategy: pure function of

@@ -1,32 +1,29 @@
 #!/usr/bin/env bash
 # Gate on the committed benchmark records:
 #
-#   1. Kernel bench (BENCH_kernel.json): the compiled matcher must hold
-#      >= MIN_SPEEDUP over the pre-change NDCA hot loop for ZGB (the
-#      acceptance bar for the compiled-kernel work).
-#   2. Replica bench (BENCH_replica.json): the batched lockstep engine
+#   1. Replica bench (BENCH_replica.json): the batched lockstep engine
 #      must hold >= MIN_REPLICA_SPEEDUP replica throughput over looping
 #      the single-replica kernel at some width in 32-64, with
 #      bit-identical trajectories on every gated entry.
-#   3. Shard bench (BENCH_shard.json): the domain-decomposed executor
+#   2. Shard bench (BENCH_shard.json): the domain-decomposed executor
 #      must hold >= MIN_SHARD_SPEEDUP critical-path sweep throughput at
 #      4 workers over the 1-worker sharded baseline on every lattice
 #      size, with the 4-worker trajectory bit-identical to 1-worker.
 #      Socket-transport entries (unix/tcp, one OS process per worker)
 #      are gated separately at >= MIN_SHARD_SOCKET_SPEEDUP, since they
 #      pay real wire latency the in-process arm does not.
-#   4. Serve bench (BENCH_serve.json): the serving layer's
+#   3. Serve bench (BENCH_serve.json): the serving layer's
 #      content-addressed cache must make hot (cached) requests >=
 #      MIN_SERVE_SPEEDUP faster at p99 than cold (computed) requests,
 #      with a non-trivial number of hits actually observed.
-#   5. Splitting bench (BENCH_splitting.json): the fractional-step
+#   4. Splitting bench (BENCH_splitting.json): the fractional-step
 #      Strang arm must sit within SPLITTING_EPS of the DMC coverage at
 #      the finest documented window AND hold >= MIN_SPLITTING_SPEEDUP
 #      simulated-time throughput over PNDCA at the loosest window — the
 #      two ends of the accuracy-for-throughput trade the executor sells.
 #
-# Regenerate with `target/release/bench_kernel` / `bench_replica` /
-# `bench_shard` / `bench_splitting` / `scripts/loadtest.sh` first. Smoke
+# Regenerate with `target/release/bench_replica` / `bench_shard` /
+# `bench_splitting` / `scripts/loadtest.sh` first. Smoke
 # callers pass the *_smoke.json files and looser thresholds.
 #
 # The replica default is 3.5x, not the 8x the batch work originally
@@ -38,12 +35,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH_FILE=${1:-BENCH_kernel.json}
-REPLICA_FILE=${2:-BENCH_replica.json}
-SHARD_FILE=${3:-BENCH_shard.json}
-SERVE_FILE=${4:-BENCH_serve.json}
-SPLITTING_FILE=${5:-BENCH_splitting.json}
-MIN_SPEEDUP=${MIN_SPEEDUP:-3.0}
+REPLICA_FILE=${1:-BENCH_replica.json}
+SHARD_FILE=${2:-BENCH_shard.json}
+SERVE_FILE=${3:-BENCH_serve.json}
+SPLITTING_FILE=${4:-BENCH_splitting.json}
 MIN_REPLICA_SPEEDUP=${MIN_REPLICA_SPEEDUP:-3.5}
 MIN_SHARD_SPEEDUP=${MIN_SHARD_SPEEDUP:-2.5}
 MIN_SHARD_SOCKET_SPEEDUP=${MIN_SHARD_SOCKET_SPEEDUP:-2.0}
@@ -51,34 +46,6 @@ MIN_SERVE_SPEEDUP=${MIN_SERVE_SPEEDUP:-10.0}
 MIN_KEEPALIVE_SPEEDUP=${MIN_KEEPALIVE_SPEEDUP:-2.0}
 MIN_SPLITTING_SPEEDUP=${MIN_SPLITTING_SPEEDUP:-2.0}
 SPLITTING_EPS=${SPLITTING_EPS:-0.02}
-
-if [ ! -f "$BENCH_FILE" ]; then
-    echo "check_bench: $BENCH_FILE not found (run bench_kernel first)" >&2
-    exit 1
-fi
-
-# Each result is a single JSON line; pull the headline speedup off the ZGB
-# entry (the key "speedup", not "speedup_vs_hatch").
-speedup=$(grep '"model": "ZGB"' "$BENCH_FILE" \
-    | sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p')
-if [ -z "$speedup" ]; then
-    echo "check_bench: no ZGB speedup entry in $BENCH_FILE" >&2
-    exit 1
-fi
-
-identical=$(grep '"model": "ZGB"' "$BENCH_FILE" \
-    | sed -n 's/.*"trajectories_identical": \(true\|false\).*/\1/p')
-if [ "$identical" != "true" ]; then
-    echo "check_bench: ZGB naive/compiled trajectories not identical" >&2
-    exit 1
-fi
-
-ok=$(awk -v s="$speedup" -v m="$MIN_SPEEDUP" 'BEGIN { print (s >= m) ? 1 : 0 }')
-if [ "$ok" -ne 1 ]; then
-    echo "check_bench: ZGB compiled-kernel speedup ${speedup}x < ${MIN_SPEEDUP}x" >&2
-    exit 1
-fi
-echo "check_bench: ZGB compiled-kernel speedup ${speedup}x >= ${MIN_SPEEDUP}x"
 
 if [ ! -f "$REPLICA_FILE" ]; then
     echo "check_bench: $REPLICA_FILE not found (run bench_replica first)" >&2

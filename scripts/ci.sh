@@ -56,13 +56,8 @@ echo "engine socket smoke: socket resume is bit-identical to the inline run"
 echo "==> socket transport suite (bit-identity over 1000 steps + worker-kill fault)"
 cargo test -q --release -p psr-shard --test socket
 
-echo "==> kernel differential suite (proptest + trajectory identity)"
+echo "==> kernel differential suite (proptest: masks and fire vs the model's matcher)"
 cargo test -q --release -p psr-kernel --test differential
-cargo test -q --release -p psr-ca --test kernel_identity
-cargo test -q --release -p psr-dmc --test kernel_identity
-
-echo "==> bench_kernel --smoke (compiled vs naive, small lattice)"
-target/release/bench_kernel --smoke
 
 echo "==> bench_replica --smoke (batched lockstep vs serial replica loop)"
 target/release/bench_replica --smoke
@@ -75,16 +70,20 @@ target/release/bench_splitting --smoke
 
 # Smoke thresholds sit below the committed full-size numbers: the small
 # jobs are noisier and this host's wall clock is shared (the shard smoke
-# lattice is 64x64, where the halo is a much larger fraction of the
-# sweep than at the gated 1024/2048 sizes).
+# runs the headline 1024x1024 lattice with a 0.05 s sample: on anything
+# smaller the socket arms' fixed per-step wire cost outweighs a worker's
+# sweep and the ratio measures the wire, not the decomposition).
 echo "==> loadtest --smoke (serving layer cache-hit speedup)"
 scripts/loadtest.sh --smoke
 
-MIN_SPEEDUP=3.0 MIN_REPLICA_SPEEDUP=3.0 MIN_SHARD_SPEEDUP=2.0 \
+MIN_REPLICA_SPEEDUP=3.0 MIN_SHARD_SPEEDUP=2.0 \
     MIN_SHARD_SOCKET_SPEEDUP=1.7 MIN_SERVE_SPEEDUP=3.0 MIN_KEEPALIVE_SPEEDUP=1.5 \
     MIN_SPLITTING_SPEEDUP=2.0 SPLITTING_EPS=0.04 \
-    scripts/check_bench.sh BENCH_kernel_smoke.json BENCH_replica_smoke.json \
+    scripts/check_bench.sh BENCH_replica_smoke.json \
     BENCH_shard_smoke.json BENCH_serve_smoke.json BENCH_splitting_smoke.json
+
+echo "==> benchmark/selftest.sh (the benchmark package builds and runs against the crates)"
+bash benchmark/selftest.sh
 
 echo "==> serve smoke: HTTP submit, observable cross-check, 429 shed, SIGTERM drain"
 SERVE=target/release/psr-serve
