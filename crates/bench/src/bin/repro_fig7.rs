@@ -14,7 +14,6 @@
 
 use psr_bench::{results_dir, text_table, write_csv};
 use psr_core::prelude::*;
-use psr_engine::spec::parse_algorithm;
 use psr_engine::{BatchSpec, Engine, EngineConfig, JobSpec, ModelSpec, RunOptions};
 use psr_parallel::measure_speedup;
 use std::time::Duration;
@@ -25,7 +24,7 @@ use std::time::Duration;
 /// snapshots instead of recomputing them.
 fn engine_reference_batch() {
     let engine_dir = results_dir().join("fig7_engine");
-    let algorithm = parse_algorithm("pndca five random-order").expect("valid algorithm");
+    let algorithm: Algorithm = "pndca five random-order".parse().expect("valid algorithm");
     let jobs = [100u32, 200]
         .iter()
         .map(|&side| {

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use psr_dmc::events::{Event, EventHook};
-use psr_dmc::recorder::Recorder;
+use psr_dmc::recorder::{drive_until, Recorder};
 use psr_dmc::rsm::{RunStats, TimeMode};
 use psr_dmc::sim::SimState;
 use psr_kernel::{CompiledModel, SiteKernel};
@@ -273,16 +273,12 @@ impl<'m> Ndca<'m> {
         mut recorder: Option<&mut Recorder>,
         hook: &mut impl EventHook,
     ) -> RunStats {
-        let mut stats = RunStats::default();
-        // Half-a-trial tolerance: with discretised time, N float additions
-        // of 1/(N K) can land just below t_end and would trigger a spurious
-        // extra step.
-        let eps = 0.5 / (state.num_sites() as f64 * self.model.total_rate());
-        while state.time < t_end - eps {
-            let s = self.advance(state, rng, 1, recorder.as_deref_mut(), hook);
-            stats.trials += s.trials;
-            stats.executed += s.executed;
-        }
+        // The sweep samples for itself, unclamped: grid points a last step
+        // overshoots past `t_end` are part of the recorded series.
+        let k = self.model.total_rate();
+        let stats = drive_until(state, t_end, k, None, |state| {
+            self.advance(state, rng, 1, recorder.as_deref_mut(), hook)
+        });
         debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }

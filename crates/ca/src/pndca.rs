@@ -26,7 +26,7 @@ use std::sync::Arc;
 use crate::partition::Partition;
 use crate::propensity::ChunkPropensityCache;
 use psr_dmc::events::{Event, EventHook};
-use psr_dmc::recorder::Recorder;
+use psr_dmc::recorder::{drive_steps, drive_until, Recorder};
 use psr_dmc::rsm::{RunStats, TimeMode};
 use psr_dmc::sim::SimState;
 use psr_kernel::{CompiledModel, SiteKernel};
@@ -264,21 +264,10 @@ impl<'m, 'p> Pndca<'m, 'p> {
         state: &mut SimState,
         rng: &mut SimRng,
         steps: u64,
-        mut recorder: Option<&mut Recorder>,
+        recorder: Option<&mut Recorder>,
         hook: &mut impl EventHook,
     ) -> RunStats {
-        let mut stats = RunStats::default();
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(state.time, &state.coverage);
-        }
-        for _ in 0..steps {
-            let s = self.step(state, rng, hook);
-            stats.trials += s.trials;
-            stats.executed += s.executed;
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(state.time, &state.coverage);
-            }
-        }
+        let stats = drive_steps(state, steps, recorder, |state| self.step(state, rng, hook));
         debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
@@ -289,25 +278,13 @@ impl<'m, 'p> Pndca<'m, 'p> {
         state: &mut SimState,
         rng: &mut SimRng,
         t_end: f64,
-        mut recorder: Option<&mut Recorder>,
+        recorder: Option<&mut Recorder>,
         hook: &mut impl EventHook,
     ) -> RunStats {
-        let mut stats = RunStats::default();
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(state.time, &state.coverage);
-        }
-        // Half-a-trial tolerance: with discretised time, N float additions
-        // of 1/(N K) can land just below t_end and would trigger a spurious
-        // extra step.
-        let eps = 0.5 / (state.num_sites() as f64 * self.model.total_rate());
-        while state.time < t_end - eps {
-            let s = self.step(state, rng, hook);
-            stats.trials += s.trials;
-            stats.executed += s.executed;
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(state.time.min(t_end), &state.coverage);
-            }
-        }
+        let k = self.model.total_rate();
+        let stats = drive_until(state, t_end, k, recorder, |state| {
+            self.step(state, rng, hook)
+        });
         debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
@@ -325,23 +302,16 @@ pub fn run_alternating(
     state: &mut SimState,
     rng: &mut SimRng,
     steps: u64,
-    mut recorder: Option<&mut Recorder>,
+    recorder: Option<&mut Recorder>,
     hook: &mut impl EventHook,
 ) -> RunStats {
     assert!(!pndcas.is_empty(), "need at least one partition");
-    let mut stats = RunStats::default();
-    if let Some(rec) = recorder.as_deref_mut() {
-        rec.record(state.time, &state.coverage);
-    }
-    for k in 0..steps {
-        let s = pndcas[(k % pndcas.len() as u64) as usize].step(state, rng, hook);
-        stats.trials += s.trials;
-        stats.executed += s.executed;
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(state.time, &state.coverage);
-        }
-    }
-    stats
+    let mut k = 0;
+    drive_steps(state, steps, recorder, |state| {
+        let stats = pndcas[k % pndcas.len()].step(state, rng, hook);
+        k += 1;
+        stats
+    })
 }
 
 #[cfg(test)]

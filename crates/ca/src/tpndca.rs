@@ -25,7 +25,7 @@ use crate::partition::Partition;
 use crate::partition_builder::checkerboard;
 use crate::propensity::{draw_weighted, ChunkPropensityCache};
 use psr_dmc::events::{Event, EventHook};
-use psr_dmc::recorder::Recorder;
+use psr_dmc::recorder::{drive_steps, drive_until, Recorder};
 use psr_dmc::rsm::{RunStats, TimeMode};
 use psr_dmc::sim::SimState;
 use psr_kernel::{CompiledModel, SiteKernel};
@@ -332,21 +332,10 @@ impl<'m> TPndca<'m> {
         state: &mut SimState,
         rng: &mut SimRng,
         steps: u64,
-        mut recorder: Option<&mut Recorder>,
+        recorder: Option<&mut Recorder>,
         hook: &mut impl EventHook,
     ) -> RunStats {
-        let mut stats = RunStats::default();
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(state.time, &state.coverage);
-        }
-        for _ in 0..steps {
-            let s = self.step(state, rng, hook);
-            stats.trials += s.trials;
-            stats.executed += s.executed;
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(state.time, &state.coverage);
-            }
-        }
+        let stats = drive_steps(state, steps, recorder, |state| self.step(state, rng, hook));
         debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }
@@ -357,25 +346,13 @@ impl<'m> TPndca<'m> {
         state: &mut SimState,
         rng: &mut SimRng,
         t_end: f64,
-        mut recorder: Option<&mut Recorder>,
+        recorder: Option<&mut Recorder>,
         hook: &mut impl EventHook,
     ) -> RunStats {
-        let mut stats = RunStats::default();
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(state.time, &state.coverage);
-        }
-        // Half-a-trial tolerance: with discretised time, N float additions
-        // of 1/(N K) can land just below t_end and would trigger a spurious
-        // extra step.
-        let eps = 0.5 / (state.num_sites() as f64 * self.model.total_rate());
-        while state.time < t_end - eps {
-            let s = self.step(state, rng, hook);
-            stats.trials += s.trials;
-            stats.executed += s.executed;
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(state.time.min(t_end), &state.coverage);
-            }
-        }
+        let k = self.model.total_rate();
+        let stats = drive_until(state, t_end, k, recorder, |state| {
+            self.step(state, rng, hook)
+        });
         debug_assert!(state.agrees_with(&self.kernel, self.model));
         stats
     }

@@ -29,18 +29,25 @@ use psr_ca::pndca::Pndca;
 use psr_ca::splitting::{FractionalStepKmc, SplitPlan};
 use psr_ca::tpndca::{axis_type_partition, TPndca, TypePartition};
 use psr_dmc::events::EventHook;
+use psr_dmc::frm::Frm;
+use psr_dmc::recorder::Recorder;
 use psr_dmc::rsm::{Rsm, RunStats, TimeMode};
 use psr_dmc::sim::SimState;
+use psr_dmc::vssm::Vssm;
+use psr_dmc::VssmTree;
 use psr_lattice::{Dims, Lattice};
 use psr_model::Model;
+use psr_parallel::executor::ParallelPndca;
 use psr_rng::{rng_from_seed, Pcg32, SimRng};
+use psr_shard::{CommStats, ShardGrid, ShardedPndca};
 
 /// Everything needed to continue a [`SimSession`] bit-identically: the
 /// configuration, the clock, the step count, and the serialised RNG.
 ///
 /// The model and algorithm are *not* part of the checkpoint — a checkpoint
 /// only resumes correctly into a session built with the same configuration.
-/// `psr-engine` guarantees this by keying checkpoint files on the job spec.
+/// `psr-engine` guarantees this by keeping the job's canonical spec text
+/// beside its checkpoint and refusing to resume under a different one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionCheckpoint {
     /// The lattice configuration.
@@ -68,40 +75,99 @@ pub trait Checkpointable {
     fn restore(&mut self, ck: &SessionCheckpoint) -> Result<(), String>;
 }
 
+/// What an algorithm builds once from `(model, dims)` and keeps across
+/// blocks; the executors themselves borrow it and are rebuilt per block.
+#[derive(Clone, Debug)]
+enum Parts {
+    None,
+    Sites(Partition),
+    Types(TypePartition),
+    Blocks(SplitPlan),
+    Shards(Partition, ShardGrid),
+}
+
+impl Parts {
+    /// Build the parts of `algorithm`, rejecting what it cannot run.
+    fn prepare(algorithm: &Algorithm, model: &Model, dims: Dims) -> Result<Self, String> {
+        Ok(match algorithm {
+            Algorithm::Pndca { partition, .. }
+            | Algorithm::LPndca { partition, .. }
+            | Algorithm::Parallel { partition, .. } => Parts::Sites(partition.build(dims, model)),
+            Algorithm::TPndca => Parts::Types(axis_type_partition(model, dims)),
+            Algorithm::Fskmc { gx, gy, window, .. } => {
+                if !window.is_finite() || *window <= 0.0 {
+                    return Err(format!(
+                        "fskmc window must be positive and finite (got {window})"
+                    ));
+                }
+                Parts::Blocks(
+                    SplitPlan::new(dims, *gx, *gy, model.interaction_radius())
+                        .map_err(|e| format!("fskmc: {e}"))?,
+                )
+            }
+            Algorithm::Sharded {
+                partition, workers, ..
+            } => {
+                if *workers == 0 {
+                    return Err("sharded pndca needs at least one worker".to_owned());
+                }
+                let grid = ShardGrid::for_workers(*workers);
+                grid.check(dims, model.interaction_radius())?;
+                let sites = partition.build(dims, model);
+                if !sites.is_valid_for(model) {
+                    return Err(format!(
+                        "partition {partition} violates the non-overlap restriction; \
+                         sharded execution would race across domain edges"
+                    ));
+                }
+                Parts::Shards(sites, grid)
+            }
+            _ => Parts::None,
+        })
+    }
+}
+
+/// How far one [`SimSession::advance`] call runs.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Span {
+    /// This many whole algorithm steps.
+    Steps(u64),
+    /// Until the simulated clock reaches this time.
+    Until(f64),
+}
+
 /// A paused/resumable simulation: state + RNG + algorithm configuration,
 /// advanced in blocks of whole steps.
 ///
 /// One *step* is the algorithm's natural unit: `N` trials for RSM (one MC
 /// step), one full sweep for NDCA, one chunk schedule for the partitioned
-/// variants.
+/// variants, one window for `fskmc`.
 #[derive(Clone, Debug)]
 pub struct SimSession {
     model: Model,
     algorithm: Algorithm,
     dims: Dims,
-    /// Prebuilt site partition for the partitioned algorithms.
-    partition: Option<Partition>,
-    /// Prebuilt Ω×T partition for `TPndca`.
-    types: Option<TypePartition>,
-    /// Prebuilt block decomposition for `Fskmc`.
-    split: Option<SplitPlan>,
-    /// Master seed: `Fskmc` derives its counter-keyed streams from it (the
-    /// free-running `rng` below is untouched by that algorithm).
+    parts: Parts,
+    /// Master seed: the counter-keyed executors (`Fskmc`, `Sharded`,
+    /// `Parallel`) derive their streams from it and leave the free-running
+    /// `rng` below untouched.
     seed: u64,
     state: SimState,
     rng: SimRng,
     steps_done: u64,
     totals: RunStats,
+    /// Shard communication since the last [`take_comm`](Self::take_comm).
+    comm: CommStats,
 }
 
 impl SimSession {
-    /// Build a session from simulator configuration (used by
-    /// [`crate::Simulator::into_session`]).
+    /// Build a session from simulator configuration; any algorithm, the
+    /// step-wise check is [`crate::Simulator::into_session`]'s.
     ///
     /// # Errors
     ///
-    /// Rejects algorithms that cannot be checkpointed step-wise (VSSM, FRM
-    /// and the threaded executor, which owns per-slice streams).
+    /// A block or shard grid that does not tile the lattice, a partition
+    /// the sharded executor cannot use, a mismatched initial lattice.
     pub(crate) fn from_parts(
         model: Model,
         dims: Dims,
@@ -109,35 +175,11 @@ impl SimSession {
         algorithm: Algorithm,
         initial: Option<Lattice>,
     ) -> Result<Self, String> {
-        let (partition, types, split) = match &algorithm {
-            Algorithm::Rsm | Algorithm::RsmDiscretized | Algorithm::Ndca { .. } => {
-                (None, None, None)
-            }
-            Algorithm::Pndca { partition, .. } => (Some(partition.build(dims, &model)), None, None),
-            Algorithm::LPndca { partition, .. } => {
-                (Some(partition.build(dims, &model)), None, None)
-            }
-            Algorithm::TPndca => (None, Some(axis_type_partition(&model, dims)), None),
-            Algorithm::Fskmc { gx, gy, window, .. } => {
-                if !window.is_finite() || *window <= 0.0 {
-                    return Err(format!(
-                        "fskmc window must be positive and finite (got {window})"
-                    ));
-                }
-                let plan = SplitPlan::new(dims, *gx, *gy, model.interaction_radius())
-                    .map_err(|e| format!("fskmc: {e}"))?;
-                (None, None, Some(plan))
-            }
-            other => {
-                return Err(format!(
-                    "algorithm {other:?} does not support checkpointed step-wise execution"
-                ))
-            }
-        };
+        let parts = Parts::prepare(&algorithm, &model, dims)?;
         let lattice = initial.unwrap_or_else(|| Lattice::filled(dims, 0));
         if lattice.dims() != dims {
             return Err(format!(
-                "initial lattice is {:?}, configured dims are {dims:?}",
+                "initial lattice dimensions disagree with the configured dims: {:?} vs {dims:?}",
                 lattice.dims()
             ));
         }
@@ -146,14 +188,13 @@ impl SimSession {
             model,
             algorithm,
             dims,
-            partition,
-            types,
-            split,
+            parts,
             seed,
             state,
             rng: rng_from_seed(seed),
             steps_done: 0,
             totals: RunStats::default(),
+            comm: CommStats::default(),
         })
     }
 
@@ -165,6 +206,10 @@ impl SimSession {
     /// The current simulation state.
     pub fn state(&self) -> &SimState {
         &self.state
+    }
+
+    pub(crate) fn into_state(self) -> SimState {
+        self.state
     }
 
     /// Simulated clock.
@@ -183,60 +228,123 @@ impl SimSession {
         self.totals
     }
 
+    /// Drain the shard communication counters accumulated since the last
+    /// call (all zero unless the algorithm is sharded).
+    pub fn take_comm(&mut self) -> CommStats {
+        std::mem::take(&mut self.comm)
+    }
+
     /// Advance by `steps` whole algorithm steps, reporting every trial to
-    /// `hook`.
+    /// `hook` (the sharded executor reports none: its workers run in other
+    /// threads or processes, and the returned totals are all there is).
     pub fn run_blocks(&mut self, steps: u64, hook: &mut impl EventHook) -> RunStats {
-        let state = &mut self.state;
-        let rng = &mut self.rng;
-        let stats = match &self.algorithm {
-            Algorithm::Rsm => Rsm::new(&self.model).run_mc_steps(state, rng, steps, None, hook),
-            Algorithm::RsmDiscretized => Rsm::new(&self.model)
-                .with_time_mode(TimeMode::Discretized)
-                .run_mc_steps(state, rng, steps, None, hook),
-            Algorithm::Ndca { shuffled } => {
+        let stats = self.advance(Span::Steps(steps), None, hook);
+        self.steps_done += steps;
+        self.totals += stats;
+        stats
+    }
+
+    /// Build the algorithm's executor over the prepared parts and run it
+    /// for `span`: the one place an [`Algorithm`] becomes running code.
+    pub(crate) fn advance(
+        &mut self,
+        span: Span,
+        recorder: Option<&mut Recorder>,
+        hook: &mut impl EventHook,
+    ) -> RunStats {
+        let (model, seed, state, rng) = (&self.model, self.seed, &mut self.state, &mut self.rng);
+        // The step-driven executors share a calling convention; `$steps`
+        // names the whole-step method.
+        macro_rules! run {
+            ($exec:expr, $steps:ident) => {{
+                let mut exec = $exec;
+                match span {
+                    Span::Steps(n) => exec.$steps(state, rng, n, recorder, hook),
+                    Span::Until(t) => exec.run_until(state, rng, t, recorder, hook),
+                }
+            }};
+        }
+        // The event-driven executors carry pending-event queues and only
+        // run to a time; the step-keyed ones only run whole steps of 1/K.
+        let until = || match span {
+            Span::Until(t) => t,
+            Span::Steps(_) => unreachable!("into_session rejects the event-driven algorithms"),
+        };
+        let whole_steps = || match span {
+            Span::Steps(n) => n,
+            Span::Until(t) => (t * model.total_rate()).ceil() as u64,
+        };
+        match (&self.algorithm, &self.parts) {
+            (Algorithm::Rsm, _) => run!(Rsm::new(model), run_mc_steps),
+            (Algorithm::RsmDiscretized, _) => run!(
+                Rsm::new(model).with_time_mode(TimeMode::Discretized),
+                run_mc_steps
+            ),
+            (Algorithm::Vssm, _) => {
+                Vssm::new(model, &state.lattice).run_until(state, rng, until(), recorder, hook)
+            }
+            (Algorithm::VssmTree, _) => {
+                VssmTree::new(model, &state.lattice).run_until(state, rng, until(), recorder, hook)
+            }
+            (Algorithm::Frm, _) => Frm::new(model, &state.lattice, 0.0, rng).run_until(
+                state,
+                rng,
+                until(),
+                recorder,
+                hook,
+            ),
+            (Algorithm::Ndca { shuffled }, _) => {
                 let order = if *shuffled {
                     SweepOrder::Shuffled
                 } else {
                     SweepOrder::RowMajor
                 };
-                Ndca::new(&self.model)
-                    .with_order(order)
-                    .run_steps(state, rng, steps, None, hook)
+                run!(Ndca::new(model).with_order(order), run_steps)
             }
-            Algorithm::Pndca { selection, .. } => {
-                let p = self.partition.as_ref().expect("partition prebuilt");
-                Pndca::new(&self.model, p)
+            (Algorithm::Pndca { selection, .. }, Parts::Sites(p)) => {
+                run!(Pndca::new(model, p).with_selection(*selection), run_steps)
+            }
+            (Algorithm::LPndca { l, visit, .. }, Parts::Sites(p)) => {
+                run!(LPndca::new(model, p, *l).with_visit(*visit), run_steps)
+            }
+            (Algorithm::TPndca, Parts::Types(tp)) => {
+                run!(TPndca::new(model, tp.clone()), run_steps)
+            }
+            (Algorithm::Parallel { threads, .. }, Parts::Sites(p)) => ParallelPndca::new(
+                model, p, *threads, seed,
+            )
+            .run_steps(state, whole_steps(), recorder),
+            (
+                Algorithm::Sharded {
+                    selection, mode, ..
+                },
+                Parts::Shards(p, grid),
+            ) => {
+                let mut exec = ShardedPndca::new(model, p, *grid, seed)
                     .with_selection(*selection)
-                    .run_steps(state, rng, steps, None, hook)
+                    .with_mode(*mode);
+                exec.set_start_step(self.steps_done);
+                let stats = exec.run_steps(state, whole_steps(), recorder);
+                self.comm += exec.comm_stats();
+                stats
             }
-            Algorithm::LPndca { l, visit, .. } => {
-                let p = self.partition.as_ref().expect("partition prebuilt");
-                LPndca::new(&self.model, p, *l)
-                    .with_visit(*visit)
-                    .run_steps(state, rng, steps, None, hook)
-            }
-            Algorithm::TPndca => {
-                let tp = self.types.clone().expect("type partition prebuilt");
-                TPndca::new(&self.model, tp).run_steps(state, rng, steps, None, hook)
-            }
-            Algorithm::Fskmc {
-                schedule, window, ..
-            } => {
-                // One step = one whole window. The executor draws from
-                // streams keyed on (window, slot, block) — the session's
-                // free-running rng is deliberately untouched, which is what
+            (
+                Algorithm::Fskmc {
+                    schedule, window, ..
+                },
+                Parts::Blocks(plan),
+            ) => {
+                // Streams are keyed on (window, slot, block), which is what
                 // makes the window boundary a checkpoint seam.
-                let plan = self.split.as_ref().expect("split plan prebuilt");
-                let mut exec =
-                    FractionalStepKmc::new(&self.model, plan, *schedule, *window, self.seed);
+                let mut exec = FractionalStepKmc::new(model, plan, *schedule, *window, seed);
                 exec.set_start_window(self.steps_done);
-                exec.run_windows(state, steps, None, hook)
+                match span {
+                    Span::Steps(n) => exec.run_windows(state, n, recorder, hook),
+                    Span::Until(t) => exec.run_until(state, t, recorder, hook),
+                }
             }
-            other => unreachable!("{other:?} rejected at construction"),
-        };
-        self.steps_done += steps;
-        self.totals += stats;
-        stats
+            (algorithm, parts) => unreachable!("{parts:?} were not prepared for {algorithm}"),
+        }
     }
 }
 
@@ -263,12 +371,13 @@ impl Checkpointable for SimSession {
         self.state.time = ck.time;
         self.steps_done = ck.steps;
         self.totals = RunStats::default();
+        self.comm = CommStats::default();
         Ok(())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::simulator::{PartitionSpec, Simulator};
     use psr_ca::lpndca::ChunkVisit;
@@ -276,6 +385,16 @@ mod tests {
     use psr_ca::splitting::Schedule;
     use psr_dmc::events::NoHook;
     use psr_model::library::zgb::zgb_ziff;
+    use psr_shard::{ScheduleMode, Wire};
+
+    fn sharded(workers: u32, mode: ScheduleMode) -> Algorithm {
+        Algorithm::Sharded {
+            partition: PartitionSpec::FiveColoring,
+            selection: ChunkSelection::RandomOrder,
+            workers,
+            mode,
+        }
+    }
 
     fn session(algorithm: Algorithm) -> SimSession {
         Simulator::new(zgb_ziff(0.5, 5.0))
@@ -286,7 +405,8 @@ mod tests {
             .expect("steppable algorithm")
     }
 
-    fn steppable_algorithms() -> Vec<Algorithm> {
+    /// One of each step-resumable kind (also what the `Simulator` tests run).
+    pub(crate) fn steppable_algorithms() -> Vec<Algorithm> {
         vec![
             Algorithm::Rsm,
             Algorithm::RsmDiscretized,
@@ -305,6 +425,16 @@ mod tests {
                 l: 5,
                 visit: ChunkVisit::SizeWeighted,
             },
+            Algorithm::LPndca {
+                partition: PartitionSpec::FiveColoring,
+                l: 1,
+                visit: ChunkVisit::SizeWeighted,
+            },
+            Algorithm::LPndca {
+                partition: PartitionSpec::FiveColoring,
+                l: 80,
+                visit: ChunkVisit::RandomOnce,
+            },
             Algorithm::TPndca,
             // The window-boundary checkpoint seam: exact KMC inside each
             // window, yet fully steppable (one step = one window).
@@ -320,6 +450,9 @@ mod tests {
                 schedule: Schedule::Strang,
                 window: 0.2,
             },
+            // Streams keyed by the absolute step: resumable from
+            // (lattice, time, steps) at any worker grid.
+            sharded(4, ScheduleMode::Inline),
         ]
     }
 
@@ -406,6 +539,69 @@ mod tests {
                 .unwrap_err();
             assert!(err.contains("step-wise"), "unexpected error: {err}");
         }
+    }
+
+    #[test]
+    fn sharded_sessions_resume_bit_identically_inline_and_over_sockets() {
+        let mut whole = session(sharded(4, ScheduleMode::Inline));
+        whole.run_blocks(30, &mut NoHook);
+        // One process per worker keeps the same checkpoint contract — a
+        // SIGKILLed hub resumed from its last checkpoint must land on the
+        // uninterrupted inline trajectory.
+        for mode in [ScheduleMode::Inline, ScheduleMode::Socket(Wire::Unix)] {
+            let mut split = session(sharded(4, mode));
+            split.run_blocks(12, &mut NoHook);
+            let ck = split.checkpoint();
+            assert_eq!(ck.steps, 12);
+            let mut resumed = session(sharded(4, mode));
+            resumed.restore(&ck).expect("restore");
+            resumed.run_blocks(18, &mut NoHook);
+
+            let (a, b) = (whole.checkpoint(), resumed.checkpoint());
+            assert_eq!(a.lattice, b.lattice, "{mode}: resumed trajectory diverged");
+            assert_eq!(a.time.to_bits(), b.time.to_bits(), "{mode}");
+            assert_eq!(a.steps, b.steps, "{mode}");
+            // Only the socket path has wire traffic to measure.
+            let comm = resumed.take_comm();
+            let wired = mode != ScheduleMode::Inline;
+            assert_eq!(comm.wire_frames > 0, wired, "{mode}: wire frames");
+            assert_eq!(comm.wire_flushes > 0, wired, "{mode}: wire flushes");
+        }
+    }
+
+    #[test]
+    fn sharded_session_measures_communication() {
+        let mut session = session(sharded(4, ScheduleMode::Inline));
+        let stats = session.run_blocks(10, &mut NoHook);
+        assert!(stats.trials > 0);
+        let comm = session.take_comm();
+        assert!(comm.halo_messages > 0, "2x2 grid must exchange frames");
+        assert!(comm.boundary_trials > 0);
+        assert_eq!(comm.local_trials + comm.boundary_trials, stats.trials);
+        // Drained: a second take returns zeros.
+        assert_eq!(session.take_comm(), CommStats::default());
+    }
+
+    #[test]
+    fn bad_shard_grids_are_rejected_at_build() {
+        // 20×20 over 3 workers: 3 does not divide 20.
+        let build = |algorithm| {
+            Simulator::new(zgb_ziff(0.5, 5.0))
+                .dims(Dims::square(20))
+                .algorithm(algorithm)
+                .into_session()
+        };
+        let err = build(sharded(3, ScheduleMode::Inline)).unwrap_err();
+        assert!(err.contains("does not divide"), "got {err}");
+        // A partition whose chunks overlap under the model cannot shard.
+        let err = build(Algorithm::Sharded {
+            partition: PartitionSpec::SingleChunk,
+            selection: ChunkSelection::InOrder,
+            workers: 4,
+            mode: ScheduleMode::Inline,
+        })
+        .unwrap_err();
+        assert!(err.contains("non-overlap"), "got {err}");
     }
 
     #[test]

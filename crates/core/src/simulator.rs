@@ -1,25 +1,19 @@
 //! The unified simulator builder.
 
 use crate::output::SimOutput;
-use psr_ca::lpndca::{ChunkVisit, LPndca};
-use psr_ca::ndca::{Ndca, SweepOrder};
+use crate::session::{SimSession, Span};
+use psr_ca::lpndca::ChunkVisit;
 use psr_ca::partition::Partition;
 use psr_ca::partition_builder::{
     checkerboard, five_coloring, greedy_coloring, single_chunk, singleton_chunks,
 };
-use psr_ca::pndca::{ChunkSelection, Pndca};
-use psr_ca::splitting::{FractionalStepKmc, Schedule, SplitPlan};
-use psr_ca::tpndca::{axis_type_partition, TPndca};
+use psr_ca::pndca::ChunkSelection;
+use psr_ca::splitting::{squarest_grid, Schedule};
 use psr_dmc::events::NoHook;
-use psr_dmc::frm::Frm;
 use psr_dmc::recorder::Recorder;
-use psr_dmc::rsm::{Rsm, RunStats, TimeMode};
-use psr_dmc::sim::SimState;
-use psr_dmc::vssm::Vssm;
 use psr_lattice::{Dims, Lattice};
 use psr_model::Model;
-use psr_parallel::executor::ParallelPndca;
-use psr_rng::rng_from_seed;
+use psr_shard::ScheduleMode;
 
 /// How the lattice is partitioned for the partitioned algorithms.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,6 +76,15 @@ impl PartitionSpec {
 }
 
 /// The simulation algorithm to run.
+///
+/// `Display` and `FromStr` are the one text form of an algorithm: the value
+/// of an `algorithm =` line in an engine spec or a served job. `FromStr`
+/// accepts the step-resumable subset (`rsm`, `rsm-discretized`, `ndca`,
+/// `ndca-shuffled`, `pndca <partition> <selection>`,
+/// `lpndca <partition> <l> <visit>`, `tpndca`, `fskmc`); what that line
+/// cannot say — the `fskmc` window, schedule and block count, the shard
+/// count and transport of a sharded `pndca` — rides on the job keys of
+/// [`fold_key`](Algorithm::fold_key).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Algorithm {
     /// Random Selection Method (paper §3) with stochastic time.
@@ -124,6 +127,21 @@ pub enum Algorithm {
         /// Worker threads.
         threads: usize,
     },
+    /// PNDCA over `workers` halo-exchanging lattice domains (`psr-shard`).
+    /// Every draw stream is keyed by the absolute step, so the trajectory
+    /// is a pure function of `(seed, partition, selection)` — the same for
+    /// any worker count and transport — and resumable from
+    /// `(lattice, time, steps)` alone.
+    Sharded {
+        /// Lattice partition.
+        partition: PartitionSpec,
+        /// Chunk-selection strategy.
+        selection: ChunkSelection,
+        /// Worker count; the grid is [`psr_shard::ShardGrid::for_workers`].
+        workers: u32,
+        /// In-process scheduling or one OS process per worker.
+        mode: ScheduleMode,
+    },
     /// Fractional-step operator-splitting KMC (Lie/Strang): exact VSSM
     /// within `gx × gy` blocks for a window `Δt`, groups interleaved per
     /// the schedule. One step = one whole window.
@@ -137,6 +155,184 @@ pub enum Algorithm {
         /// Time window Δt per splitting sweep.
         window: f64,
     },
+}
+
+impl std::fmt::Display for Algorithm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Algorithm::Rsm => f.write_str("rsm"),
+            Algorithm::RsmDiscretized => f.write_str("rsm-discretized"),
+            Algorithm::Vssm => f.write_str("vssm"),
+            Algorithm::VssmTree => f.write_str("vssm-tree"),
+            Algorithm::Frm => f.write_str("frm"),
+            Algorithm::Ndca { shuffled: false } => f.write_str("ndca"),
+            Algorithm::Ndca { shuffled: true } => f.write_str("ndca-shuffled"),
+            Algorithm::Pndca {
+                partition,
+                selection,
+            }
+            | Algorithm::Sharded {
+                partition,
+                selection,
+                ..
+            } => write!(f, "pndca {partition} {selection}"),
+            Algorithm::LPndca {
+                partition,
+                l,
+                visit,
+            } => write!(f, "lpndca {partition} {l} {visit}"),
+            Algorithm::TPndca => f.write_str("tpndca"),
+            Algorithm::Parallel { partition, threads } => {
+                write!(f, "parallel {partition} {threads}")
+            }
+            Algorithm::Fskmc { .. } => f.write_str("fskmc"),
+        }
+    }
+}
+
+impl std::str::FromStr for Algorithm {
+    type Err = String;
+
+    /// `fskmc` starts from 2×2 blocks, Lie, window 0.1.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let mut parts = s.split_whitespace();
+        let head = parts.next().ok_or("empty algorithm")?;
+        let alg = match head {
+            "rsm" => Algorithm::Rsm,
+            "rsm-discretized" => Algorithm::RsmDiscretized,
+            "ndca" => Algorithm::Ndca { shuffled: false },
+            "ndca-shuffled" => Algorithm::Ndca { shuffled: true },
+            "tpndca" => Algorithm::TPndca,
+            "fskmc" => Algorithm::Fskmc {
+                gx: 2,
+                gy: 2,
+                schedule: Schedule::Lie,
+                window: 0.1,
+            },
+            "pndca" => {
+                let mut next = || parts.next().ok_or("pndca needs <partition> <selection>");
+                Algorithm::Pndca {
+                    partition: next()?.parse()?,
+                    selection: next()?.parse()?,
+                }
+            }
+            "lpndca" => {
+                let mut next = || parts.next().ok_or("lpndca needs <partition> <l> <visit>");
+                Algorithm::LPndca {
+                    partition: next()?.parse()?,
+                    l: next()?.parse().map_err(|e| format!("lpndca l: {e}"))?,
+                    visit: next()?.parse()?,
+                }
+            }
+            other => return Err(format!("unknown algorithm {other:?}")),
+        };
+        if let Some(extra) = parts.next() {
+            return Err(format!("trailing token {extra:?} in algorithm spec"));
+        }
+        Ok(alg)
+    }
+}
+
+impl Algorithm {
+    /// Fold one job key onto the algorithm: `splitting`, `window` and
+    /// `blocks` set the parameters of an `fskmc`; `shards = N` above 1 turns
+    /// a `pndca` into its sharded form and `transport` picks how those
+    /// shards talk. Applied in key order after the `algorithm =` line is
+    /// parsed, these reach every step-resumable value.
+    ///
+    /// # Errors
+    ///
+    /// A malformed value, or a key the algorithm has no use for.
+    pub fn fold_key(&mut self, key: &str, value: &str) -> Result<(), String> {
+        match (key, &mut *self) {
+            ("splitting", Algorithm::Fskmc { schedule, .. }) => *schedule = value.parse()?,
+            ("window", Algorithm::Fskmc { window, .. }) => {
+                let w: f64 = value.parse().map_err(|e| format!("window: {e}"))?;
+                if !w.is_finite() || w <= 0.0 {
+                    return Err(format!("window = {w} must be positive and finite"));
+                }
+                *window = w;
+            }
+            ("blocks", Algorithm::Fskmc { gx, gy, .. }) => {
+                let b: u32 = value.parse().map_err(|e| format!("blocks: {e}"))?;
+                if b == 0 {
+                    return Err("blocks must be positive".to_owned());
+                }
+                (*gx, *gy) = squarest_grid(b);
+            }
+            ("splitting" | "window" | "blocks", _) => {
+                return Err("`splitting`/`window`/`blocks` require algorithm = fskmc".to_owned())
+            }
+            ("shards", this) => {
+                let workers: u32 = value.parse().map_err(|e| format!("shards: {e}"))?;
+                let (Algorithm::Pndca {
+                    partition,
+                    selection,
+                }
+                | Algorithm::Sharded {
+                    partition,
+                    selection,
+                    ..
+                }) = &*this
+                else {
+                    // One shard is what every algorithm runs on.
+                    return if workers == 1 {
+                        Ok(())
+                    } else {
+                        Err(format!(
+                            "shards = {workers} requires a pndca algorithm (got {this})"
+                        ))
+                    };
+                };
+                let (partition, selection) = (partition.clone(), *selection);
+                *this = match workers {
+                    0 => return Err("shards must be positive".to_owned()),
+                    1 => Algorithm::Pndca {
+                        partition,
+                        selection,
+                    },
+                    _ => Algorithm::Sharded {
+                        partition,
+                        selection,
+                        workers,
+                        mode: ScheduleMode::Inline,
+                    },
+                };
+            }
+            ("transport", this) => match (value.parse()?, this) {
+                (transport, Algorithm::Sharded { mode, .. }) => *mode = transport,
+                (ScheduleMode::Inline, _) => {}
+                (transport, _) => {
+                    return Err(format!("transport = {transport} requires shards > 1"))
+                }
+            },
+            (other, _) => return Err(format!("unknown job key `{other}`")),
+        }
+        Ok(())
+    }
+
+    /// The keys that, folded onto `self.to_string().parse()`, give `self`
+    /// back, in key order. A block grid is spelled as its block count, so
+    /// only the squarest grid of a count comes back.
+    pub fn folded_keys(&self) -> Vec<(&'static str, String)> {
+        match self {
+            Algorithm::Fskmc {
+                gx,
+                gy,
+                schedule,
+                window,
+            } => vec![
+                ("blocks", (gx * gy).to_string()),
+                ("splitting", schedule.to_string()),
+                ("window", window.to_string()),
+            ],
+            Algorithm::Sharded { workers, mode, .. } => vec![
+                ("shards", workers.to_string()),
+                ("transport", mode.to_string()),
+            ],
+            _ => Vec::new(),
+        }
+    }
 }
 
 /// Builder/runner around a model.
@@ -201,14 +397,24 @@ impl Simulator {
     }
 
     /// Convert the configuration into a step-wise, checkpointable
-    /// [`SimSession`](crate::session::SimSession).
+    /// [`SimSession`].
     ///
     /// # Errors
     ///
     /// Rejects algorithms that cannot be checkpointed step-wise (VSSM, FRM
-    /// and the threaded executor).
-    pub fn into_session(self) -> Result<crate::session::SimSession, String> {
-        crate::session::SimSession::from_parts(
+    /// and the threaded executor) and configurations the algorithm cannot
+    /// run (a block or shard grid that does not tile the lattice).
+    pub fn into_session(self) -> Result<SimSession, String> {
+        if matches!(
+            self.algorithm,
+            Algorithm::Vssm | Algorithm::VssmTree | Algorithm::Frm | Algorithm::Parallel { .. }
+        ) {
+            return Err(format!(
+                "algorithm {} does not support checkpointed step-wise execution",
+                self.algorithm
+            ));
+        }
+        SimSession::from_parts(
             self.model,
             self.dims,
             self.seed,
@@ -217,155 +423,130 @@ impl Simulator {
         )
     }
 
-    fn initial_state(&self) -> SimState {
-        let lattice = self
-            .initial
-            .clone()
-            .unwrap_or_else(|| Lattice::filled(self.dims, 0));
-        assert_eq!(
-            lattice.dims(),
-            self.dims,
-            "initial lattice dimensions disagree with the configured dims"
-        );
-        SimState::new(lattice, &self.model)
-    }
-
     /// Run until simulated time `t_end`; returns coverage series and stats.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a configuration the algorithm cannot run.
     pub fn run_until(&self, t_end: f64) -> SimOutput {
-        let mut state = self.initial_state();
-        let mut rng = rng_from_seed(self.seed);
+        let this = self.clone();
         let mut recorder = Recorder::new(self.model.species().len(), self.sample_dt);
-        let stats: RunStats = match &self.algorithm {
-            Algorithm::Rsm => Rsm::new(&self.model).run_until(
-                &mut state,
-                &mut rng,
-                t_end,
-                Some(&mut recorder),
-                &mut NoHook,
-            ),
-            Algorithm::RsmDiscretized => Rsm::new(&self.model)
-                .with_time_mode(TimeMode::Discretized)
-                .run_until(
-                    &mut state,
-                    &mut rng,
-                    t_end,
-                    Some(&mut recorder),
-                    &mut NoHook,
-                ),
-            Algorithm::Vssm => {
-                let mut vssm = Vssm::new(&self.model, &state.lattice);
-                vssm.run_until(
-                    &mut state,
-                    &mut rng,
-                    t_end,
-                    Some(&mut recorder),
-                    &mut NoHook,
-                )
-            }
-            Algorithm::VssmTree => {
-                let mut vssm = psr_dmc::VssmTree::new(&self.model, &state.lattice);
-                vssm.run_until(
-                    &mut state,
-                    &mut rng,
-                    t_end,
-                    Some(&mut recorder),
-                    &mut NoHook,
-                )
-            }
-            Algorithm::Frm => {
-                let mut frm = Frm::new(&self.model, &state.lattice, 0.0, &mut rng);
-                frm.run_until(
-                    &mut state,
-                    &mut rng,
-                    t_end,
-                    Some(&mut recorder),
-                    &mut NoHook,
-                )
-            }
-            Algorithm::Ndca { shuffled } => {
-                let order = if *shuffled {
-                    SweepOrder::Shuffled
-                } else {
-                    SweepOrder::RowMajor
-                };
-                Ndca::new(&self.model).with_order(order).run_until(
-                    &mut state,
-                    &mut rng,
-                    t_end,
-                    Some(&mut recorder),
-                    &mut NoHook,
-                )
-            }
-            Algorithm::Pndca {
-                partition,
-                selection,
-            } => {
-                let p = partition.build(self.dims, &self.model);
-                Pndca::new(&self.model, &p)
-                    .with_selection(*selection)
-                    .run_until(
-                        &mut state,
-                        &mut rng,
-                        t_end,
-                        Some(&mut recorder),
-                        &mut NoHook,
-                    )
-            }
-            Algorithm::LPndca {
-                partition,
-                l,
-                visit,
-            } => {
-                let p = partition.build(self.dims, &self.model);
-                LPndca::new(&self.model, &p, *l)
-                    .with_visit(*visit)
-                    .run_until(
-                        &mut state,
-                        &mut rng,
-                        t_end,
-                        Some(&mut recorder),
-                        &mut NoHook,
-                    )
-            }
-            Algorithm::TPndca => {
-                let tp = axis_type_partition(&self.model, self.dims);
-                TPndca::new(&self.model, tp).run_until(
-                    &mut state,
-                    &mut rng,
-                    t_end,
-                    Some(&mut recorder),
-                    &mut NoHook,
-                )
-            }
-            Algorithm::Parallel { partition, threads } => {
-                let p = partition.build(self.dims, &self.model);
-                let mut exec = ParallelPndca::new(&self.model, &p, *threads, self.seed);
-                // Whole steps of 1/K until t_end.
-                let k = self.model.total_rate();
-                let steps = (t_end * k).ceil() as u64;
-                exec.run_steps(&mut state, steps, Some(&mut recorder))
-            }
-            Algorithm::Fskmc {
-                gx,
-                gy,
-                schedule,
-                window,
-            } => {
-                let plan = SplitPlan::new(self.dims, *gx, *gy, self.model.interaction_radius())
-                    .expect("valid fskmc block grid");
-                let mut exec =
-                    FractionalStepKmc::new(&self.model, &plan, *schedule, *window, self.seed);
-                exec.run_until(&mut state, t_end, Some(&mut recorder), &mut NoHook)
-            }
-        };
-        SimOutput::new(state, recorder, stats)
+        let mut session = SimSession::from_parts(
+            this.model,
+            this.dims,
+            this.seed,
+            this.algorithm,
+            this.initial,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        let stats = session.advance(Span::Until(t_end), Some(&mut recorder), &mut NoHook);
+        SimOutput::new(session.into_state(), recorder, stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use psr_model::library::zgb::zgb_ziff;
+    use psr_shard::Wire;
+
+    /// Through the text form and back: the `algorithm =` spelling, then
+    /// the folded keys.
+    fn reparse(algorithm: &Algorithm) -> Result<Algorithm, String> {
+        let mut back: Algorithm = algorithm.to_string().parse()?;
+        for (key, value) in algorithm.folded_keys() {
+            back.fold_key(key, &value)?;
+        }
+        Ok(back)
+    }
+
+    #[test]
+    fn canonical_spellings_roundtrip_through_display() {
+        for s in [
+            "rsm",
+            "rsm-discretized",
+            "ndca",
+            "ndca-shuffled",
+            "tpndca",
+            "fskmc",
+            "pndca five weighted",
+            "pndca greedy in-order",
+            "lpndca single 100 size-weighted",
+            "lpndca five 1 random-once",
+        ] {
+            let parsed: Algorithm = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
+            assert_eq!(parsed.to_string(), s);
+            assert_eq!(reparse(&parsed), Ok(parsed));
+        }
+        for (s, needle) in [
+            ("pndca five weighted extra", "trailing token"),
+            ("pndca nowhere weighted", "unknown partition"),
+            ("pndca five", "pndca needs"),
+            ("lpndca five many size-weighted", "lpndca l:"),
+            ("fskmc strang", "trailing token"),
+            ("vssm", "unknown algorithm"),
+            ("", "empty algorithm"),
+        ] {
+            let err = s.parse::<Algorithm>().unwrap_err();
+            assert!(err.contains(needle), "{s:?}: {err:?} missing {needle:?}");
+        }
+    }
+
+    /// Every step-resumable value, from plain indices (the vendored
+    /// proptest has no `prop_oneof`).
+    fn steppable(variant: usize, a: usize, b: usize, n: u32, x: f64) -> Algorithm {
+        use {ChunkSelection::*, PartitionSpec::*, ScheduleMode::*};
+        let partition =
+            [FiveColoring, Greedy, Checkerboard, SingleChunk, Singletons][a % 5].clone();
+        let selection = [InOrder, RandomOrder, RandomWithReplacement, WeightedByRates][b % 4];
+        let visit = [ChunkVisit::SizeWeighted, ChunkVisit::RandomOnce][b % 2];
+        let mode = [Inline, Threaded, Socket(Wire::Unix), Socket(Wire::Tcp)][a % 4];
+        let (gx, gy) = squarest_grid(n);
+        match variant {
+            0 => Algorithm::Rsm,
+            1 => Algorithm::RsmDiscretized,
+            2 => Algorithm::Ndca {
+                shuffled: b % 2 == 1,
+            },
+            3 => Algorithm::Pndca {
+                partition,
+                selection,
+            },
+            4 => Algorithm::LPndca {
+                partition,
+                l: n as usize,
+                visit,
+            },
+            5 => Algorithm::TPndca,
+            6 => Algorithm::Fskmc {
+                gx,
+                gy,
+                schedule: [Schedule::Lie, Schedule::Strang][b % 2],
+                window: x,
+            },
+            _ => Algorithm::Sharded {
+                partition,
+                selection,
+                workers: n + 1,
+                mode,
+            },
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn steppable_algorithms_survive_their_text_form(
+            variant in 0usize..8,
+            a in 0usize..20,
+            b in 0usize..4,
+            n in 1u32..200,
+            x in 1e-6f64..1e3,
+        ) {
+            let algorithm = steppable(variant, a, b, n, x);
+            prop_assert_eq!(reparse(&algorithm), Ok(algorithm));
+        }
+    }
 
     fn sim(algorithm: Algorithm) -> SimOutput {
         Simulator::new(zgb_ziff(0.5, 5.0))
@@ -378,46 +559,17 @@ mod tests {
 
     #[test]
     fn all_algorithms_run_and_record() {
-        let algorithms = vec![
-            Algorithm::Rsm,
-            Algorithm::RsmDiscretized,
-            Algorithm::Vssm,
-            Algorithm::VssmTree,
-            Algorithm::Frm,
-            Algorithm::Ndca { shuffled: false },
-            Algorithm::Ndca { shuffled: true },
-            Algorithm::Pndca {
-                partition: PartitionSpec::FiveColoring,
-                selection: ChunkSelection::RandomOrder,
-            },
-            Algorithm::LPndca {
-                partition: PartitionSpec::FiveColoring,
-                l: 1,
-                visit: ChunkVisit::SizeWeighted,
-            },
-            Algorithm::LPndca {
-                partition: PartitionSpec::FiveColoring,
-                l: 80,
-                visit: ChunkVisit::RandomOnce,
-            },
-            Algorithm::TPndca,
-            Algorithm::Parallel {
-                partition: PartitionSpec::FiveColoring,
-                threads: 2,
-            },
-            Algorithm::Fskmc {
-                gx: 2,
-                gy: 2,
-                schedule: Schedule::Lie,
-                window: 0.1,
-            },
-            Algorithm::Fskmc {
-                gx: 2,
-                gy: 2,
-                schedule: Schedule::Strang,
-                window: 0.1,
-            },
-        ];
+        let algorithms = crate::session::tests::steppable_algorithms()
+            .into_iter()
+            .chain([
+                Algorithm::Vssm,
+                Algorithm::VssmTree,
+                Algorithm::Frm,
+                Algorithm::Parallel {
+                    partition: PartitionSpec::FiveColoring,
+                    threads: 2,
+                },
+            ]);
         for algorithm in algorithms {
             let label = format!("{algorithm:?}");
             let out = sim(algorithm);

@@ -5,6 +5,8 @@
 //! exposes one [`TimeSeries`] per species — the raw material for every
 //! coverage-vs-time figure (Figs 8–10).
 
+use crate::rsm::RunStats;
+use crate::sim::SimState;
 use psr_lattice::Coverage;
 use psr_stats::TimeSeries;
 
@@ -103,6 +105,54 @@ impl Recorder {
     pub fn sample_dt(&self) -> f64 {
         self.sample_dt
     }
+}
+
+/// The whole-step driver of the step-wise executors: sample, then `steps`
+/// times advance one step with `step`, add up its stats and sample again.
+pub fn drive_steps(
+    state: &mut SimState,
+    steps: u64,
+    mut recorder: Option<&mut Recorder>,
+    mut step: impl FnMut(&mut SimState) -> RunStats,
+) -> RunStats {
+    let mut stats = RunStats::default();
+    if let Some(rec) = recorder.as_deref_mut() {
+        rec.record(state.time, &state.coverage);
+    }
+    for _ in 0..steps {
+        stats += step(state);
+        if let Some(rec) = recorder.as_deref_mut() {
+            rec.record(state.time, &state.coverage);
+        }
+    }
+    stats
+}
+
+/// [`drive_steps`] for as many whole steps as it takes the clock to reach
+/// `t_end`, for a model of total rate `total_rate`; samples past `t_end`
+/// are clamped onto it.
+pub fn drive_until(
+    state: &mut SimState,
+    t_end: f64,
+    total_rate: f64,
+    mut recorder: Option<&mut Recorder>,
+    mut step: impl FnMut(&mut SimState) -> RunStats,
+) -> RunStats {
+    let mut stats = RunStats::default();
+    if let Some(rec) = recorder.as_deref_mut() {
+        rec.record(state.time, &state.coverage);
+    }
+    // Half-a-trial tolerance: with discretised time, N float additions
+    // of 1/(N K) can land just below t_end and would trigger a spurious
+    // extra step.
+    let eps = 0.5 / (state.num_sites() as f64 * total_rate);
+    while state.time < t_end - eps {
+        stats += step(state);
+        if let Some(rec) = recorder.as_deref_mut() {
+            rec.record(state.time.min(t_end), &state.coverage);
+        }
+    }
+    stats
 }
 
 #[cfg(test)]

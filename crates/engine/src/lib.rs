@@ -30,7 +30,6 @@ pub mod engine;
 pub mod journal;
 pub mod metrics;
 pub mod runner;
-pub mod shard_session;
 pub mod spec;
 
 pub use checkpoint::CheckpointStore;
@@ -38,5 +37,4 @@ pub use engine::{BatchReport, Engine, JobReport, JobStatus, RunOptions};
 pub use journal::{Journal, JsonLine};
 pub use metrics::{MetricsSnapshot, Registry};
 pub use runner::{BlockObserver, Interrupt, JobRun, NoObserver, RunOutcome};
-pub use shard_session::{JobSession, ShardSession};
 pub use spec::{BatchSpec, EngineConfig, JobSpec, ModelSpec};

@@ -123,17 +123,10 @@ fn run(cli: Cli) -> Result<ExitCode, String> {
             batch.engine.workers,
             batch.engine.checkpoint_dir.display()
         );
+        // Each job as a section with every default resolved, ready to be
+        // pasted back into a spec file.
         for job in &batch.jobs {
-            println!(
-                "  {:<20} {:?} {:?} side={} seed={} steps={} ckpt-every={}",
-                job.name,
-                job.model,
-                job.algorithm,
-                job.side,
-                job.seed,
-                job.steps,
-                job.checkpoint_every
-            );
+            print!("\n{job}");
         }
         return Ok(ExitCode::SUCCESS);
     }

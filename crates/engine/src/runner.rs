@@ -14,10 +14,9 @@
 use crate::checkpoint::CheckpointStore;
 use crate::journal::{Journal, JsonLine};
 use crate::metrics::Registry;
-use crate::shard_session::JobSession;
 use crate::spec::JobSpec;
 use psr_core::{Checkpointable, SessionCheckpoint};
-use psr_dmc::events::Event;
+use psr_dmc::events::NoHook;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -146,15 +145,33 @@ impl JobRun<'_> {
         if self.store.is_done(&spec.name) {
             return Ok(RunOutcome::Completed);
         }
-        let mut session = JobSession::build(spec)?;
+        let mut session = spec.session()?;
+        // A checkpoint only continues the run it was taken from: a fresh
+        // start records the job's canonical text beside where checkpoints
+        // go, and a resume must still match it.
+        let canonical = spec.canonical_text();
+        let spec_path = self.store.ckpt_path(&spec.name).with_extension("spec");
         let mut resumed_from = None;
         if let Some(ck) = self
             .store
             .load(&spec.name)
             .map_err(|e| format!("job {}: loading checkpoint: {e}", spec.name))?
         {
+            // No record: a checkpoint from before records were kept.
+            if let Ok(recorded) = std::fs::read_to_string(&spec_path) {
+                if recorded != canonical {
+                    return Err(format!(
+                        "job {}: the checkpoint at step {} belongs to a different spec; \
+                         refusing to resume it.\ncheckpointed:\n{recorded}requested:\n{canonical}",
+                        spec.name, ck.steps
+                    ));
+                }
+            }
             session.restore(&ck)?;
             resumed_from = Some(ck.steps);
+        } else {
+            std::fs::write(&spec_path, &canonical)
+                .map_err(|e| format!("job {}: recording spec: {e}", spec.name))?;
         }
         let start_steps = session.steps_done();
         self.journal.log(
@@ -179,45 +196,25 @@ impl JobRun<'_> {
             let done = session.steps_done();
             let block = self.next_boundary(done) - done;
             let t0 = Instant::now();
-            let mut hook = |e: Event| {
-                trials.add(1);
-                if e.executed {
-                    executed.add(1);
+            let stats = session.run_blocks(block, &mut NoHook);
+            trials.add(stats.trials);
+            executed.add(stats.executed);
+            let comm = session.take_comm();
+            if comm.local_trials + comm.boundary_trials > 0 {
+                // Measured shard communication; the wire counters stay
+                // zero on the in-process transports.
+                for (name, value) in [
+                    ("shard_halo_messages", comm.halo_messages),
+                    ("shard_halo_bytes", comm.halo_bytes),
+                    ("shard_local_trials", comm.local_trials),
+                    ("shard_boundary_trials", comm.boundary_trials),
+                    ("shard_wire_frames", comm.wire_frames),
+                    ("shard_wire_bytes", comm.wire_bytes),
+                    ("shard_wire_batches", comm.wire_batches),
+                    ("shard_wire_flushes", comm.wire_flushes),
+                ] {
+                    self.metrics.counter(name).add(value);
                 }
-            };
-            let stats = session.run_blocks(block, &mut hook);
-            debug_assert!(stats.trials >= stats.executed);
-            if matches!(session, JobSession::Sharded(_)) {
-                // The sharded executor reports aggregate counts (the hook
-                // never fires) and measured communication.
-                trials.add(stats.trials);
-                executed.add(stats.executed);
-                let comm = session.take_comm();
-                self.metrics
-                    .counter("shard_halo_messages")
-                    .add(comm.halo_messages);
-                self.metrics
-                    .counter("shard_halo_bytes")
-                    .add(comm.halo_bytes);
-                self.metrics
-                    .counter("shard_local_trials")
-                    .add(comm.local_trials);
-                self.metrics
-                    .counter("shard_boundary_trials")
-                    .add(comm.boundary_trials);
-                // Socket-transport wire traffic (zero on in-process modes).
-                self.metrics
-                    .counter("shard_wire_frames")
-                    .add(comm.wire_frames);
-                self.metrics
-                    .counter("shard_wire_bytes")
-                    .add(comm.wire_bytes);
-                self.metrics
-                    .counter("shard_wire_batches")
-                    .add(comm.wire_batches);
-                self.metrics
-                    .counter("shard_wire_flushes")
-                    .add(comm.wire_flushes);
                 self.metrics
                     .gauge(&format!("job.{}.boundary_fraction", spec.name))
                     .set(comm.boundary_fraction());
@@ -287,6 +284,7 @@ impl JobRun<'_> {
             .store
             .finish(&spec.name, &ck)
             .map_err(|e| format!("job {}: saving final snapshot: {e}", spec.name))?;
+        let _ = std::fs::remove_file(&spec_path);
         checkpoints.add(1);
         ckpt_bytes.record(bytes);
         self.journal.log(
@@ -306,6 +304,7 @@ mod tests {
     use super::*;
     use crate::spec::ModelSpec;
     use psr_core::Algorithm;
+    use psr_dmc::rsm::RunStats;
 
     fn base_spec() -> JobSpec {
         let mut spec = JobSpec::new(
@@ -389,6 +388,47 @@ mod tests {
         // Re-running a finished job is a no-op.
         assert_eq!(run(&spec, &h, 0).expect("rerun"), RunOutcome::Completed);
         assert_eq!(h.2.counter("steps").get(), 20);
+    }
+
+    #[test]
+    fn trial_counters_are_the_sums_of_the_block_stats() {
+        use psr_dmc::events::Event;
+        let spec = base_spec(); // NDCA, 10×10, 20 steps in blocks of 6, 6, 6, 2
+        let h = harness("counters");
+        run(&spec, &h, 0).expect("run");
+        // The same blocks on a bare session, counted trial by trial.
+        let mut session = spec.session().expect("session");
+        let (mut hooked, mut summed) = (RunStats::default(), RunStats::default());
+        for block in [6, 6, 6, 2] {
+            summed += session.run_blocks(block, &mut |e: Event| {
+                hooked.trials += 1;
+                hooked.executed += e.executed as u64;
+            });
+        }
+        assert_eq!(hooked, summed);
+        assert_eq!(summed.trials, 20 * 100, "one trial per site per NDCA step");
+        assert_eq!(h.2.counter("trials").get(), summed.trials);
+        assert_eq!(h.2.counter("executed").get(), summed.executed);
+    }
+
+    #[test]
+    fn resuming_under_an_edited_spec_is_refused() {
+        let mut spec = base_spec();
+        spec.abort_at_step = Some(13);
+        let h = harness("edited");
+        run(&spec, &h, 0).expect("run to the abort");
+        let mut edited = spec.clone();
+        edited.seed = 4;
+        let err = run(&edited, &h, 0).unwrap_err();
+        assert!(err.contains("different spec"), "{err}");
+        assert!(
+            err.contains("seed = 3") && err.contains("seed = 4"),
+            "{err}"
+        );
+        // Fault keys are not physics: still the same run.
+        spec.abort_at_step = None;
+        assert_eq!(run(&spec, &h, 0).expect("resume"), RunOutcome::Completed);
+        assert!(!h.0.ckpt_path("t").with_extension("spec").exists());
     }
 
     #[test]

@@ -26,11 +26,12 @@
 //! checkpoints at that step, simulating a kill so `--resume` can be
 //! exercised deterministically.
 
-use psr_ca::splitting::{squarest_grid, Schedule};
-use psr_core::{Algorithm, PartitionSpec};
+use psr_core::{Algorithm, SimSession, Simulator};
+use psr_lattice::Dims;
 use psr_model::library::kuzovkov::{kuzovkov_model, KuzovkovParams};
 use psr_model::library::zgb::zgb_ziff;
 use psr_model::Model;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Which reaction model a job simulates.
@@ -65,16 +66,8 @@ impl ModelSpec {
         let mut parts = s.split_whitespace();
         match parts.next() {
             Some("zgb") => {
-                let y: f64 = parts
-                    .next()
-                    .ok_or("zgb needs <y> <k>")?
-                    .parse()
-                    .map_err(|e| format!("zgb y: {e}"))?;
-                let k: f64 = parts
-                    .next()
-                    .ok_or("zgb needs <y> <k>")?
-                    .parse()
-                    .map_err(|e| format!("zgb k: {e}"))?;
+                let mut next = |what| number(what, parts.next().ok_or("zgb needs <y> <k>")?);
+                let (y, k): (f64, f64) = (next("zgb y")?, next("zgb k")?);
                 if !(0.0..=1.0).contains(&y) || !k.is_finite() || k <= 0.0 {
                     return Err(format!("zgb parameters out of range: y={y} k={k}"));
                 }
@@ -88,107 +81,13 @@ impl ModelSpec {
     }
 }
 
-/// Parse an algorithm spec string.
-///
-/// Accepted forms: `rsm`, `rsm-discretized`, `ndca`, `ndca-shuffled`,
-/// `pndca <partition> <selection>`, `lpndca <partition> <l> <visit>`,
-/// `tpndca`, `fskmc` — the step-resumable subset of [`Algorithm`].
-///
-/// `fskmc` starts from the defaults (2×2 blocks, Lie, window 0.1) which the
-/// job keys `splitting = lie|strang`, `window = Δt` and `blocks = N`
-/// override.
-///
-/// # Errors
-///
-/// Describes the first problem with the spec string.
-pub fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
-    let mut parts = s.split_whitespace();
-    let head = parts.next().ok_or("empty algorithm")?;
-    let alg = match head {
-        "rsm" => Algorithm::Rsm,
-        "rsm-discretized" => Algorithm::RsmDiscretized,
-        "ndca" => Algorithm::Ndca { shuffled: false },
-        "ndca-shuffled" => Algorithm::Ndca { shuffled: true },
-        "tpndca" => Algorithm::TPndca,
-        "fskmc" => Algorithm::Fskmc {
-            gx: 2,
-            gy: 2,
-            schedule: Schedule::Lie,
-            window: 0.1,
-        },
-        "pndca" => {
-            let partition: PartitionSpec = parts
-                .next()
-                .ok_or("pndca needs <partition> <selection>")?
-                .parse()?;
-            let selection = parts
-                .next()
-                .ok_or("pndca needs <partition> <selection>")?
-                .parse()?;
-            Algorithm::Pndca {
-                partition,
-                selection,
-            }
-        }
-        "lpndca" => {
-            let partition: PartitionSpec = parts
-                .next()
-                .ok_or("lpndca needs <partition> <l> <visit>")?
-                .parse()?;
-            let l: usize = parts
-                .next()
-                .ok_or("lpndca needs <partition> <l> <visit>")?
-                .parse()
-                .map_err(|e| format!("lpndca l: {e}"))?;
-            let visit = parts
-                .next()
-                .ok_or("lpndca needs <partition> <l> <visit>")?
-                .parse()?;
-            Algorithm::LPndca {
-                partition,
-                l,
-                visit,
-            }
-        }
-        other => return Err(format!("unknown algorithm {other:?}")),
-    };
-    if let Some(extra) = parts.next() {
-        return Err(format!("trailing token {extra:?} in algorithm spec"));
-    }
-    Ok(alg)
-}
-
-/// How a sharded job's workers communicate (`transport = ...`). Only
-/// meaningful with `shards > 1`; every transport carries the bit-identical
-/// trajectory, so this is purely an execution choice.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Transport {
-    /// Single-threaded lockstep scheduler (the default).
-    #[default]
-    Inline,
-    /// One OS thread per worker, channel exchange.
-    Threaded,
-    /// One OS process per worker over Unix-domain sockets.
-    Unix,
-    /// One OS process per worker over loopback TCP.
-    Tcp,
-}
-
-impl Transport {
-    /// Parse a `transport =` value.
-    ///
-    /// # Errors
-    ///
-    /// Unknown token.
-    pub fn parse(s: &str) -> Result<Transport, String> {
-        match s {
-            "inline" => Ok(Transport::Inline),
-            "threaded" => Ok(Transport::Threaded),
-            "unix" => Ok(Transport::Unix),
-            "tcp" => Ok(Transport::Tcp),
-            other => Err(format!(
-                "unknown transport {other:?} (expected inline|threaded|unix|tcp)"
-            )),
+impl std::fmt::Display for ModelSpec {
+    /// The spelling [`parse`](Self::parse) reads. `{y}`/`{k}` use Rust's
+    /// shortest-round-trip float form: one spelling per f64 value.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelSpec::Zgb { y, k } => write!(f, "zgb {y} {k}"),
+            ModelSpec::Kuzovkov => f.write_str("kuzovkov"),
         }
     }
 }
@@ -200,7 +99,8 @@ pub struct JobSpec {
     pub name: String,
     /// Reaction model.
     pub model: ModelSpec,
-    /// Algorithm (must be step-resumable).
+    /// Algorithm (must be step-resumable). `shards`, `transport` and the
+    /// `fskmc` keys of the text form are folded into it.
     pub algorithm: Algorithm,
     /// Square lattice side.
     pub side: u32,
@@ -208,12 +108,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Whole algorithm steps to run.
     pub steps: u64,
-    /// Sharded-executor worker count (1 = the in-process session). Values
-    /// above 1 route the job through `psr-shard`'s domain-decomposed
-    /// executor; only `pndca` algorithms support it.
-    pub shards: u32,
-    /// Worker communication for sharded jobs (in-process or sockets).
-    pub transport: Transport,
     /// Checkpoint every this many steps.
     pub checkpoint_every: u64,
     /// Fault injection: panic once when the first attempt reaches this step.
@@ -221,6 +115,13 @@ pub struct JobSpec {
     /// Fault injection: interrupt (simulated kill) after the checkpoint at
     /// this step.
     pub abort_at_step: Option<u64>,
+}
+
+fn number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{key}: {e}"))
 }
 
 impl JobSpec {
@@ -241,12 +142,94 @@ impl JobSpec {
             side,
             seed,
             steps,
-            shards: 1,
-            transport: Transport::Inline,
             checkpoint_every: (steps / 10).max(1),
             fail_at_step: None,
             abort_at_step: None,
         }
+    }
+
+    /// Build a job from its `(key, value, line)` entries — the one reader
+    /// of job keys, behind both batch files and served submissions. Keys
+    /// this crate does not own go to [`Algorithm::fold_key`], in key order,
+    /// once the `algorithm =` line is known; it also names the unknown ones.
+    ///
+    /// # Errors
+    ///
+    /// The first problem and the line it sits on (`None`: a key is missing).
+    pub fn from_keys<'a>(
+        name: &str,
+        keys: impl IntoIterator<Item = (&'a str, &'a str, usize)>,
+    ) -> Result<Self, (Option<usize>, String)> {
+        let mut model = None;
+        let mut algorithm = None;
+        let mut side = None;
+        let mut seed = 0u64;
+        let mut steps = None;
+        let mut checkpoint_every = None;
+        let mut fail_at_step = None;
+        let mut abort_at_step = None;
+        let mut folded = Vec::new();
+        for (key, value, line) in keys {
+            let at = |e: String| (Some(line), e);
+            match key {
+                "model" => model = Some(ModelSpec::parse(value).map_err(at)?),
+                "algorithm" => algorithm = Some(value.parse::<Algorithm>().map_err(at)?),
+                "side" => side = Some(number(key, value).map_err(at)?),
+                "seed" => seed = number(key, value).map_err(at)?,
+                "steps" => steps = Some(number(key, value).map_err(at)?),
+                "checkpoint_every" => checkpoint_every = Some(number(key, value).map_err(at)?),
+                "fail_at_step" => fail_at_step = Some(number(key, value).map_err(at)?),
+                "abort_at_step" => abort_at_step = Some(number(key, value).map_err(at)?),
+                _ => folded.push((key, value, line)),
+            }
+        }
+        let missing = |what: &str| (None, format!("missing {what}"));
+        let steps = steps.ok_or_else(|| missing("steps"))?;
+        let mut job = JobSpec::new(
+            name,
+            model.ok_or_else(|| missing("model"))?,
+            algorithm.ok_or_else(|| missing("algorithm"))?,
+            side.ok_or_else(|| missing("side"))?,
+            seed,
+            steps,
+        );
+        if let Some(ce) = checkpoint_every {
+            job.checkpoint_every = ce;
+        }
+        job.fail_at_step = fail_at_step;
+        job.abort_at_step = abort_at_step;
+        folded.sort_by_key(|&(key, _, _)| key);
+        for (key, value, line) in folded {
+            job.algorithm
+                .fold_key(key, value)
+                .map_err(|e| (Some(line), e))?;
+        }
+        Ok(job)
+    }
+
+    /// Every key that shapes the run, defaults resolved, sorted.
+    fn keys(&self) -> BTreeMap<&'static str, String> {
+        let mut keys = BTreeMap::from([
+            ("algorithm", self.algorithm.to_string()),
+            ("checkpoint_every", self.checkpoint_every.to_string()),
+            ("model", self.model.to_string()),
+            ("seed", self.seed.to_string()),
+            ("shards", "1".to_owned()),
+            ("side", self.side.to_string()),
+            ("steps", self.steps.to_string()),
+        ]);
+        keys.extend(self.algorithm.folded_keys());
+        keys
+    }
+
+    /// The canonical rendering of the job's physics: sorted keys, one
+    /// spelling per value, every default resolved — and neither the name,
+    /// the fault keys nor `transport`, none of which moves the trajectory.
+    /// Equal text ⇔ same run; [`from_keys`](Self::from_keys) reads it back.
+    pub fn canonical_text(&self) -> String {
+        let mut keys = self.keys();
+        keys.remove("transport");
+        keys.iter().map(|(k, v)| format!("{k} = {v}\n")).collect()
     }
 
     /// Validate self-consistency (positive sizes, sane fault steps, a name
@@ -279,21 +262,6 @@ impl JobSpec {
                 self.name
             ));
         }
-        if self.shards == 0 {
-            return Err(format!("job {}: shards must be positive", self.name));
-        }
-        if self.shards > 1 && !matches!(self.algorithm, Algorithm::Pndca { .. }) {
-            return Err(format!(
-                "job {}: shards = {} requires a pndca algorithm (got {:?})",
-                self.name, self.shards, self.algorithm
-            ));
-        }
-        if self.transport != Transport::Inline && self.shards == 1 {
-            return Err(format!(
-                "job {}: transport = {:?} requires shards > 1",
-                self.name, self.transport
-            ));
-        }
         for (key, v) in [
             ("fail_at_step", self.fail_at_step),
             ("abort_at_step", self.abort_at_step),
@@ -308,6 +276,36 @@ impl JobSpec {
             }
         }
         Ok(())
+    }
+
+    /// The session that runs this job.
+    ///
+    /// # Errors
+    ///
+    /// What [`Simulator::into_session`] rejects: an algorithm that is not
+    /// step-resumable, a block or shard grid that does not tile the lattice.
+    pub fn session(&self) -> Result<SimSession, String> {
+        Simulator::new(self.model.build())
+            .dims(Dims::square(self.side))
+            .seed(self.seed)
+            .algorithm(self.algorithm.clone())
+            .into_session()
+            .map_err(|e| format!("job {}: {e}", self.name))
+    }
+}
+
+impl std::fmt::Display for JobSpec {
+    /// The job as a `[job …]` section that [`BatchSpec::parse`] reads back.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut keys = self.keys();
+        for (key, step) in [
+            ("fail_at_step", self.fail_at_step),
+            ("abort_at_step", self.abort_at_step),
+        ] {
+            keys.extend(step.map(|s| (key, s.to_string())));
+        }
+        writeln!(f, "[job {}]", self.name)?;
+        keys.iter().try_for_each(|(k, v)| writeln!(f, "{k} = {v}"))
     }
 }
 
@@ -422,7 +420,15 @@ impl BatchSpec {
 
         let mut header_lines = Vec::new();
         for (name, header_line, keys) in partial {
-            jobs.push(Self::build_job(&name, header_line, keys)?);
+            let keys = keys
+                .iter()
+                .map(|(k, v, line)| (k.as_str(), v.as_str(), *line));
+            jobs.push(
+                JobSpec::from_keys(&name, keys).map_err(|(line, e)| match line {
+                    Some(line) => format!("line {line} (job {name}): {e}"),
+                    None => format!("line {header_line}: job {name}: {e}"),
+                })?,
+            );
             header_lines.push(header_line);
         }
         if jobs.is_empty() {
@@ -438,152 +444,20 @@ impl BatchSpec {
     fn apply_engine_key(cfg: &mut EngineConfig, key: &str, value: &str) -> Result<(), String> {
         match key {
             "workers" => {
-                cfg.workers = value.parse().map_err(|e| format!("workers: {e}"))?;
+                cfg.workers = number(key, value)?;
                 if cfg.workers == 0 {
                     return Err("workers must be positive".to_owned());
                 }
             }
             "checkpoint_dir" => cfg.checkpoint_dir = PathBuf::from(value),
             "journal" => cfg.journal_path = Some(PathBuf::from(value)),
-            "max_retries" => {
-                cfg.max_retries = value.parse().map_err(|e| format!("max_retries: {e}"))?
-            }
-            "backoff_base_ms" => {
-                cfg.backoff_base_ms = value.parse().map_err(|e| format!("backoff_base_ms: {e}"))?
-            }
-            "backoff_cap_ms" => {
-                cfg.backoff_cap_ms = value.parse().map_err(|e| format!("backoff_cap_ms: {e}"))?
-            }
-            "deadline_ms" => {
-                cfg.deadline_ms = Some(value.parse().map_err(|e| format!("deadline_ms: {e}"))?)
-            }
+            "max_retries" => cfg.max_retries = number(key, value)?,
+            "backoff_base_ms" => cfg.backoff_base_ms = number(key, value)?,
+            "backoff_cap_ms" => cfg.backoff_cap_ms = number(key, value)?,
+            "deadline_ms" => cfg.deadline_ms = Some(number(key, value)?),
             other => return Err(format!("unknown engine key `{other}`")),
         }
         Ok(())
-    }
-
-    fn build_job(
-        name: &str,
-        header_line: usize,
-        keys: Vec<(String, String, usize)>,
-    ) -> Result<JobSpec, String> {
-        let mut model = None;
-        let mut algorithm = None;
-        let mut side = None;
-        let mut seed = 0u64;
-        let mut steps = None;
-        let mut shards = 1u32;
-        let mut transport = Transport::Inline;
-        let mut checkpoint_every = None;
-        let mut fail_at_step = None;
-        let mut abort_at_step = None;
-        // fskmc-only keys, collected with their line numbers so misuse with
-        // another algorithm (which may be declared later) reports a
-        // position.
-        let mut splitting: Option<(Schedule, usize)> = None;
-        let mut window: Option<(f64, usize)> = None;
-        let mut blocks: Option<(u32, usize)> = None;
-        for (key, value, lineno) in keys {
-            let err = |e: String| format!("line {lineno} (job {name}): {e}");
-            match key.as_str() {
-                "model" => model = Some(ModelSpec::parse(&value).map_err(err)?),
-                "algorithm" => algorithm = Some(parse_algorithm(&value).map_err(err)?),
-                "side" => side = Some(value.parse().map_err(|e| err(format!("side: {e}")))?),
-                "seed" => seed = value.parse().map_err(|e| err(format!("seed: {e}")))?,
-                "steps" => steps = Some(value.parse().map_err(|e| err(format!("steps: {e}")))?),
-                "shards" => shards = value.parse().map_err(|e| err(format!("shards: {e}")))?,
-                "transport" => transport = Transport::parse(&value).map_err(err)?,
-                "checkpoint_every" => {
-                    checkpoint_every = Some(
-                        value
-                            .parse()
-                            .map_err(|e| err(format!("checkpoint_every: {e}")))?,
-                    )
-                }
-                "fail_at_step" => {
-                    fail_at_step = Some(
-                        value
-                            .parse()
-                            .map_err(|e| err(format!("fail_at_step: {e}")))?,
-                    )
-                }
-                "abort_at_step" => {
-                    abort_at_step = Some(
-                        value
-                            .parse()
-                            .map_err(|e| err(format!("abort_at_step: {e}")))?,
-                    )
-                }
-                "splitting" => {
-                    splitting = Some((value.parse().map_err(err)?, lineno));
-                }
-                "window" => {
-                    let w: f64 = value.parse().map_err(|e| err(format!("window: {e}")))?;
-                    if !w.is_finite() || w <= 0.0 {
-                        return Err(err(format!("window = {w} must be positive and finite")));
-                    }
-                    window = Some((w, lineno));
-                }
-                "blocks" => {
-                    let b: u32 = value.parse().map_err(|e| err(format!("blocks: {e}")))?;
-                    if b == 0 {
-                        return Err(err("blocks must be positive".to_owned()));
-                    }
-                    blocks = Some((b, lineno));
-                }
-                other => return Err(err(format!("unknown job key `{other}`"))),
-            }
-        }
-        let missing = |what: &str| format!("line {header_line}: job {name}: missing {what}");
-        let steps = steps.ok_or_else(|| missing("steps"))?;
-        let mut job = JobSpec::new(
-            name,
-            model.ok_or_else(|| missing("model"))?,
-            algorithm.ok_or_else(|| missing("algorithm"))?,
-            side.ok_or_else(|| missing("side"))?,
-            seed,
-            steps,
-        );
-        job.shards = shards;
-        job.transport = transport;
-        if let Some(ce) = checkpoint_every {
-            job.checkpoint_every = ce;
-        }
-        job.fail_at_step = fail_at_step;
-        job.abort_at_step = abort_at_step;
-        // Apply the splitting keys onto the fskmc defaults; reject them for
-        // any other algorithm.
-        if let Algorithm::Fskmc {
-            gx,
-            gy,
-            schedule,
-            window: w,
-        } = &mut job.algorithm
-        {
-            if let Some((s, _)) = splitting {
-                *schedule = s;
-            }
-            if let Some((v, _)) = window {
-                *w = v;
-            }
-            if let Some((b, _)) = blocks {
-                (*gx, *gy) = squarest_grid(b);
-            }
-        } else if let Some(lineno) = [
-            splitting.map(|(_, l)| l),
-            window.map(|(_, l)| l),
-            blocks.map(|(_, l)| l),
-        ]
-        .into_iter()
-        .flatten()
-        .next()
-        {
-            return Err(format!(
-                "line {lineno} (job {name}): `splitting`/`window`/`blocks` require \
-                 algorithm = fskmc"
-            ));
-        }
-        Ok(job)
     }
 }
 
@@ -591,6 +465,9 @@ impl BatchSpec {
 mod tests {
     use super::*;
     use psr_ca::pndca::ChunkSelection;
+    use psr_ca::splitting::Schedule;
+    use psr_core::PartitionSpec;
+    use psr_shard::{ScheduleMode, Wire};
 
     const SPEC: &str = "
 # demo batch
@@ -647,10 +524,46 @@ transport = unix
         assert_eq!(b.seed, 0);
         assert_eq!(b.checkpoint_every, 4); // steps/10 default
         assert_eq!(b.fail_at_step, Some(9));
-        assert_eq!(b.shards, 1); // default: in-process session
-        assert_eq!(b.transport, Transport::Inline);
-        assert_eq!(batch.jobs[2].shards, 4);
-        assert_eq!(batch.jobs[2].transport, Transport::Unix);
+        assert_eq!(b.algorithm, Algorithm::Ndca { shuffled: false }); // one shard
+                                                                      // `shards` and `transport` fold onto the pndca algorithm.
+        assert_eq!(
+            batch.jobs[2].algorithm,
+            Algorithm::Sharded {
+                partition: PartitionSpec::FiveColoring,
+                selection: ChunkSelection::InOrder,
+                workers: 4,
+                mode: ScheduleMode::Socket(Wire::Unix),
+            }
+        );
+    }
+
+    #[test]
+    fn jobs_print_as_sections_that_parse_back() {
+        let mut batch = BatchSpec::parse(SPEC).expect("parse");
+        batch.jobs[0].abort_at_step = Some(120);
+        batch.jobs.push(
+            BatchSpec::parse(
+                "[job fsk]\nmodel = zgb 0.5 5\nalgorithm = fskmc\nside = 24\nsteps = 10\n\
+                 splitting = strang\nwindow = 0.25\nblocks = 8",
+            )
+            .expect("parse")
+            .jobs
+            .remove(0),
+        );
+        let text: String = batch.jobs.iter().map(JobSpec::to_string).collect();
+        assert_eq!(BatchSpec::parse(&text).expect("reparse").jobs, batch.jobs);
+        // The canonical text is the physics alone: no name, faults or
+        // transport, `shards` always spelled out.
+        assert_eq!(
+            batch.jobs[2].canonical_text(),
+            "algorithm = pndca five in-order\ncheckpoint_every = 3\nmodel = zgb 0.5 2\n\
+             seed = 0\nshards = 4\nside = 20\nsteps = 30\n"
+        );
+        assert_eq!(
+            batch.jobs[3].canonical_text(),
+            "algorithm = fskmc\nblocks = 8\ncheckpoint_every = 1\nmodel = zgb 0.5 5\n\
+             seed = 0\nshards = 1\nside = 24\nsplitting = strang\nsteps = 10\nwindow = 0.25\n"
+        );
     }
 
     #[test]
@@ -730,6 +643,10 @@ transport = unix
                 "[job a]\nmodel = kuzovkov\nalgorithm = rsm\nside = ten\nsteps = 5",
                 "line 4 (job a): side",
             ),
+            (
+                "[job a]\nmodel = kuzovkov\nalgorithm = rsm\nside = 10\nsteps = 5\nfrobnicate = 1",
+                "line 6 (job a): unknown job key `frobnicate`",
+            ),
             // Missing keys cite the header line of the offending job.
             ("[job a]\nsteps = 5", "line 1: job a: missing model"),
             (
@@ -761,27 +678,6 @@ transport = unix
                 "spec {snippet:?}: error {err:?} missing {needle:?}"
             );
         }
-    }
-
-    #[test]
-    fn algorithm_specs_roundtrip_through_display_names() {
-        for s in [
-            "rsm",
-            "rsm-discretized",
-            "ndca",
-            "ndca-shuffled",
-            "tpndca",
-            "fskmc",
-            "pndca five weighted",
-            "pndca greedy in-order",
-            "lpndca single 100 size-weighted",
-            "lpndca five 1 random-once",
-        ] {
-            parse_algorithm(s).unwrap_or_else(|e| panic!("{s}: {e}"));
-        }
-        assert!(parse_algorithm("pndca five weighted extra").is_err());
-        assert!(parse_algorithm("pndca nowhere weighted").is_err());
-        assert!(parse_algorithm("fskmc strang").is_err(), "trailing token");
     }
 
     #[test]

@@ -16,55 +16,32 @@
 //! tenants; only scheduling is per-tenant.
 
 use crate::sha256::sha256_hex;
-use psr_core::Algorithm;
-use psr_engine::spec::{parse_algorithm, ModelSpec};
 use psr_engine::JobSpec;
 
-/// A parsed, validated job submission.
+/// The job keys a submission may set: the engine's, less `transport` (an
+/// execution choice the server makes) and the fault-injection keys.
+const KEYS: [&str; 10] = [
+    "algorithm",
+    "blocks",
+    "checkpoint_every",
+    "model",
+    "seed",
+    "shards",
+    "side",
+    "splitting",
+    "steps",
+    "window",
+];
+
+/// A parsed, validated job submission: an unnamed engine [`JobSpec`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct JobRequest {
-    /// Reaction model.
-    pub model: ModelSpec,
-    /// Algorithm (the step-resumable subset).
-    pub algorithm: Algorithm,
-    /// Square lattice side.
-    pub side: u32,
-    /// Master RNG seed.
-    pub seed: u64,
-    /// Whole algorithm steps.
-    pub steps: u64,
-    /// Checkpoint / observable-sampling interval.
-    pub checkpoint_every: u64,
-    /// Sharded-executor workers (1 = in-process session).
-    pub shards: u32,
-}
+pub struct JobRequest(JobSpec);
 
-fn model_canonical(model: &ModelSpec) -> String {
-    match model {
-        // `{y}`/`{k}` use Rust's shortest-round-trip Display: one spelling
-        // per f64 value.
-        ModelSpec::Zgb { y, k } => format!("zgb {y} {k}"),
-        ModelSpec::Kuzovkov => "kuzovkov".to_owned(),
-    }
-}
+impl std::ops::Deref for JobRequest {
+    type Target = JobSpec;
 
-fn algorithm_canonical(algorithm: &Algorithm) -> String {
-    match algorithm {
-        Algorithm::Rsm => "rsm".to_owned(),
-        Algorithm::RsmDiscretized => "rsm-discretized".to_owned(),
-        Algorithm::Ndca { shuffled: false } => "ndca".to_owned(),
-        Algorithm::Ndca { shuffled: true } => "ndca-shuffled".to_owned(),
-        Algorithm::TPndca => "tpndca".to_owned(),
-        Algorithm::Pndca {
-            partition,
-            selection,
-        } => format!("pndca {partition} {selection}"),
-        Algorithm::LPndca {
-            partition,
-            l,
-            visit,
-        } => format!("lpndca {partition} {l} {visit}"),
-        other => unreachable!("{other:?} is rejected by parse_algorithm"),
+    fn deref(&self) -> &JobSpec {
+        &self.0
     }
 }
 
@@ -76,14 +53,7 @@ impl JobRequest {
     /// Reports the first problem with its line number (server clients need
     /// a position to fix a rejected spec).
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut model = None;
-        let mut algorithm = None;
-        let mut side: Option<u32> = None;
-        let mut seed = 0u64;
-        let mut steps: Option<u64> = None;
-        let mut checkpoint_every: Option<u64> = None;
-        let mut shards = 1u32;
-        let mut seen: Vec<String> = Vec::new();
+        let mut keys: Vec<(&str, &str, usize)> = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let lineno = lineno + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -94,77 +64,35 @@ impl JobRequest {
                 .split_once('=')
                 .ok_or(format!("line {lineno}: expected `key = value`"))?;
             let (key, value) = (key.trim(), value.trim());
-            if seen.iter().any(|k| k == key) {
+            if keys.iter().any(|(k, _, _)| *k == key) {
                 return Err(format!("line {lineno}: duplicate key `{key}`"));
             }
-            seen.push(key.to_owned());
-            let err = |e: String| format!("line {lineno}: {e}");
-            match key {
-                "model" => model = Some(ModelSpec::parse(value).map_err(err)?),
-                "algorithm" => algorithm = Some(parse_algorithm(value).map_err(err)?),
-                "side" => side = Some(value.parse().map_err(|e| err(format!("side: {e}")))?),
-                "seed" => seed = value.parse().map_err(|e| err(format!("seed: {e}")))?,
-                "steps" => steps = Some(value.parse().map_err(|e| err(format!("steps: {e}")))?),
-                "checkpoint_every" => {
-                    checkpoint_every = Some(
-                        value
-                            .parse()
-                            .map_err(|e| err(format!("checkpoint_every: {e}")))?,
-                    )
-                }
-                "shards" => shards = value.parse().map_err(|e| err(format!("shards: {e}")))?,
-                other => return Err(err(format!("unknown key `{other}`"))),
+            if !KEYS.contains(&key) {
+                return Err(format!("line {lineno}: unknown key `{key}`"));
             }
+            keys.push((key, value, lineno));
         }
-        let steps = steps.ok_or("missing steps")?;
-        let req = JobRequest {
-            model: model.ok_or("missing model")?,
-            algorithm: algorithm.ok_or("missing algorithm")?,
-            side: side.ok_or("missing side")?,
-            seed,
-            steps,
-            // The engine's default grid; resolved here so a spelled-out
-            // default and an omitted one canonicalise identically.
-            checkpoint_every: checkpoint_every.unwrap_or((steps / 10).max(1)),
-            shards,
-        };
-        req.to_job_spec("probe").validate()?;
-        Ok(req)
+        // Named only so the engine's validation has something to print.
+        let spec = JobSpec::from_keys("probe", keys).map_err(|(line, e)| match line {
+            Some(line) => format!("line {line}: {e}"),
+            None => e,
+        })?;
+        spec.validate()?;
+        Ok(JobRequest(spec))
     }
 
-    /// The canonical rendering: sorted keys, one spelling per value, every
-    /// default resolved. Equal canonical text ⇔ same cache entry.
-    pub fn canonical_text(&self) -> String {
-        format!(
-            "algorithm = {}\ncheckpoint_every = {}\nmodel = {}\nseed = {}\nshards = {}\nside = {}\nsteps = {}\n",
-            algorithm_canonical(&self.algorithm),
-            self.checkpoint_every,
-            model_canonical(&self.model),
-            self.seed,
-            self.shards,
-            self.side,
-            self.steps,
-        )
-    }
-
-    /// Content address: SHA-256 of the canonical text, lowercase hex.
+    /// Content address: SHA-256 of the spec's
+    /// [`canonical_text`](JobSpec::canonical_text), lowercase hex.
     pub fn cache_key(&self) -> String {
         sha256_hex(self.canonical_text().as_bytes())
     }
 
     /// Materialise the engine job spec this request describes.
     pub fn to_job_spec(&self, name: &str) -> JobSpec {
-        let mut spec = JobSpec::new(
-            name,
-            self.model.clone(),
-            self.algorithm.clone(),
-            self.side,
-            self.seed,
-            self.steps,
-        );
-        spec.checkpoint_every = self.checkpoint_every;
-        spec.shards = self.shards;
-        spec
+        JobSpec {
+            name: name.to_owned(),
+            ..self.0.clone()
+        }
     }
 }
 
@@ -272,6 +200,24 @@ checkpoint_every = 50
                 "model = kuzovkov\nalgorithm = ndca\nside = 10\nsteps = 5\nshards = 4",
                 "requires a pndca algorithm",
             ),
+            // Execution and fault-injection keys are the operator's, not
+            // a client's.
+            (
+                "model = zgb 0.5 2\nalgorithm = pndca five in-order\nside = 20\nsteps = 5\nshards = 4\ntransport = unix",
+                "line 6: unknown key `transport`",
+            ),
+            (
+                "model = kuzovkov\nalgorithm = rsm\nside = 10\nsteps = 5\nfail_at_step = 2",
+                "line 5: unknown key `fail_at_step`",
+            ),
+            (
+                "model = kuzovkov\nalgorithm = rsm\nside = 10\nsteps = 5\nabort_at_step = 2",
+                "line 5: unknown key `abort_at_step`",
+            ),
+            (
+                "model = kuzovkov\nalgorithm = ndca\nside = 10\nsteps = 5\nwindow = 0.5",
+                "line 5: `splitting`/`window`/`blocks` require algorithm = fskmc",
+            ),
         ] {
             let err = JobRequest::parse(body).expect_err(body);
             assert!(err.contains(needle), "{body:?}: {err:?} missing {needle:?}");
@@ -280,9 +226,19 @@ checkpoint_every = 50
 
     #[test]
     fn canonical_text_reparses_to_the_same_request() {
-        let req = JobRequest::parse(BODY).expect("parse");
-        let back = JobRequest::parse(&req.canonical_text()).expect("reparse");
-        assert_eq!(back, req);
-        assert_eq!(back.cache_key(), req.cache_key());
+        // The queue journals the canonical text and replays it on restart.
+        for body in [
+            BODY.to_owned(),
+            BODY.replace("seed = 7", "shards = 4"),
+            "model = zgb 0.5 5\nalgorithm = fskmc\nside = 24\nsteps = 10".to_owned(),
+            "model = zgb 0.5 5\nalgorithm = fskmc\nside = 24\nsteps = 10\n\
+             splitting = strang\nwindow = 0.250\nblocks = 8"
+                .to_owned(),
+        ] {
+            let req = JobRequest::parse(&body).expect(&body);
+            let back = JobRequest::parse(&req.canonical_text()).expect("reparse");
+            assert_eq!(back, req, "{body}");
+            assert_eq!(back.cache_key(), req.cache_key());
+        }
     }
 }

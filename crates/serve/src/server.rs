@@ -147,6 +147,23 @@ pub fn start(cfg: ServerConfig, external_stop: Arc<AtomicBool>) -> std::io::Resu
     })
 }
 
+/// One of the `max_connections` handler slots, given back on drop — so
+/// also when the handler thread unwinds from a panic.
+struct ConnSlot(Arc<AtomicUsize>);
+
+impl ConnSlot {
+    fn take(connections: &Arc<AtomicUsize>) -> Self {
+        connections.fetch_add(1, Ordering::SeqCst);
+        ConnSlot(Arc::clone(connections))
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn accept_loop(
     listener: TcpListener,
     cfg: ServerConfig,
@@ -166,15 +183,14 @@ fn accept_loop(
                     let _ = respond_oneshot(stream, 503, b"connection limit reached\n");
                     continue;
                 }
-                connections.fetch_add(1, Ordering::SeqCst);
+                let slot = ConnSlot::take(&connections);
                 let ctx = Arc::clone(&ctx);
                 let cfg = cfg.clone();
-                let connections = Arc::clone(&connections);
                 let h = std::thread::Builder::new()
                     .name("psr-serve-conn".to_owned())
                     .spawn(move || {
+                        let _slot = slot;
                         handle_connection(stream, &cfg, &ctx);
-                        connections.fetch_sub(1, Ordering::SeqCst);
                     })
                     .expect("spawn handler");
                 handlers.push(h);
@@ -498,4 +514,22 @@ fn render_metrics(ctx: &Ctx) -> Vec<u8> {
         ));
     }
     http::response(200, &[("content-type", "text/plain")], out.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_handler_gives_its_connection_slot_back() {
+        let connections = Arc::new(AtomicUsize::new(0));
+        let slot = ConnSlot::take(&connections);
+        assert_eq!(connections.load(Ordering::SeqCst), 1);
+        let handler = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("handler bug");
+        });
+        assert!(handler.join().is_err(), "the handler must have panicked");
+        assert_eq!(connections.load(Ordering::SeqCst), 0);
+    }
 }

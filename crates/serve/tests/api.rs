@@ -210,6 +210,64 @@ fn stream_tails_observables_and_matches_the_result() {
 }
 
 #[test]
+fn fskmc_submission_is_accepted_and_matches_the_engine() {
+    use psr_engine::{BlockObserver, CheckpointStore, JobRun, Journal, Registry};
+    use psr_serve::request::JobRequest;
+    use std::sync::Mutex;
+
+    const BODY: &str = "model = zgb 0.51 5\nalgorithm = fskmc\nside = 16\nseed = 3\nsteps = 12\n\
+                        checkpoint_every = 4\nsplitting = strang\nwindow = 0.25\nblocks = 4\n";
+    let h = server("fskmc", |_| {});
+    let addr = h.addr.to_string();
+    let resp = client::post(&addr, "/v1/jobs", &[], BODY.as_bytes(), T).expect("submit");
+    assert_eq!(resp.status, 202, "{}", resp.text());
+    let id = json::parse(resp.text().trim())
+        .expect("submit body")
+        .get("id")
+        .and_then(json::Value::as_u64)
+        .expect("id");
+    wait_done(&addr, id);
+    let served = result_bytes(&addr, id);
+    // The handler thread survived canonicalising an fskmc spec.
+    assert_eq!(
+        client::get(&addr, "/healthz", T).expect("healthz").status,
+        200
+    );
+    h.shutdown_and_join();
+
+    // The same job straight through psr-engine, one line per checkpoint.
+    struct Lines(usize, Mutex<Vec<u8>>);
+    impl BlockObserver for Lines {
+        fn on_checkpoint(&self, _job: &str, ck: &psr_core::SessionCheckpoint, _done: bool) {
+            let mut out = self.1.lock().expect("lines lock");
+            out.extend_from_slice(psr_serve::observe::line(self.0, ck).as_bytes());
+            out.push(b'\n');
+        }
+    }
+    let spec = JobRequest::parse(BODY)
+        .expect("parse")
+        .to_job_spec("direct");
+    let dir = state_dir("fskmc_direct");
+    let lines = Lines(spec.model.build().species().len(), Mutex::new(Vec::new()));
+    JobRun {
+        spec: &spec,
+        store: &CheckpointStore::open(&dir).expect("store"),
+        journal: &Journal::create(&dir.join("journal.jsonl")).expect("journal"),
+        metrics: &Registry::new(),
+        cancel: &AtomicBool::new(false),
+        deadline: None,
+        ignore_faults: true,
+        attempt: 0,
+        observer: &lines,
+    }
+    .run()
+    .expect("direct run");
+    let direct = lines.1.into_inner().expect("lines lock");
+    assert_eq!(direct.iter().filter(|&&b| b == b'\n').count(), 3);
+    assert_eq!(served, direct, "served bytes must be the engine's");
+}
+
+#[test]
 fn bad_submissions_get_400_with_line_numbers() {
     let h = server("bad", |_| {});
     let addr = h.addr.to_string();

@@ -22,6 +22,24 @@ fn token(picks: &[usize], alphabet: &[u8]) -> String {
         .collect()
 }
 
+/// The algorithm lines of a submission: plain, `fskmc` with its splitting
+/// keys, or a `pndca` over `n` shards.
+fn algorithm_lines(variant: usize, n: u32, window: f64) -> Vec<String> {
+    match variant {
+        0 => vec!["algorithm = ndca".to_owned()],
+        1 => vec![
+            "algorithm = fskmc".to_owned(),
+            "splitting = strang".to_owned(),
+            format!("window = {window}"),
+            format!("blocks = {n}"),
+        ],
+        _ => vec![
+            "algorithm = pndca five random-order".to_owned(),
+            format!("shards = {n}"),
+        ],
+    }
+}
+
 proptest! {
     #[test]
     fn parser_never_panics_on_arbitrary_bytes(
@@ -103,24 +121,28 @@ proptest! {
         steps in 1u64..10_000,
         shuffle in 0usize..24,
         pad in 0usize..4,
+        variant in 0usize..3,
+        n in 2u32..64,
+        window in 0.001f64..10.0,
     ) {
         let sp = " ".repeat(pad);
-        let mut lines = [
+        let mut lines = vec![
             format!("model ={sp}zgb {y} 5"),
-            format!("algorithm = ndca{sp}"),
             format!("side{sp}= {side}"),
             format!("seed = {seed}"),
             format!("steps = {steps} # trailing comment"),
         ];
+        lines.extend(algorithm_lines(variant, n, window).into_iter().map(|l| l + &sp));
         // One of the permutations via rotation + swap, derived from `shuffle`.
-        let n = lines.len();
-        lines.rotate_left(shuffle % n);
+        let count = lines.len();
+        lines.rotate_left(shuffle % count);
         if shuffle % 2 == 1 {
-            lines.swap(0, n - 1);
+            lines.swap(0, count - 1);
         }
         let shuffled = format!("# leading comment\n{}\n", lines.join("\n\n"));
         let canonical_input = format!(
-            "model = zgb {y} 5\nalgorithm = ndca\nside = {side}\nseed = {seed}\nsteps = {steps}\n"
+            "model = zgb {y} 5\n{}\nside = {side}\nseed = {seed}\nsteps = {steps}\n",
+            algorithm_lines(variant, n, window).join("\n")
         );
         let a = JobRequest::parse(&shuffled).expect("shuffled").cache_key();
         let b = JobRequest::parse(&canonical_input).expect("canonical").cache_key();
@@ -150,12 +172,17 @@ proptest! {
         side in 2u32..64,
         seed in 0u64..u64::MAX,
         steps in 1u64..10_000,
+        variant in 0usize..3,
+        n in 2u32..64,
+        window in 0.001f64..10.0,
     ) {
         let req = JobRequest::parse(&format!(
-            "model = zgb {y} 5\nalgorithm = pndca five random-order\nside = {side}\nseed = {seed}\nsteps = {steps}"
+            "model = zgb {y} 5\n{}\nside = {side}\nseed = {seed}\nsteps = {steps}",
+            algorithm_lines(variant, n, window).join("\n")
         )).expect("parse");
         let canon = req.canonical_text();
-        let again = JobRequest::parse(&canon).expect("reparse").canonical_text();
-        prop_assert_eq!(canon, again);
+        let again = JobRequest::parse(&canon).expect("reparse");
+        prop_assert_eq!(&again, &req);
+        prop_assert_eq!(again.canonical_text(), canon);
     }
 }

@@ -55,6 +55,31 @@ pub enum ScheduleMode {
     Socket(Wire),
 }
 
+impl std::fmt::Display for ScheduleMode {
+    /// The `transport =` token of engine specs.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ScheduleMode::Inline => "inline",
+            ScheduleMode::Threaded => "threaded",
+            ScheduleMode::Socket(wire) => wire.token(),
+        })
+    }
+}
+
+impl std::str::FromStr for ScheduleMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "inline" => Ok(ScheduleMode::Inline),
+            "threaded" => Ok(ScheduleMode::Threaded),
+            other => Wire::parse(other).map(ScheduleMode::Socket).map_err(|_| {
+                format!("unknown transport {other:?} (expected inline|threaded|unix|tcp)")
+            }),
+        }
+    }
+}
+
 /// Sharded PNDCA over a conflict-free partition and a worker grid.
 pub struct ShardedPndca<'m, 'p> {
     model: &'m Model,

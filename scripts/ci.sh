@@ -97,42 +97,50 @@ for _ in $(seq 1 200); do
 done
 ADDR=$(cat "$SERVE_DIR/addr")
 
-cat > "$SMOKE_DIR/serve.spec" <<'SPEC'
-model = zgb 0.51 5
+# Each job is served over HTTP and run directly through psr-engine: both
+# must land on the same final observable line — the serving layer adds no
+# drift on top of the engine. One per session flavour: a serial sweep, the
+# fractional-step executor with its folded keys, and a sharded lattice.
+serve_smoke_job() {
+    local name=$1 body=$2
+    printf '%s\n' "$body" > "$SMOKE_DIR/serve_$name.spec"
+    ID=$("$SERVE" submit --addr "$ADDR" --tenant ci "$SMOKE_DIR/serve_$name.spec" \
+        | sed -n 's/.*"id":\([0-9]*\).*/\1/p')
+    "$SERVE" wait --addr "$ADDR" "$ID" >/dev/null
+    "$SERVE" result --addr "$ADDR" "$ID" > "$SMOKE_DIR/serve_$name.jsonl"
+    printf '[engine]\nworkers = 1\n\n[job direct]\n%s\n' "$body" > "$SMOKE_DIR/direct_$name.spec"
+    "$ENGINE" run "$SMOKE_DIR/direct_$name.spec" --ckpt-dir "$SMOKE_DIR/direct-$name" --quiet
+    "$SERVE" observe "$SMOKE_DIR/serve_$name.spec" "$SMOKE_DIR/direct-$name/direct.done" \
+        > "$SMOKE_DIR/direct_$name.json"
+    if ! cmp -s <(tail -n 1 "$SMOKE_DIR/serve_$name.jsonl") "$SMOKE_DIR/direct_$name.json"; then
+        echo "serve smoke ($name): served observables diverge from the direct engine run"
+        diff <(tail -n 1 "$SMOKE_DIR/serve_$name.jsonl") "$SMOKE_DIR/direct_$name.json" || true
+        exit 1
+    fi
+}
+serve_smoke_job ndca 'model = zgb 0.51 5
 algorithm = ndca
 side = 16
 seed = 7
 steps = 120
-checkpoint_every = 40
-SPEC
-ID=$("$SERVE" submit --addr "$ADDR" --tenant ci "$SMOKE_DIR/serve.spec" \
-    | sed -n 's/.*"id":\([0-9]*\).*/\1/p')
-"$SERVE" wait --addr "$ADDR" "$ID" >/dev/null
-"$SERVE" result --addr "$ADDR" "$ID" > "$SMOKE_DIR/serve_result.jsonl"
-
-# The same job run directly through psr-engine must land on the same final
-# observable line — the serving layer adds no drift on top of the engine.
-cat > "$SMOKE_DIR/serve_direct.spec" <<'SPEC'
-[engine]
-workers = 1
-
-[job direct]
-model = zgb 0.51 5
-algorithm = ndca
+checkpoint_every = 40'
+serve_smoke_job fskmc 'model = zgb 0.51 5
+algorithm = fskmc
+splitting = strang
+window = 0.25
+blocks = 4
 side = 16
 seed = 7
-steps = 120
-checkpoint_every = 40
-SPEC
-"$ENGINE" run "$SMOKE_DIR/serve_direct.spec" --ckpt-dir "$SMOKE_DIR/serve-direct" --quiet
-"$SERVE" observe "$SMOKE_DIR/serve.spec" "$SMOKE_DIR/serve-direct/direct.done" \
-    > "$SMOKE_DIR/serve_direct_line.json"
-if ! cmp -s <(tail -n 1 "$SMOKE_DIR/serve_result.jsonl") "$SMOKE_DIR/serve_direct_line.json"; then
-    echo "serve smoke: served observables diverge from the direct engine run"
-    diff <(tail -n 1 "$SMOKE_DIR/serve_result.jsonl") "$SMOKE_DIR/serve_direct_line.json" || true
-    exit 1
-fi
-echo "serve smoke: served JSONL matches the direct psr-engine run"
+steps = 24
+checkpoint_every = 8'
+serve_smoke_job sharded 'model = zgb 0.51 5
+algorithm = pndca five random-order
+shards = 2
+side = 20
+seed = 7
+steps = 60
+checkpoint_every = 20'
+echo "serve smoke: served JSONL matches the direct psr-engine run (ndca, fskmc, shards = 2)"
 
 # Saturate the 2-deep queue with slow jobs; the next submission must be
 # shed with 429 (submit exits 4 on Retry-After).
