@@ -30,7 +30,7 @@
 //! single-replica run with the same seed. The engine replicates the exact
 //! RNG consumption order of [`Ndca`](psr_ca::Ndca) and
 //! [`Pndca`](psr_ca::Pndca) (discretized time), which the `identity` test
-//! suite and `bench_replica` pin down.
+//! suite and the benchmark's `replica_ensemble` workload pin down.
 
 #![warn(missing_docs)]
 

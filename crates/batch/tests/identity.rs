@@ -201,7 +201,8 @@ fn kuzovkov_ndca_and_weighted_pndca_match_single() {
 }
 
 /// Batch width must not change any slot's trajectory: the same seed gives
-/// the same snapshot whether it shares the batch with 0, 7, or 31 others.
+/// the same snapshot whether it shares the batch with 0, 7, 31 or 63 others
+/// (64 is the widest batch the SIMD sweep takes).
 #[test]
 fn batch_width_does_not_change_trajectories() {
     let model = zgb_ziff(0.5, 10.0);
@@ -210,7 +211,7 @@ fn batch_width_does_not_change_trajectories() {
     let steps = 250;
     let seed = 1234u64;
     let mut reference = None;
-    for width in [1usize, 5, 8, 17, 32] {
+    for width in [1usize, 5, 8, 17, 32, 64] {
         // Place the probed seed at a different slot each time.
         let at = (width - 1) / 2;
         let seeds: Vec<u64> = (0..width as u64)

@@ -26,33 +26,42 @@ impl Partition {
     ///
     /// # Panics
     ///
-    /// Panics unless the chunks are non-empty, disjoint, and cover every
-    /// site of `dims` exactly once.
+    /// Panics where [`try_new`](Self::try_new) errs.
     pub fn new(dims: Dims, chunks: Vec<Vec<Site>>) -> Self {
+        Self::try_new(dims, chunks).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new) for chunks that arrive from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// The chunks are not non-empty, disjoint, and covering every site of
+    /// `dims` exactly once.
+    pub fn try_new(dims: Dims, chunks: Vec<Vec<Site>>) -> Result<Self, String> {
         let n = dims.sites() as usize;
         let mut chunk_of = vec![u32::MAX; n];
         for (ci, chunk) in chunks.iter().enumerate() {
-            assert!(!chunk.is_empty(), "chunk {ci} is empty");
+            if chunk.is_empty() {
+                return Err(format!("chunk {ci} is empty"));
+            }
             for &site in chunk {
-                assert!(dims.contains(site), "site {} out of range", site.0);
-                assert_eq!(
-                    chunk_of[site.0 as usize],
-                    u32::MAX,
-                    "site {} appears in two chunks",
-                    site.0
-                );
+                if !dims.contains(site) {
+                    return Err(format!("site {} out of range", site.0));
+                }
+                if chunk_of[site.0 as usize] != u32::MAX {
+                    return Err(format!("site {} appears in two chunks", site.0));
+                }
                 chunk_of[site.0 as usize] = ci as u32;
             }
         }
-        assert!(
-            chunk_of.iter().all(|&c| c != u32::MAX),
-            "partition does not cover the lattice"
-        );
-        Partition {
+        if chunk_of.contains(&u32::MAX) {
+            return Err("partition does not cover the lattice".into());
+        }
+        Ok(Partition {
             dims,
             chunks,
             chunk_of,
-        }
+        })
     }
 
     /// Build from a per-site chunk label array (labels `0..m` dense).

@@ -18,32 +18,42 @@ impl Model {
     ///
     /// # Panics
     ///
-    /// Panics if there are no reaction types, if any transform references a
-    /// species outside the set, or if the total rate is zero.
+    /// Panics where [`try_new`](Self::try_new) errs.
     pub fn new(species: SpeciesSet, reactions: Vec<ReactionType>) -> Self {
-        assert!(
-            !reactions.is_empty(),
-            "a model needs at least one reaction type"
-        );
+        Self::try_new(species, reactions).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new) for a model that arrives from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// There are no reaction types, a transform references a species
+    /// outside the set, or the total rate is zero.
+    pub fn try_new(species: SpeciesSet, reactions: Vec<ReactionType>) -> Result<Self, String> {
+        if reactions.is_empty() {
+            return Err("a model needs at least one reaction type".into());
+        }
         for rt in &reactions {
             for t in rt.transforms() {
-                assert!(
-                    species.contains(t.src) && species.contains(t.tgt),
-                    "reaction {:?} references a species outside the set",
-                    rt.name()
-                );
+                if !(species.contains(t.src) && species.contains(t.tgt)) {
+                    return Err(format!(
+                        "reaction {:?} references a species outside the set",
+                        rt.name()
+                    ));
+                }
             }
         }
         let total_rate: f64 = reactions.iter().map(|r| r.rate()).sum();
-        assert!(
-            total_rate > 0.0,
-            "total rate K must be positive (all reaction rates are zero)"
-        );
-        Model {
+        // Every rate is finite and >= 0 (`ReactionType::try_new`), so the
+        // sum is never NaN.
+        if total_rate <= 0.0 {
+            return Err("total rate K must be positive (all reaction rates are zero)".into());
+        }
+        Ok(Model {
             species,
             reactions,
             total_rate,
-        }
+        })
     }
 
     /// The domain `D`.

@@ -17,42 +17,58 @@ impl ReactionType {
     ///
     /// # Panics
     ///
-    /// Panics if:
+    /// Panics where [`try_new`](Self::try_new) errs.
+    pub fn new(name: impl Into<String>, transforms: Vec<Transform>, rate: f64) -> Self {
+        Self::try_new(name, transforms, rate).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new) for a reaction that arrives from outside the
+    /// program.
+    ///
+    /// # Errors
+    ///
     /// - `transforms` is empty,
     /// - two transforms target the same offset (the triple collection must
     ///   be a function of the site),
     /// - no transform anchors at the origin (paper §2 property 1:
     ///   `s ∈ Nb(s)`),
     /// - `rate` is negative or non-finite.
-    pub fn new(name: impl Into<String>, transforms: Vec<Transform>, rate: f64) -> Self {
+    pub fn try_new(
+        name: impl Into<String>,
+        transforms: Vec<Transform>,
+        rate: f64,
+    ) -> Result<Self, String> {
         let name = name.into();
-        assert!(
-            !transforms.is_empty(),
-            "reaction type {name:?} needs at least one transform"
-        );
-        assert!(
-            transforms
-                .iter()
-                .any(|t| t.offset == psr_lattice::Offset::ZERO),
-            "reaction type {name:?} must include the anchor site (offset 0)"
-        );
+        if transforms.is_empty() {
+            return Err(format!(
+                "reaction type {name:?} needs at least one transform"
+            ));
+        }
+        if !transforms
+            .iter()
+            .any(|t| t.offset == psr_lattice::Offset::ZERO)
+        {
+            return Err(format!(
+                "reaction type {name:?} must include the anchor site (offset 0)"
+            ));
+        }
         for (i, a) in transforms.iter().enumerate() {
-            for b in &transforms[i + 1..] {
-                assert_ne!(
-                    a.offset, b.offset,
+            if transforms[i + 1..].iter().any(|b| a.offset == b.offset) {
+                return Err(format!(
                     "reaction type {name:?} has two transforms at the same offset"
-                );
+                ));
             }
         }
-        assert!(
-            rate.is_finite() && rate >= 0.0,
-            "reaction type {name:?} rate must be finite and >= 0, got {rate}"
-        );
-        ReactionType {
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(format!(
+                "reaction type {name:?} rate must be finite and >= 0, got {rate}"
+            ));
+        }
+        Ok(ReactionType {
             name,
             transforms,
             rate,
-        }
+        })
     }
 
     /// The reaction type's name (e.g. `"CO adsorption"`).

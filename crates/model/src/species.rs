@@ -42,23 +42,37 @@ impl SpeciesSet {
     ///
     /// # Panics
     ///
-    /// Panics if `names` is empty, the first entry is not `"*"`, names
-    /// repeat, or there are more than 256 species.
+    /// Panics where [`try_new`](Self::try_new) errs.
     pub fn new<S: AsRef<str>>(names: &[S]) -> Self {
-        assert!(!names.is_empty(), "species set must not be empty");
-        assert_eq!(
-            names[0].as_ref(),
-            "*",
-            "species id 0 must be the vacant marker '*'"
-        );
-        assert!(names.len() <= 256, "at most 256 species fit in a u8 id");
+        Self::try_new(names).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new) for names that arrive from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// `names` is empty, the first entry is not `"*"`, names repeat, or
+    /// there are more than 256 species.
+    pub fn try_new<S: AsRef<str>>(names: &[S]) -> Result<Self, String> {
+        let Some(first) = names.first() else {
+            return Err("species set must not be empty".into());
+        };
+        if first.as_ref() != "*" {
+            return Err(format!(
+                "species id 0 must be the vacant marker '*', got {:?}",
+                first.as_ref()
+            ));
+        }
+        if names.len() > 256 {
+            return Err("at most 256 species fit in a u8 id".into());
+        }
         let names: Vec<String> = names.iter().map(|s| s.as_ref().to_owned()).collect();
         for (i, a) in names.iter().enumerate() {
-            for b in &names[i + 1..] {
-                assert_ne!(a, b, "duplicate species name {a:?}");
+            if names[i + 1..].contains(a) {
+                return Err(format!("duplicate species name {a:?}"));
             }
         }
-        SpeciesSet { names }
+        Ok(SpeciesSet { names })
     }
 
     /// Number of species including `*`.

@@ -18,7 +18,8 @@
 use crate::json;
 use crate::request::JobRequest;
 use psr_engine::JsonLine;
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
@@ -84,10 +85,17 @@ pub struct Queue {
 impl Queue {
     /// Open the queue, replaying `path` if it exists.
     ///
+    /// Replay is total on the journal's bytes: a line that is not UTF-8, not
+    /// JSON, not a well-formed event, or a `submit` repeating an earlier id
+    /// is dropped on its own (a crash mid-append tears only the last line;
+    /// everything before it was flushed line-at-a-time) and never takes a
+    /// well-formed line with it. A job's cache key is derived from its
+    /// parsed spec, not read back, so an edited line cannot file a result
+    /// under another spec's key.
+    ///
     /// # Errors
     ///
-    /// I/O errors, or a corrupt journal line (torn trailing lines from a
-    /// crash mid-append are tolerated and dropped).
+    /// I/O errors other than the journal not existing yet.
     pub fn open(path: &Path) -> std::io::Result<Self> {
         let mut state = State {
             jobs: Vec::new(),
@@ -96,52 +104,61 @@ impl Queue {
             rr: 0,
             draining: false,
         };
-        if let Ok(text) = std::fs::read_to_string(path) {
-            for line in text.lines() {
-                // A torn final line (crash mid-append) parses as garbage;
-                // everything before it was flushed line-at-a-time, so
-                // skipping is safe only for unparseable lines.
-                let Ok(v) = json::parse(line) else { continue };
-                let ev = v.get("ev").and_then(json::Value::as_str).unwrap_or("");
-                let id = v.get("id").and_then(json::Value::as_u64).unwrap_or(0);
-                match ev {
-                    "submit" => {
-                        let (Some(tenant), Some(key), Some(spec)) = (
-                            v.get("tenant").and_then(json::Value::as_str),
-                            v.get("key").and_then(json::Value::as_str),
-                            v.get("spec").and_then(json::Value::as_str),
-                        ) else {
-                            continue;
-                        };
-                        let Ok(req) = JobRequest::parse(spec) else {
-                            continue;
-                        };
-                        state.jobs.push(Job {
-                            id,
-                            tenant: tenant.to_owned(),
-                            key: key.to_owned(),
-                            req,
-                            state: JobState::Pending,
-                        });
-                        state.next_id = state.next_id.max(id + 1);
-                    }
-                    "done" => {
-                        if let Some(j) = state.jobs.iter_mut().find(|j| j.id == id) {
-                            j.state = JobState::Done;
-                        }
-                    }
-                    "failed" => {
-                        let msg = v
-                            .get("error")
-                            .and_then(json::Value::as_str)
-                            .unwrap_or("unknown")
-                            .to_owned();
-                        if let Some(j) = state.jobs.iter_mut().find(|j| j.id == id) {
-                            j.state = JobState::Failed(msg);
-                        }
-                    }
-                    _ => {}
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let mut index_of: HashMap<u64, usize> = HashMap::new();
+        for line in bytes.split(|&b| b == b'\n') {
+            let Ok(line) = std::str::from_utf8(line) else {
+                continue;
+            };
+            let Ok(v) = json::parse(line) else { continue };
+            let ev = v.get("ev").and_then(json::Value::as_str).unwrap_or("");
+            let Some(id) = v.get("id").and_then(json::Value::as_u64) else {
+                continue;
+            };
+            match ev {
+                "submit" => {
+                    let (Some(tenant), Some(spec)) = (
+                        v.get("tenant").and_then(json::Value::as_str),
+                        v.get("spec").and_then(json::Value::as_str),
+                    ) else {
+                        continue;
+                    };
+                    let Ok(req) = JobRequest::parse(spec) else {
+                        continue;
+                    };
+                    let Entry::Vacant(slot) = index_of.entry(id) else {
+                        continue;
+                    };
+                    slot.insert(state.jobs.len());
+                    state.jobs.push(Job {
+                        id,
+                        tenant: tenant.to_owned(),
+                        key: req.cache_key(),
+                        req,
+                        state: JobState::Pending,
+                    });
+                    state.next_id = state.next_id.max(id.saturating_add(1));
                 }
+                "done" => {
+                    if let Some(&i) = index_of.get(&id) {
+                        state.jobs[i].state = JobState::Done;
+                    }
+                }
+                "failed" => {
+                    let msg = v
+                        .get("error")
+                        .and_then(json::Value::as_str)
+                        .unwrap_or("unknown")
+                        .to_owned();
+                    if let Some(&i) = index_of.get(&id) {
+                        state.jobs[i].state = JobState::Failed(msg);
+                    }
+                }
+                _ => {}
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
@@ -182,7 +199,10 @@ impl Queue {
         let key = req.cache_key();
         let mut inner = self.inner.lock().expect("queue lock");
         let id = inner.next_id;
-        inner.next_id += 1;
+        // Only a replayed journal naming id 2^64 - 1 gets here.
+        inner.next_id = id
+            .checked_add(1)
+            .ok_or_else(|| std::io::Error::other("the journal's job ids are used up"))?;
         self.log_line(
             JsonLine::event("submit")
                 .u64("id", id)

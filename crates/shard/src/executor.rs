@@ -25,6 +25,7 @@
 
 use crate::domain::ShardGrid;
 use crate::frame::{self, StepReport, KIND_GATHER, KIND_REPORT};
+use crate::net::worker_proc::{recv_keyed, Delivery};
 use crate::net::{self, Wire};
 use crate::worker::Worker;
 use psr_ca::partition::Partition;
@@ -147,9 +148,10 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         self
     }
 
-    /// Deadline for every socket receive (default 60 s): a peer that sends
-    /// nothing for this long fails the run instead of hanging it. Fault
-    /// tests shorten it; the in-process schedulers ignore it.
+    /// Deadline for every blocking receive of the Threaded and Socket
+    /// schedulers (default 60 s): a worker that sends nothing for this long
+    /// fails the run instead of hanging it. Fault tests shorten it; the
+    /// Inline scheduler has no receive to time out.
     pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
         self.recv_timeout = timeout;
         self
@@ -160,16 +162,6 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
     /// recorded step reproduces the uninterrupted trajectory.
     pub fn set_start_step(&mut self, step: u64) {
         self.step = step;
-    }
-
-    /// Completed steps.
-    pub fn steps_done(&self) -> u64 {
-        self.step
-    }
-
-    /// The worker grid.
-    pub fn grid(&self) -> ShardGrid {
-        self.grid
     }
 
     /// Measured communication totals, summed over workers: interior vs
@@ -205,9 +197,9 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
     ///
     /// # Panics
     ///
-    /// Panics if the socket transport fails (a worker process died or went
-    /// silent); use [`try_run_steps`](Self::try_run_steps) to handle that
-    /// as an error instead.
+    /// Panics if a Threaded or Socket worker died or went silent; use
+    /// [`try_run_steps`](Self::try_run_steps) to handle that as an error
+    /// instead.
     pub fn run_steps(
         &mut self,
         state: &mut SimState,
@@ -220,14 +212,14 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         }
     }
 
-    /// [`run_steps`](Self::run_steps), with transport failures as errors.
-    /// The in-process schedulers cannot fail; the socket transport reports
-    /// dead or silent workers here after tearing the fleet down.
+    /// [`run_steps`](Self::run_steps), with worker failures as errors. The
+    /// Inline scheduler cannot fail; the Threaded and Socket ones report
+    /// dead or silent workers here after joining or killing the rest.
     ///
     /// # Errors
     ///
-    /// The first worker failure observed: process death, protocol
-    /// violation, or a receive deadline expiring.
+    /// The first worker failure observed: a dead thread or process, a
+    /// protocol violation, or a receive deadline expiring.
     pub fn try_run_steps(
         &mut self,
         state: &mut SimState,
@@ -265,7 +257,7 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
             }
             ScheduleMode::Threaded => {
                 let workers = build_workers(self, &state.lattice);
-                self.run_threaded(workers, state, steps, recorder)
+                self.run_threaded(workers, state, steps, recorder)?
             }
             ScheduleMode::Socket(wire) => self.run_socket(wire, state, steps, recorder)?,
         };
@@ -433,59 +425,54 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         workers: Vec<Worker<'m>>,
         state: &mut SimState,
         steps: u64,
-        mut recorder: Option<&mut Recorder>,
-    ) -> RunStats {
+        recorder: Option<&mut Recorder>,
+    ) -> Result<RunStats, String> {
         let p = workers.len();
         let start = self.step;
         let m = self.partition.num_chunks();
         let weighted = self.selection == ChunkSelection::WeightedByRates;
+        let timeout = self.recv_timeout;
         let (report_tx, report_rx) = mpsc::channel::<Vec<u8>>();
-        let mut txs = Vec::with_capacity(p);
-        let mut rxs = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = mpsc::channel::<Vec<u8>>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let mut stats = RunStats::default();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..p).map(|_| mpsc::channel::<Delivery>()).unzip();
         std::thread::scope(|scope| {
-            for (worker, rx) in workers.into_iter().zip(rxs) {
-                let txs = txs.clone();
-                let report_tx = report_tx.clone();
-                scope.spawn(move || {
-                    worker_thread(worker, rx, txs, report_tx, start, steps, m, weighted, p)
-                });
-            }
+            let handles: Vec<_> = workers
+                .into_iter()
+                .zip(rxs)
+                .map(|(worker, rx)| {
+                    let txs = txs.clone();
+                    let report_tx = report_tx.clone();
+                    scope.spawn(move || {
+                        worker_thread(
+                            worker, rx, txs, report_tx, start, steps, m, weighted, timeout,
+                        )
+                    })
+                })
+                .collect();
             drop(report_tx);
             drop(txs);
-            // Hub: consume reports (re-ordered by step) and the gathers.
-            let mut by_step: BTreeMap<u64, Vec<StepReport>> = BTreeMap::new();
-            let mut next = start;
-            let mut gathers = 0;
-            while gathers < p || next < start + steps {
-                let bytes = report_rx.recv().expect("a worker died mid-run");
-                let (header, payload) = frame::decode(&bytes);
-                match header.kind {
-                    KIND_REPORT => {
-                        let entry = by_step.entry(header.step).or_default();
-                        entry.push(StepReport::decode(payload));
-                        while by_step.get(&next).is_some_and(|r| r.len() == p) {
-                            let reports = by_step.remove(&next).expect("just checked");
-                            self.apply_step_reports(state, &reports, &mut stats, &mut recorder);
-                            self.step += 1;
-                            next += 1;
-                        }
-                    }
-                    KIND_GATHER => {
-                        self.apply_gather(&mut state.lattice, header.src, payload);
-                        gathers += 1;
-                    }
-                    kind => panic!("hub cannot accept frame kind {kind}"),
-                }
+            let hub = self.consume_reports(state, steps, recorder, 0.0, |_| {
+                report_rx
+                    .recv_timeout(timeout)
+                    .map_err(|e| format!("no worker report within {timeout:?}: {e}"))
+            });
+            // Dropped before the joins so that, after a hub failure, every
+            // worker fails at its next report instead of finishing the run.
+            drop(report_rx);
+            let mut failed = None;
+            for (id, handle) in handles.into_iter().enumerate() {
+                let died = match handle.join() {
+                    Ok(Ok(())) => continue,
+                    Ok(Err(e)) => e,
+                    Err(_) => "panicked".to_owned(),
+                };
+                failed.get_or_insert(format!("worker {id}: {died}"));
             }
-            assert!(by_step.is_empty(), "reports left over past the last step");
-        });
-        stats
+            match (hub, failed) {
+                (hub, None) => hub,
+                (Ok(_), Some(worker)) => Err(worker),
+                (Err(e), Some(worker)) => Err(format!("{e}; {worker}")),
+            }
+        })
     }
 
     /// Drive one socket run: spawn the worker fleet, consume its reports
@@ -496,11 +483,10 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         wire: Wire,
         state: &mut SimState,
         steps: u64,
-        mut recorder: Option<&mut Recorder>,
+        recorder: Option<&mut Recorder>,
     ) -> Result<RunStats, String> {
         let p = self.grid.workers() as usize;
         let m = self.partition.num_chunks();
-        let start = self.step;
         let blob = net::config::encode_config(
             self.model,
             self.partition,
@@ -508,7 +494,7 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
             self.grid,
             self.seed,
             self.selection,
-            start,
+            self.step,
             steps,
             self.recv_timeout.as_millis() as u64,
         );
@@ -526,23 +512,49 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         } else {
             0.0
         };
+        let stats = self.consume_reports(
+            state,
+            steps,
+            recorder,
+            exchanges_per_step * latency,
+            |done| hub.recv(done),
+        )?;
+        hub.finish()?;
+        Ok(stats)
+    }
+
+    /// The hub side of a threaded or socket run: take frames from `recv`
+    /// until every step's reports (re-ordered by step) and every worker's
+    /// gather have been applied. Each step adds the slowest worker's shipped
+    /// phase times plus `wire_seconds_per_step` to the critical path.
+    ///
+    /// `recv` is handed the workers whose gather has arrived: such a worker
+    /// may exit and close its connection while slower peers are still
+    /// reporting, and the socket hub treats that EOF as completion rather
+    /// than failure.
+    fn consume_reports(
+        &mut self,
+        state: &mut SimState,
+        steps: u64,
+        mut recorder: Option<&mut Recorder>,
+        wire_seconds_per_step: f64,
+        mut recv: impl FnMut(&[bool]) -> Result<Vec<u8>, String>,
+    ) -> Result<RunStats, String> {
+        let p = self.grid.workers() as usize;
+        let end = self.step + steps;
         let mut stats = RunStats::default();
         let mut by_step: BTreeMap<u64, Vec<StepReport>> = BTreeMap::new();
-        let mut next = start;
         let mut gathers = 0;
-        // A worker whose final gather has arrived may exit and close its
-        // connection while slower peers are still reporting; `done` lets
-        // the hub treat that EOF as completion rather than failure.
         let mut done = vec![false; p];
-        while gathers < p || next < start + steps {
-            let bytes = hub.recv(&done)?;
+        while gathers < p || self.step < end {
+            let bytes = recv(&done)?;
             let (header, payload) = frame::try_decode(&bytes)?;
             match header.kind {
                 KIND_REPORT => {
                     let entry = by_step.entry(header.step).or_default();
                     entry.push(StepReport::decode(payload));
-                    while by_step.get(&next).is_some_and(|r| r.len() == p) {
-                        let reports = by_step.remove(&next).expect("just checked");
+                    while by_step.get(&self.step).is_some_and(|r| r.len() == p) {
+                        let reports = by_step.remove(&self.step).expect("just checked");
                         let slots = reports
                             .iter()
                             .map(|r| r.phase_busy.len())
@@ -555,10 +567,9 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
                                 .fold(0.0, f64::max);
                             self.critical_seconds += worst;
                         }
-                        self.critical_seconds += exchanges_per_step * latency;
+                        self.critical_seconds += wire_seconds_per_step;
                         self.apply_step_reports(state, &reports, &mut stats, &mut recorder);
                         self.step += 1;
-                        next += 1;
                     }
                 }
                 KIND_GATHER => {
@@ -572,31 +583,41 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         if !by_step.is_empty() {
             return Err("reports left over past the last step".into());
         }
-        hub.finish()?;
         Ok(stats)
     }
 }
 
 /// The body of one threaded worker: the same phase order as the inline
-/// scheduler, with channel sends and a pending-map demux on receive.
+/// scheduler, with channel sends and the socket workers' keyed,
+/// deadline-bearing demux on receive.
 #[allow(clippy::too_many_arguments)]
 fn worker_thread(
     mut worker: Worker<'_>,
-    rx: mpsc::Receiver<Vec<u8>>,
-    txs: Vec<mpsc::Sender<Vec<u8>>>,
+    rx: mpsc::Receiver<Delivery>,
+    txs: Vec<mpsc::Sender<Delivery>>,
     report_tx: mpsc::Sender<Vec<u8>>,
     start: u64,
     steps: u64,
     num_chunks: usize,
     weighted: bool,
-    num_workers: usize,
-) {
+    timeout: Duration,
+) -> Result<(), String> {
+    let id = worker.id();
     let mut pending: HashMap<frame::FrameKey, Vec<u8>> = HashMap::new();
+    let mut closed = vec![false; txs.len()];
     let mut sink = frame::VecSink::default();
-    let send = |txs: &[mpsc::Sender<Vec<u8>>], sink: &mut frame::VecSink| {
+    let send = |sink: &mut frame::VecSink| {
         for (dest, bytes) in sink.0.drain(..) {
-            txs[dest as usize].send(bytes).expect("peer inbox closed");
+            txs[dest as usize]
+                .send((id, Ok(bytes)))
+                .map_err(|_| format!("worker {dest} hung up mid-sweep"))?;
         }
+        Ok::<(), String>(())
+    };
+    let mut recv = |worker: &mut Worker<'_>, key: frame::FrameKey| {
+        let bytes = recv_keyed(&rx, &mut pending, &mut closed, key, timeout)?;
+        worker.accept(&bytes);
+        Ok::<(), String>(())
     };
     for step in start..start + steps {
         worker.begin_step(step);
@@ -608,77 +629,67 @@ fn worker_thread(
         for pos in 0..num_chunks as u32 {
             let chunk = if weighted {
                 worker.counts_frames(step, pos, &mut sink);
-                send(&txs, &mut sink);
-                for src in 0..num_workers as u32 {
-                    let bytes = recv_keyed(
-                        &rx,
-                        &mut pending,
+                send(&mut sink)?;
+                for src in 0..txs.len() as u32 {
+                    recv(
+                        &mut worker,
                         (frame::KIND_COUNTS, step, pos, frame::NO_DIR, src),
-                    );
-                    worker.accept(&bytes);
+                    )?;
                 }
                 worker.weighted_draw()
             } else {
                 order[pos as usize]
             };
             worker.sweep(step, pos, chunk);
-            worker.wb_frames(step, pos, &mut sink);
-            send(&txs, &mut sink);
-            recv_directional(
-                &rx,
-                &mut pending,
-                &mut worker,
-                frame::KIND_WRITEBACK,
-                step,
-                pos,
-            );
-            worker.halo_frames(step, pos, &mut sink);
-            send(&txs, &mut sink);
-            recv_directional(&rx, &mut pending, &mut worker, frame::KIND_HALO, step, pos);
+            for kind in [frame::KIND_WRITEBACK, frame::KIND_HALO] {
+                if kind == frame::KIND_WRITEBACK {
+                    worker.wb_frames(step, pos, &mut sink);
+                } else {
+                    worker.halo_frames(step, pos, &mut sink);
+                }
+                send(&mut sink)?;
+                for dir in 0..8u8 {
+                    let src = worker.neighbor(dir as usize);
+                    recv(&mut worker, (kind, step, pos, dir, src))?;
+                }
+            }
             worker.fold();
         }
         report_tx
             .send(worker.report_frame(step))
-            .expect("hub closed");
+            .map_err(|_| "hub hung up")?;
     }
     report_tx
         .send(worker.gather_frame(start + steps))
-        .expect("hub closed");
+        .map_err(|_| "hub hung up")?;
+    Ok(())
 }
 
-/// Receive-and-accept the eight directional frames of one phase.
-fn recv_directional(
-    rx: &mpsc::Receiver<Vec<u8>>,
-    pending: &mut HashMap<frame::FrameKey, Vec<u8>>,
-    worker: &mut Worker<'_>,
-    kind: u8,
-    step: u64,
-    pos: u32,
-) {
-    for dir in 0..8u8 {
-        let src = worker.neighbor(dir as usize);
-        let bytes = recv_keyed(rx, pending, (kind, step, pos, dir, src));
-        worker.accept(&bytes);
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psr_ca::partition_builder::greedy_coloring;
+    use psr_lattice::{Dims, Lattice};
+    use psr_model::library::zgb::zgb_ziff;
 
-/// Blocking receive of the frame with exactly `key`, buffering every other
-/// frame that arrives first.
-fn recv_keyed(
-    rx: &mpsc::Receiver<Vec<u8>>,
-    pending: &mut HashMap<frame::FrameKey, Vec<u8>>,
-    key: frame::FrameKey,
-) -> Vec<u8> {
-    if let Some(bytes) = pending.remove(&key) {
-        return bytes;
-    }
-    loop {
-        let bytes = rx.recv().expect("peer hung up mid-sweep");
-        let (header, _) = frame::decode(&bytes);
-        if header.key() == key {
-            return bytes;
-        }
-        let clash = pending.insert(header.key(), bytes);
-        assert!(clash.is_none(), "duplicate frame for {:?}", header.key());
+    #[test]
+    fn threaded_run_past_its_receive_deadline_is_an_error() {
+        let model = zgb_ziff(0.5, 2.0);
+        let dims = Dims::square(512);
+        let partition = greedy_coloring(dims, &model);
+        // No 512² sweep finishes in 20 µs: the hub's wait for the first
+        // report (or a worker's wait for its neighbour's write-backs) must
+        // give up rather than block until the frame arrives.
+        let mut exec = ShardedPndca::new(&model, &partition, ShardGrid::new(2, 1), 7)
+            .with_mode(ScheduleMode::Threaded)
+            .with_recv_timeout(Duration::from_micros(20));
+        let mut state = SimState::new(Lattice::filled(dims, 0), &model);
+        let err = exec
+            .try_run_steps(&mut state, 3, None)
+            .expect_err("a 20 µs deadline cannot be met");
+        assert!(
+            err.contains("within 20µs") || err.contains("timed out"),
+            "{err}"
+        );
     }
 }

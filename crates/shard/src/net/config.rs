@@ -162,6 +162,20 @@ impl<'a> Cursor<'a> {
         let len = self.u32()? as usize;
         String::from_utf8(self.take(len)?.to_vec()).map_err(|e| format!("config string: {e}"))
     }
+
+    /// A `u32` element count, refused unless the rest of the blob can hold
+    /// that many elements of at least `min_bytes` each — so a hostile
+    /// count can never size an allocation beyond the blob's own length.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, String> {
+        let n = self.u32()? as usize;
+        if n > (self.bytes.len() - self.at) / min_bytes {
+            return Err(format!(
+                "config blob declares {n} elements at byte {} but is too short to hold them",
+                self.at
+            ));
+        }
+        Ok(n)
+    }
 }
 
 impl RunConfig {
@@ -169,9 +183,11 @@ impl RunConfig {
     ///
     /// # Errors
     ///
-    /// Reports the structural violation (truncation, bad magic/version,
-    /// unknown tags) without panicking — on the wire this is an I/O
-    /// condition, not a protocol bug.
+    /// Reports the structural violation — truncation, bad magic/version,
+    /// unknown tags, a count the blob is too short for, or a grid, model,
+    /// partition or lattice that breaks its constructor's preconditions —
+    /// without panicking and without allocating more than the blob's own
+    /// length: on the wire this is an I/O condition, not a protocol bug.
     pub fn decode(bytes: &[u8]) -> Result<RunConfig, String> {
         let mut c = Cursor { bytes, at: 0 };
         if c.u32()? != MAGIC {
@@ -181,50 +197,61 @@ impl RunConfig {
         if version != VERSION {
             return Err(format!("config blob version {version}, expected {VERSION}"));
         }
-        let grid = ShardGrid::new(c.u32()?, c.u32()?);
+        let (gx, gy) = (c.u32()?, c.u32()?);
+        if gx == 0 || gy == 0 || gx.checked_mul(gy).is_none() {
+            return Err(format!("config blob has a {gx}x{gy} worker grid"));
+        }
+        let grid = ShardGrid::new(gx, gy);
         let seed = c.u64()?;
         let selection = selection_from_tag(c.u8()?)?;
         let start_step = c.u64()?;
         let steps = c.u64()?;
+        if start_step.checked_add(steps).is_none() {
+            return Err(format!(
+                "config blob runs {steps} steps from step {start_step}"
+            ));
+        }
         let recv_timeout_ms = c.u64()?;
-        let num_species = c.u32()? as usize;
+        let num_species = c.count(4)?;
         let mut names = Vec::with_capacity(num_species);
         for _ in 0..num_species {
             names.push(c.str()?);
         }
-        let species = SpeciesSet::new(&names);
-        let num_reactions = c.u32()? as usize;
+        let species = SpeciesSet::try_new(&names)?;
+        let num_reactions = c.count(16)?;
         let mut reactions = Vec::with_capacity(num_reactions);
+        let mut reach = 0u32;
         for _ in 0..num_reactions {
             let name = c.str()?;
             let rate = f64::from_bits(c.u64()?);
-            let num_transforms = c.u32()? as usize;
+            let num_transforms = c.count(10)?;
             let mut transforms = Vec::with_capacity(num_transforms);
             for _ in 0..num_transforms {
                 let dx = c.i32()?;
                 let dy = c.i32()?;
                 let src = Species(c.u8()?);
                 let tgt = Species(c.u8()?);
+                reach = reach.max(dx.unsigned_abs()).max(dy.unsigned_abs());
                 transforms.push(Transform {
                     offset: Offset { dx, dy },
                     src,
                     tgt,
                 });
             }
-            reactions.push(ReactionType::new(name, transforms, rate));
+            reactions.push(ReactionType::try_new(name, transforms, rate)?);
         }
-        let model = Model::new(species, reactions);
-        let num_chunks = c.u32()? as usize;
+        let model = Model::try_new(species, reactions)?;
+        let num_chunks = c.count(8)?;
         let mut chunks = Vec::with_capacity(num_chunks);
         for _ in 0..num_chunks {
-            let len = c.u32()? as usize;
+            let len = c.count(4)?;
             let mut sites = Vec::with_capacity(len);
             for _ in 0..len {
                 sites.push(Site(c.u32()?));
             }
             chunks.push(sites);
         }
-        let dims = Dims::new(c.u32()?, c.u32()?);
+        let (width, height) = (c.u32()?, c.u32()?);
         let num_cells = c.u32()? as usize;
         let cells = c.take(num_cells)?.to_vec();
         if c.at != bytes.len() {
@@ -233,7 +260,26 @@ impl RunConfig {
                 bytes.len() - c.at
             ));
         }
-        let partition = Partition::new(dims, chunks);
+        // Compared in u64 before anything is sized by the sides (the
+        // lattice's wrap tables, the partition's site index): a lattice the
+        // blob actually carries is never larger than the blob.
+        if width == 0 || height == 0 || u64::from(width) * u64::from(height) != cells.len() as u64 {
+            return Err(format!(
+                "config blob carries {} cells for a {width}x{height} lattice",
+                cells.len()
+            ));
+        }
+        let dims = Dims::new(width, height);
+        // No offset longer than a side (so the L1 radius cannot overflow),
+        // then what `ShardedPndca::new` checked on the hub side and
+        // `Worker::new` relies on.
+        if reach >= width.min(height) {
+            return Err(format!(
+                "a transform offset of {reach} does not fit a {width}x{height} lattice"
+            ));
+        }
+        grid.check(dims, model.interaction_radius())?;
+        let partition = Partition::try_new(dims, chunks)?;
         let lattice = Lattice::from_cells(dims, cells);
         Ok(RunConfig {
             grid,
@@ -263,10 +309,11 @@ pub fn encode_peers(addrs: &[String]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Reports truncation or malformed strings.
+/// Reports truncation, a count the payload is too short for, or malformed
+/// strings.
 pub fn decode_peers(bytes: &[u8]) -> Result<Vec<String>, String> {
     let mut c = Cursor { bytes, at: 0 };
-    let n = c.u32()? as usize;
+    let n = c.count(4)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(c.str()?);

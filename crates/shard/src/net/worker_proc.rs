@@ -1,8 +1,8 @@
 //! The body of one `psr-shard-worker` process.
 //!
 //! Mirrors the threaded worker loop in [`crate::executor`] phase for
-//! phase — same schedule, same keyed demux, same determinism contract —
-//! but with sockets in place of channels:
+//! phase — same schedule, same keyed demux ([`recv_keyed`], shared with
+//! it), same determinism contract — but with sockets in place of channels:
 //!
 //! - outgoing frames are appended to *per-peer coalesced send buffers*
 //!   ([`SocketSink`]): every frame bound for one peer within one phase
@@ -110,6 +110,11 @@ impl FrameSink for SocketSink {
     }
 }
 
+/// What a worker's inbox carries: the sending worker with a frame, or with
+/// the reason it will send no more (a socket reader's EOF; threaded workers
+/// never send it).
+pub(crate) type Delivery = (u32, Result<Vec<u8>, String>);
+
 /// Blocking receive of the frame with exactly `key`, buffering every other
 /// frame, with a deadline per receive.
 ///
@@ -120,8 +125,8 @@ impl FrameSink for SocketSink {
 /// the receive fails only when the frame it needs would have to come from
 /// a peer that has already closed — which is prompt for a genuinely dead
 /// peer, since its EOF arrives the moment its sockets close.
-fn recv_keyed(
-    rx: &mpsc::Receiver<(u32, Result<Vec<u8>, String>)>,
+pub(crate) fn recv_keyed(
+    rx: &mpsc::Receiver<Delivery>,
     pending: &mut HashMap<FrameKey, Vec<u8>>,
     closed: &mut [bool],
     key: FrameKey,
@@ -268,7 +273,7 @@ fn run(wire: Wire, hub_addr: &str, id: u32) -> Result<(), String> {
     // One reader thread per peer connection feeding a shared channel; the
     // demux below re-orders by key. A dead peer surfaces as an Err here
     // the moment its socket closes.
-    let (tx, rx) = mpsc::channel::<(u32, Result<Vec<u8>, String>)>();
+    let (tx, rx) = mpsc::channel::<Delivery>();
     for (j, conn) in conns.iter().enumerate() {
         if let Some(conn) = conn {
             let mut reader = conn.try_clone()?;

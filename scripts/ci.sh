@@ -59,29 +59,6 @@ cargo test -q --release -p psr-shard --test socket
 echo "==> kernel differential suite (proptest: masks and fire vs the model's matcher)"
 cargo test -q --release -p psr-kernel --test differential
 
-echo "==> bench_replica --smoke (batched lockstep vs serial replica loop)"
-target/release/bench_replica --smoke
-
-echo "==> bench_shard --smoke (sharded strong scaling, small lattice)"
-target/release/bench_shard --smoke
-
-echo "==> bench_splitting --smoke (fractional-step error vs window vs throughput)"
-target/release/bench_splitting --smoke
-
-# Smoke thresholds sit below the committed full-size numbers: the small
-# jobs are noisier and this host's wall clock is shared (the shard smoke
-# runs the headline 1024x1024 lattice with a 0.05 s sample: on anything
-# smaller the socket arms' fixed per-step wire cost outweighs a worker's
-# sweep and the ratio measures the wire, not the decomposition).
-echo "==> loadtest --smoke (serving layer cache-hit speedup)"
-scripts/loadtest.sh --smoke
-
-MIN_REPLICA_SPEEDUP=3.0 MIN_SHARD_SPEEDUP=2.0 \
-    MIN_SHARD_SOCKET_SPEEDUP=1.7 MIN_SERVE_SPEEDUP=3.0 MIN_KEEPALIVE_SPEEDUP=1.5 \
-    MIN_SPLITTING_SPEEDUP=2.0 SPLITTING_EPS=0.04 \
-    scripts/check_bench.sh BENCH_replica_smoke.json \
-    BENCH_shard_smoke.json BENCH_serve_smoke.json BENCH_splitting_smoke.json
-
 echo "==> benchmark/selftest.sh (the benchmark package builds and runs against the crates)"
 bash benchmark/selftest.sh
 
