@@ -826,7 +826,6 @@ mod tests {
 
     #[test]
     fn pcg_inline_matches_pcg32() {
-        use rand::RngCore;
         for seed in [0u64, 1, 42, 0xDEAD_BEEF, u64::MAX] {
             let mut reference = rng_from_seed(seed);
             let words = reference.state();

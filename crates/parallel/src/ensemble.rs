@@ -8,32 +8,8 @@
 //! (they share nothing, so this parallelises perfectly) and average their
 //! coverage series pointwise.
 
-use rayon::prelude::*;
-use rayon::ThreadPool;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
+use crate::fork_join;
 use psr_stats::{Summary, TimeSeries};
-
-/// Worker pools cached per thread count. `run_replicas` is called once
-/// per sequential-sampling round — dozens of times per validation tier —
-/// and building a fresh `ThreadPool` spawns and later joins that many OS
-/// threads each call. The pools are tiny (threads, no queues to speak of
-/// between calls), so keeping one per distinct `threads` value for the
-/// process lifetime trades a few idle threads for zero rebuild cost.
-fn pool_for(threads: usize) -> Arc<ThreadPool> {
-    static POOLS: OnceLock<Mutex<HashMap<usize, Arc<ThreadPool>>>> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = pools.lock().expect("pool cache poisoned");
-    Arc::clone(map.entry(threads).or_insert_with(|| {
-        Arc::new(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("failed to build thread pool"),
-        )
-    }))
-}
 
 /// Mean ± standard error of an observable across replicas, per time point.
 #[derive(Clone, Debug)]
@@ -87,9 +63,10 @@ impl EnsembleSeries {
     }
 }
 
-/// Run `replicas` independent simulations concurrently on a pool of
-/// `threads` workers, collecting whatever each replica returns, in replica
-/// order (results are deterministic regardless of scheduling).
+/// Run `replicas` independent simulations concurrently on `threads`
+/// threads, collecting whatever each replica returns, in replica order
+/// (results are deterministic regardless of scheduling). The indices are
+/// cut into `threads` contiguous batches, one per thread.
 ///
 /// The closure receives the replica index (use it to derive the seed).
 /// This is the generic engine under [`run_ensemble`]; the `psr-validate`
@@ -106,11 +83,19 @@ where
 {
     assert!(replicas > 0, "need at least one replica");
     assert!(threads > 0, "need at least one thread");
-    pool_for(threads).install(|| (0..replicas).into_par_iter().map(&run).collect())
+    let batch = replicas.div_ceil(threads as u64);
+    let batches = (0..replicas)
+        .step_by(batch as usize)
+        .map(|start| start..replicas.min(start + batch))
+        .collect();
+    fork_join(batches, |batch| batch.map(&run).collect::<Vec<T>>())
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
-/// Run `replicas` independent simulations concurrently on a pool of
-/// `threads` workers and average the series each returns.
+/// Run `replicas` independent simulations concurrently on `threads`
+/// threads and average the series each returns.
 ///
 /// The closure receives the replica index (use it to derive the seed) and
 /// returns that replica's sampled observable. Replicas must sample on the
@@ -192,10 +177,26 @@ mod tests {
     }
 
     #[test]
-    fn pools_are_cached_per_thread_count() {
-        assert!(Arc::ptr_eq(&pool_for(2), &pool_for(2)));
-        assert!(!Arc::ptr_eq(&pool_for(2), &pool_for(3)));
-        assert_eq!(pool_for(3).current_num_threads(), 3);
+    fn replicas_come_back_in_replica_order() {
+        let expected: Vec<u64> = (0..7).map(|i| i * i).collect();
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(run_replicas(7, threads, |i| i * i), expected, "{threads}");
+        }
+    }
+
+    #[test]
+    fn two_threads_run_on_two_os_threads() {
+        let ids = run_replicas(2, 2, |_| std::thread::current().id());
+        assert_ne!(ids[0], ids[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "replica 5 failed")]
+    fn a_panicking_replica_surfaces_its_own_message() {
+        run_replicas(7, 3, |i| {
+            assert_ne!(i, 5, "replica 5 failed");
+            i
+        });
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (partition restriction, verified on construction), the chunk sweep is
 //! embarrassingly parallel: the chunk's site list is split into one slice
 //! per worker and the slices run concurrently over a [`SharedCells`] view
-//! of the lattice. A barrier (the end of the rayon scope) separates chunks,
+//! of the lattice. A barrier (the join of the thread scope) separates chunks,
 //! mirroring the paper's "updates in the same partition can be done
 //! simultaneously".
 //!
@@ -14,9 +14,9 @@
 //! neighborhoods are disjoint, so no trial of a sweep can change what
 //! another one's mask says. The slices journal their writes and the
 //! barrier folds the journals into the kernel against the quiescent
-//! lattice — on the pool, each slice's journal into its own range of
-//! anchors ([`fold_journals`]) — and then, on the calling thread, into the
-//! coverage and the weighted selection's propensity cache.
+//! lattice — one thread per slice, each slice's journal into its own range
+//! of anchors ([`fold_journals`]) — and then, on the calling thread, into
+//! the coverage and the weighted selection's propensity cache.
 //!
 //! Determinism: every *trial* gets its own RNG stream, keyed by
 //! `(step, sweep position, site)` and derived from the master seed. Within
@@ -27,8 +27,7 @@
 //! splits the same partition across domains (psr-shard pins this with a
 //! differential test).
 
-use rayon::prelude::*;
-
+use crate::fork_join;
 use crate::shared::{Claim, ClaimTable, SharedCells};
 use psr_ca::partition::Partition;
 use psr_ca::pndca::ChunkSelection;
@@ -56,11 +55,10 @@ struct SliceOutcome {
 pub struct ParallelPndca<'m, 'p> {
     model: &'m Model,
     partition: &'p Partition,
-    pool: rayon::ThreadPool,
     threads: usize,
     alias: AliasTable,
     factory: StreamFactory,
-    checked: bool,
+    /// The claim table of checked mode; `None` runs unchecked.
     claims: Option<ClaimTable>,
     step: u64,
     conflicts: u64,
@@ -79,8 +77,7 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
     ///
     /// Panics if the partition violates the non-overlap restriction for
     /// `model` (this is the safety precondition of the unsafe shared-memory
-    /// sweep, so it is enforced in all build profiles), if `threads == 0`,
-    /// or if the rayon pool cannot be created.
+    /// sweep, so it is enforced in all build profiles) or if `threads == 0`.
     pub fn new(model: &'m Model, partition: &'p Partition, threads: usize, seed: u64) -> Self {
         assert!(
             partition.is_valid_for(model),
@@ -101,7 +98,7 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` or the rayon pool cannot be created.
+    /// Panics if `threads == 0`.
     pub unsafe fn new_unvalidated(
         model: &'m Model,
         partition: &'p Partition,
@@ -109,18 +106,12 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
         seed: u64,
     ) -> Self {
         assert!(threads > 0, "need at least one thread");
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("failed to build thread pool");
         ParallelPndca {
             model,
             partition,
-            pool,
             threads,
             alias: AliasTable::new(&model.rate_weights()),
             factory: StreamFactory::new(seed),
-            checked: false,
             claims: None,
             step: 0,
             conflicts: 0,
@@ -133,21 +124,8 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
 
     /// Enable the atomic claim table that dynamically verifies neighborhood
     /// disjointness (slower; for tests and debugging).
-    pub fn with_conflict_checking(mut self, lattice_sites: usize) -> Self {
-        self.checked = true;
-        self.claims = Some(ClaimTable::new(lattice_sites));
-        self
-    }
-
-    /// Shuffle chunk order each step (PNDCA strategy 2) instead of sweeping
-    /// in order. Shorthand for
-    /// [`with_selection`](Self::with_selection)`(ChunkSelection::RandomOrder)`.
-    pub fn with_random_chunk_order(mut self, yes: bool) -> Self {
-        self.selection = if yes {
-            ChunkSelection::RandomOrder
-        } else {
-            ChunkSelection::InOrder
-        };
+    pub fn with_conflict_checking(mut self) -> Self {
+        self.claims = Some(ClaimTable::new(self.partition.dims().sites() as usize));
         self
     }
 
@@ -166,11 +144,6 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
     /// was invalid and validation was bypassed).
     pub fn conflicts_detected(&self) -> u64 {
         self.conflicts
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Completed steps.
@@ -247,7 +220,7 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
                 // The barrier: the lattice is quiescent, fold the journals.
                 let journals: Vec<&[Change]> =
                     outcomes.iter().map(|o| o.changes.as_slice()).collect();
-                fold_journals(&self.pool, kernel, &state.lattice, &slices, &journals);
+                fold_journals(kernel, &state.lattice, &slices, &journals);
                 for outcome in &outcomes {
                     stats.trials += outcome.trials;
                     stats.executed += outcome.executed;
@@ -298,7 +271,6 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
         position: usize,
     ) -> Vec<SliceOutcome> {
         let shared = SharedCells::new(state.lattice.cells_mut(), self.partition.dims());
-        let claims = self.claims.as_ref().filter(|_| self.checked);
         // Keyed by sweep *position*, not chunk id: weighted selection and
         // with-replacement draws can sweep the same chunk twice in a step,
         // and each sweep must consume fresh streams.
@@ -308,11 +280,8 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
             position,
             self.partition.num_sites(),
         );
-        self.pool.install(|| {
-            slices
-                .par_iter()
-                .map(|sites| self.sweep_slice(kernel, &shared, sites, base_stream, claims))
-                .collect()
+        fork_join(slices.to_vec(), |sites| {
+            self.sweep_slice(kernel, &shared, sites, base_stream)
         })
     }
 
@@ -324,7 +293,6 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
         shared: &SharedCells<'_>,
         sites: &[Site],
         base_stream: u64,
-        claims: Option<&ClaimTable>,
     ) -> SliceOutcome {
         let dims = shared.dims();
         let mut outcome = SliceOutcome::default();
@@ -333,7 +301,7 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
             let reaction = self.alias.sample(&mut rng);
             outcome.trials += 1;
 
-            if let Some(table) = claims {
+            if let Some(table) = &self.claims {
                 let mut ok = true;
                 for t in self.model.reaction(reaction).transforms() {
                     let target = dims.translate(site, t.offset);
@@ -373,13 +341,12 @@ const MIN_PARALLEL_FOLD: usize = 2048;
 /// The chunk barrier's kernel fold. Slice `t` swept `slices[t]`, a
 /// contiguous run of the chunk's (ascending) site list, so its journal
 /// lands almost entirely on the anchors between its first site and the next
-/// slice's first: each such range folds its own journal on the pool, and
-/// only the entries that reach across a range border are left for the
+/// slice's first: each such range folds its own journal on its own thread,
+/// and only the entries that reach across a range border are left for the
 /// calling thread — the serial part of a barrier is the border, not the
 /// sweep's executed trials. Correct for any site order; an unsorted chunk
 /// merely leaves more to the tail.
-pub(crate) fn fold_journals(
-    pool: &rayon::ThreadPool,
+fn fold_journals(
     kernel: &mut SiteKernel,
     lattice: &Lattice,
     slices: &[&[Site]],
@@ -404,14 +371,10 @@ pub(crate) fn fold_journals(
         .into_iter()
         .zip(journals)
         .collect();
-    let tails: Vec<_> = pool.install(|| {
-        work.into_par_iter()
-            .map(|(mut range, journal)| {
-                let mut tail = Vec::new();
-                range.apply_changes(lattice, journal, &mut tail);
-                (range.sites(), tail)
-            })
-            .collect()
+    let tails = fork_join(work, |(mut range, journal)| {
+        let mut tail = Vec::new();
+        range.apply_changes(lattice, journal, &mut tail);
+        (range.sites(), tail)
     });
     for (sites, tail) in tails {
         kernel.apply_changes_outside(lattice, &tail, sites);
@@ -511,7 +474,7 @@ mod tests {
     #[test]
     fn barrier_fold_on_the_pool_keeps_the_kernel_exact() {
         // Big enough that a chunk sweep journals more than
-        // MIN_PARALLEL_FOLD writes, so the barrier folds on the pool; the
+        // MIN_PARALLEL_FOLD writes, so the barrier forks its fold; the
         // side is not a multiple of the slice count, so range borders cut
         // through lattice rows.
         let model = zgb_ziff(0.5, 0.2);
@@ -595,8 +558,7 @@ mod tests {
         let model = zgb_ziff(0.5, 3.0);
         let d = Dims::square(20);
         let p = five_coloring(d);
-        let mut exec =
-            ParallelPndca::new(&model, &p, 4, 11).with_conflict_checking(d.sites() as usize);
+        let mut exec = ParallelPndca::new(&model, &p, 4, 11).with_conflict_checking();
         let mut state = SimState::new(Lattice::filled(d, 0), &model);
         exec.run_steps(&mut state, 20, None);
         assert_eq!(exec.conflicts_detected(), 0);
@@ -614,8 +576,8 @@ mod tests {
         assert!(!p.is_valid_for(&model));
         // SAFETY: checked mode skips every trial whose claims conflict, so
         // no overlapping unsafe access actually happens.
-        let mut exec = unsafe { ParallelPndca::new_unvalidated(&model, &p, 4, 5) }
-            .with_conflict_checking(d.sites() as usize);
+        let mut exec =
+            unsafe { ParallelPndca::new_unvalidated(&model, &p, 4, 5) }.with_conflict_checking();
         let mut state = SimState::new(Lattice::filled(d, 0), &model);
         exec.run_steps(&mut state, 20, None);
         assert!(
@@ -638,7 +600,8 @@ mod tests {
         let model = zgb_ziff(0.4, 2.0);
         let d = Dims::square(15);
         let p = five_coloring(d);
-        let mut exec = ParallelPndca::new(&model, &p, 2, 3).with_random_chunk_order(true);
+        let mut exec =
+            ParallelPndca::new(&model, &p, 2, 3).with_selection(ChunkSelection::RandomOrder);
         let mut state = SimState::new(Lattice::filled(d, 0), &model);
         exec.run_steps(&mut state, 10, None);
         assert!(state.coverage.matches(&state.lattice));
@@ -674,7 +637,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let mut exec = ParallelPndca::new(&model, &p, threads, 5)
                 .with_selection(ChunkSelection::WeightedByRates)
-                .with_conflict_checking(d.sites() as usize);
+                .with_conflict_checking();
             let mut state = SimState::new(Lattice::filled(d, 0), &model);
             exec.run_steps(&mut state, 8, None);
             assert_eq!(exec.conflicts_detected(), 0);

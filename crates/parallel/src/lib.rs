@@ -7,9 +7,9 @@
 //! - [`shared`] — a `Sync` view of the lattice cells whose safety contract
 //!   is exactly the partition non-overlap restriction, plus an atomic claim
 //!   table that *verifies* the contract at runtime in checked mode;
-//! - [`executor`] — a threaded PNDCA: each chunk's sweep is split into
-//!   slices executed concurrently on a rayon pool, with per-slice
-//!   deterministic RNG streams;
+//! - [`executor`] — a threaded PNDCA: each chunk's sweep is split into one
+//!   slice per thread, forked and joined on `std::thread::scope`, with
+//!   per-trial deterministic RNG streams;
 //! - [`machine`] — an analytical parallel-machine model `T(p, N)` calibrated
 //!   against the sequential executor, used to regenerate the paper's Fig 7
 //!   speedup surface on hardware with fewer cores than the 2003 testbed
@@ -27,7 +27,6 @@ pub mod machine;
 pub mod segers;
 pub mod shared;
 pub mod speedup;
-pub mod tpndca_parallel;
 
 pub use ensemble::{run_ensemble, run_replicas, EnsembleSeries};
 pub use executor::{
@@ -36,4 +35,30 @@ pub use executor::{
 pub use machine::{MachineParams, SimulatedMachine};
 pub use segers::{CommStats, SegersDecomposition};
 pub use speedup::{measure_speedup, SpeedupRow};
-pub use tpndca_parallel::ParallelTPndca;
+
+/// Apply `f` to every item, one scoped thread per item, and return the
+/// results in item order. Item 0 runs on the calling thread (a single item
+/// spawns nothing); a worker's panic resumes on the caller with that
+/// worker's own payload.
+pub(crate) fn fork_join<I: Send, R: Send>(items: Vec<I>, f: impl Fn(I) -> R + Sync) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    if items.as_slice().is_empty() {
+        return vec![f(first)];
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        let mut results = Vec::with_capacity(workers.len() + 1);
+        results.push(f(first));
+        for worker in workers {
+            match worker.join() {
+                Ok(r) => results.push(r),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        results
+    })
+}

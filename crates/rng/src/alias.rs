@@ -7,7 +7,6 @@
 //! each sample costs one random index + one random comparison.
 
 use crate::pcg::Pcg32;
-use rand::RngCore;
 
 /// Precomputed alias table over weights `w_0..w_{n-1}`.
 ///

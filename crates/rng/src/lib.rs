@@ -1,7 +1,7 @@
 //! Reproducible random-number infrastructure for the PSR workspace.
 //!
-//! Stochastic lattice simulations need three things from their RNG that the
-//! default `rand` thread RNG does not give us directly:
+//! Stochastic lattice simulations need three things from their RNG that a
+//! general-purpose thread RNG does not give directly:
 //!
 //! 1. **Reproducibility** — a simulation must be exactly repeatable from a
 //!    single `u64` seed so that experiments in `EXPERIMENTS.md` can be
@@ -14,9 +14,7 @@
 //!    cumulative table and an O(1) Walker alias table.
 //!
 //! The generator is our own minimal PCG-XSH-RR 64/32 implementation (public
-//! domain algorithm by M.E. O'Neill). It implements [`rand::RngCore`] and
-//! [`rand::SeedableRng`] so the whole `rand` distribution ecosystem works on
-//! top of it.
+//! domain algorithm by M.E. O'Neill); the crate depends on std alone.
 
 #![warn(missing_docs)]
 
@@ -43,14 +41,13 @@ pub fn rng_from_seed(seed: u64) -> SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn rng_from_seed_is_reproducible() {
         let mut a = rng_from_seed(42);
         let mut b = rng_from_seed(42);
         for _ in 0..100 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 
@@ -58,7 +55,7 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = rng_from_seed(1);
         let mut b = rng_from_seed(2);
-        let same = (0..64).filter(|_| a.gen::<u64>() == b.gen::<u64>()).count();
+        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 2, "seeds 1 and 2 produced nearly identical output");
     }
 }

@@ -6,8 +6,6 @@
 //! and supports 2^63 independent *streams* selected by the increment — the
 //! property the parallel executor relies on.
 
-use rand::{Error, RngCore, SeedableRng};
-
 const MULTIPLIER: u64 = 6364136223846793005;
 /// `MULTIPLIER²` (wrapping): the LCG multiplier for a fused double step.
 const MULTIPLIER_SQ: u64 = MULTIPLIER.wrapping_mul(MULTIPLIER);
@@ -92,20 +90,39 @@ impl Pcg32 {
         Self::permute(old)
     }
 
+    /// Produce the next 64-bit output: two 32-bit outputs, the first in
+    /// the low half.
+    #[inline(always)]
+    pub fn next_u64(&mut self) -> u64 {
+        // Fused double step: s₂ = M·(M·s₀ + inc) + inc = M²·s₀ + (M+1)·inc
+        // (wrapping), so the cross-call dependency is one multiply-add
+        // instead of two — the trial loops of NDCA/RSM are serialized on
+        // this chain. Outputs are bit-identical to two `next_output` calls.
+        let s0 = self.state;
+        let s1 = s0.wrapping_mul(MULTIPLIER).wrapping_add(self.inc);
+        self.state = s0
+            .wrapping_mul(MULTIPLIER_SQ)
+            .wrapping_add(MULTIPLIER.wrapping_add(1).wrapping_mul(self.inc));
+        let lo = Self::permute(s0) as u64;
+        let hi = Self::permute(s1) as u64;
+        (hi << 32) | lo
+    }
+
     /// Uniform `u64` in `[0, bound)` without modulo bias (Lemire reduction
     /// on a 64-bit draw with rejection).
     #[inline]
     pub fn gen_below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0, "gen_below bound must be positive");
-        // 128-bit multiply-shift; reject the short interval to stay unbiased.
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128).wrapping_mul(bound as u128);
-            let lo = m as u64;
-            if lo >= bound || lo >= lo.wrapping_neg() % bound {
-                return (m >> 64) as u64;
+        // 128-bit multiply-shift; only a low word below `bound` can fall in
+        // the short interval, whose exact size is 2⁶⁴ mod bound.
+        let mut m = (self.next_u64() as u128) * bound as u128;
+        if (m as u64) < bound {
+            let t = bound.wrapping_neg() % bound;
+            while (m as u64) < t {
+                m = (self.next_u64() as u128) * bound as u128;
             }
         }
+        (m >> 64) as u64
     }
 
     /// Uniform `usize` index in `[0, n)`.
@@ -139,60 +156,6 @@ impl Pcg32 {
             delta >>= 1;
         }
         self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
-    }
-}
-
-impl RngCore for Pcg32 {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        self.next_output()
-    }
-
-    #[inline(always)]
-    fn next_u64(&mut self) -> u64 {
-        // Fused double step: s₂ = M·(M·s₀ + inc) + inc = M²·s₀ + (M+1)·inc
-        // (wrapping), so the cross-call dependency is one multiply-add
-        // instead of two — the trial loops of NDCA/RSM are serialized on
-        // this chain. Outputs are bit-identical to two `next_output` calls.
-        let s0 = self.state;
-        let s1 = s0.wrapping_mul(MULTIPLIER).wrapping_add(self.inc);
-        self.state = s0
-            .wrapping_mul(MULTIPLIER_SQ)
-            .wrapping_add(MULTIPLIER.wrapping_add(1).wrapping_mul(self.inc));
-        let lo = Self::permute(s0) as u64;
-        let hi = Self::permute(s1) as u64;
-        (hi << 32) | lo
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(4);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_output().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_output().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for Pcg32 {
-    type Seed = [u8; 16];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        let state = u64::from_le_bytes(seed[0..8].try_into().unwrap());
-        let stream = u64::from_le_bytes(seed[8..16].try_into().unwrap());
-        Pcg32::new(state, stream)
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Pcg32::new(state, 0xda3e_39cb_94b9_5bdb)
     }
 }
 
@@ -261,14 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_handles_odd_lengths() {
-        let mut rng = Pcg32::new(1, 1);
-        let mut buf = [0u8; 7];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
     fn state_roundtrip_resumes_exact_stream() {
         let mut rng = Pcg32::new(42, 54);
         for _ in 0..37 {
@@ -291,12 +246,33 @@ mod tests {
     }
 
     #[test]
-    fn seedable_from_seed_roundtrip() {
-        let mut seed = [0u8; 16];
-        seed[0] = 42;
-        seed[8] = 54;
-        let mut a = Pcg32::from_seed(seed);
-        let mut b = Pcg32::new(42, 54);
-        assert_eq!(a.next_output(), b.next_output());
+    fn next_u64_is_two_outputs_low_first() {
+        let mut a = Pcg32::new(42, 54);
+        let mut b = a.clone();
+        for _ in 0..100 {
+            let lo = b.next_output() as u64;
+            let hi = b.next_output() as u64;
+            assert_eq!(a.next_u64(), (hi << 32) | lo);
+        }
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn gen_below_has_no_bias_at_huge_bounds() {
+        // At bound = 2⁶³ + 1 the rejected short interval is almost half of
+        // all draws, so a threshold taken from the draw instead of the
+        // bound skews the output: [2⁶¹, 2⁶²) then comes up a third of the
+        // time instead of a quarter.
+        let bound = (1u64 << 63) + 1;
+        let mut rng = Pcg32::new(3, 17);
+        let n = 100_000;
+        let hits = (0..n)
+            .filter(|_| (1u64 << 61..1u64 << 62).contains(&rng.gen_below(bound)))
+            .count();
+        let freq = hits as f64 / n as f64;
+        assert!(
+            (freq - 0.25).abs() < 0.01,
+            "frequency {freq}, expected 0.25"
+        );
     }
 }

@@ -72,7 +72,6 @@ impl StreamFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
 
     #[test]
     fn splitmix_known_values() {

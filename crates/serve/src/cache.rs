@@ -37,7 +37,10 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// Open (creating if needed) the cache directory, rescanning existing
-    /// entries and seeding recency from their mtimes.
+    /// entries and seeding recency from their mtimes. Only regular
+    /// `<key>.jsonl` files are entries; a `<key>.tmp` left by a crash
+    /// between write and rename is deleted, and an entry that vanishes
+    /// mid-scan is skipped.
     ///
     /// # Errors
     ///
@@ -47,11 +50,23 @@ impl ResultCache {
         let mut found: Vec<(String, u64, u128)> = Vec::new();
         for e in std::fs::read_dir(dir)? {
             let e = e?;
+            let meta = match e.metadata() {
+                Ok(meta) if meta.is_file() => meta,
+                Ok(_) => continue,
+                Err(err) if err.kind() == std::io::ErrorKind::NotFound => continue,
+                Err(err) => return Err(err),
+            };
             let name = e.file_name();
-            let Some(key) = name.to_str().and_then(|n| n.strip_suffix(".jsonl")) else {
+            let Some(name) = name.to_str() else {
                 continue;
             };
-            let meta = e.metadata()?;
+            if name.ends_with(".tmp") {
+                let _ = std::fs::remove_file(e.path());
+                continue;
+            }
+            let Some(key) = name.strip_suffix(".jsonl") else {
+                continue;
+            };
             let mtime = meta
                 .modified()
                 .ok()
@@ -222,6 +237,20 @@ mod tests {
         let reopened = ResultCache::open(&dir, 1024).expect("reopen");
         assert_eq!(reopened.get("persist").as_deref(), Some(&b"data\n"[..]));
         assert_eq!(reopened.stats(), (1, 5));
+    }
+
+    #[test]
+    fn reopen_after_a_crash_indexes_regular_entries_only() {
+        let dir = std::env::temp_dir().join("psr_serve_cache_crashed");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("subdir.jsonl")).expect("mkdir");
+        std::fs::write(dir.join("subdir.jsonl/inner.jsonl"), [0u8; 64]).expect("inner");
+        std::fs::write(dir.join("done.jsonl"), b"data\n").expect("entry");
+        std::fs::write(dir.join("torn.tmp"), [0u8; 64]).expect("torn put");
+        let cache = ResultCache::open(&dir, 1024).expect("open");
+        assert_eq!(cache.stats(), (1, 5));
+        assert_eq!(cache.get("done").as_deref(), Some(&b"data\n"[..]));
+        assert!(!dir.join("torn.tmp").exists(), "orphaned temp file kept");
     }
 
     #[test]

@@ -6,11 +6,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+# --locked: a manifest change committed without its refreshed Cargo.lock
+# fails here instead of being patched over by the build.
+echo "==> cargo clippy --locked --workspace -D warnings"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --locked --release"
+cargo build --locked --release
 
 echo "==> cargo test -q"
 cargo test -q
