@@ -20,7 +20,7 @@ use std::sync::Arc;
 use psr_ca::pndca::ChunkSelection;
 use psr_ca::propensity::draw_weighted;
 use psr_ca::Partition;
-use psr_kernel::CompiledModel;
+use psr_kernel::{count_diff, group_weights, CompiledModel};
 use psr_lattice::{Dims, Lattice, Offset, Site};
 use psr_model::Model;
 use psr_rng::sample::shuffle;
@@ -204,7 +204,8 @@ pub struct BatchSim {
     /// `coverage[slot·num_states + s]` = sites of species `s`.
     coverage: Vec<u64>,
     /// `counts[(slot·chunks + c)·R + m]` = chunk-`c` sites with reaction
-    /// `m` enabled, maintained exactly like `ChunkPropensityCache`.
+    /// `m` enabled: per slot, the counts a single replica's kernel keeps
+    /// (`SiteKernel::attach_counts`), moved by the same [`count_diff`].
     prop_counts: Vec<u32>,
     // --- scratch ---
     orders: Vec<u32>,
@@ -331,9 +332,7 @@ impl BatchSim {
                     sites.extend(partition.chunk(ci).iter().map(|s| s.0));
                     range.push((start, sites.len() as u32));
                 }
-                let of = (0..n)
-                    .map(|s| partition.chunk_of(Site(s as u32)) as u32)
-                    .collect();
+                let of = partition.chunk_labels().to_vec();
                 let weighted = *selection == ChunkSelection::WeightedByRates;
                 (StepKind::Pndca(*selection), sites, range, of, weighted)
             }
@@ -380,14 +379,8 @@ impl BatchSim {
         let prop_counts = if weighted {
             let chunks = chunk_range.len();
             let mut base = vec![0u32; chunks * num_reactions];
-            for site in 0..n {
-                let mut bits = base_masks[site];
-                let cb = chunk_of[site] as usize * num_reactions;
-                while bits != 0 {
-                    let m = bits.trailing_zeros() as usize;
-                    base[cb + m] += 1;
-                    bits &= bits - 1;
-                }
+            for (&chunk, &mask) in chunk_of.iter().zip(&base_masks) {
+                count_diff(&mut base, num_reactions, chunk, 0, mask);
             }
             let mut counts = vec![0u32; slots * chunks * num_reactions];
             for slot in 0..slots {
@@ -704,23 +697,17 @@ impl BatchSim {
         }
     }
 
-    /// `w_c = Σ_m counts[c,m]·k_m` per chunk, in the accumulation order of
-    /// `ChunkPropensityCache::weights_into` (bit-identical totals).
+    /// The chunk weights of one slot, by the single-replica executors'
+    /// [`group_weights`] (bit-identical totals).
     fn fill_slot_weights(&mut self, slot: usize) {
-        let members = self.num_reactions;
-        let chunks = self.chunk_range.len();
-        let mut out = std::mem::take(&mut self.weights_scratch);
-        out.clear();
-        let base = slot * chunks * members;
-        for chunk in 0..chunks {
-            let cb = base + chunk * members;
-            let mut w = 0.0;
-            for (m, &rate) in self.rates.iter().enumerate() {
-                w += f64::from(self.prop_counts[cb + m]) * rate;
-            }
-            out.push(w);
-        }
-        self.weights_scratch = out;
+        let row = self.chunk_range.len() * self.num_reactions;
+        let counts = &self.prop_counts[slot * row..(slot + 1) * row];
+        group_weights(
+            counts,
+            &self.rates,
+            0..self.num_reactions,
+            &mut self.weights_scratch,
+        );
     }
 
     /// One trial of one slot at `site`: sample → mask test → (execute) →
@@ -749,19 +736,19 @@ impl BatchSim {
     /// Apply one executed reaction in one slot: transforms in declaration
     /// order, each folding its coverage transition and kernel update as it
     /// lands. The single-replica path journals first and folds after
-    /// (`ReactionType::execute` → `SimState::apply_changes` →
-    /// `SiteKernel::apply_changes` →
-    /// `ChunkPropensityCache::apply_changes_with_kernel`), but the folds
-    /// are commuting increments keyed only on each change's `(old, new)`
-    /// pair, so fusing them per transform is bit-identical — and skips the
-    /// journal allocation and a second pass over the stencil.
+    /// (`SimState::fire` → `SimState::apply_changes` →
+    /// `SiteKernel::apply_changes`, whose fold also moves the chunk
+    /// counts), but the folds are commuting increments keyed only on each
+    /// change's `(old, new)` pair, so fusing them per transform is
+    /// bit-identical — and skips the journal allocation.
     pub(crate) fn execute(&mut self, g: usize, l: usize, site: usize, reaction: usize) {
         let ns = self.n_sites;
         let c = self.num_cells;
         let slot = g * LANES + l;
         let lane = g * ns * LANES + l;
         let cov = slot * self.num_states;
-        let members = self.num_reactions;
+        let reactions = self.num_reactions;
+        let counts_row = self.chunk_range.len() * reactions;
         let tgt_row = site * self.num_exec_offsets;
         let (start, end) = self.exec_range[reaction];
         for k in start as usize..end as usize {
@@ -788,22 +775,9 @@ impl BatchSim {
                 let new_mask = self.lut_mask[code as usize];
                 let old_mask = self.masks[aidx];
                 self.masks[aidx] = new_mask;
-                // Mask-diff deltas telescope across the transforms to
-                // exactly the final-vs-initial refresh the single-replica
-                // cache performs after the kernel settles.
                 if self.weighted && old_mask != new_mask {
-                    let pc =
-                        (slot * self.chunk_range.len() + self.chunk_of[anchor] as usize) * members;
-                    let mut diff = old_mask ^ new_mask;
-                    while diff != 0 {
-                        let m = diff.trailing_zeros() as usize;
-                        if (new_mask >> m) & 1 != 0 {
-                            self.prop_counts[pc + m] += 1;
-                        } else {
-                            self.prop_counts[pc + m] -= 1;
-                        }
-                        diff &= diff - 1;
-                    }
+                    let counts = &mut self.prop_counts[slot * counts_row..][..counts_row];
+                    count_diff(counts, reactions, self.chunk_of[anchor], old_mask, new_mask);
                 }
             }
         }

@@ -8,8 +8,8 @@
 //! lanes change nothing for the others — the trajectory of slot `r` is a
 //! pure function of `seeds[r]`, not of the batch width.
 //!
-//! [`BatchRateMeter`] is the batched [`RateMeter`](psr_dmc::rate_meter::
-//! RateMeter): executed events bucket into fixed windows per slot, and the
+//! [`BatchRateMeter`] is the batched
+//! [`RateMeter`](psr_dmc::rate_meter::RateMeter): executed events bucket into fixed windows per slot, and the
 //! completed-window count is recovered from the slot's final clock — the
 //! single-replica meter rolls windows on every trial, and the last trial's
 //! clock *is* the final clock, so the two agree exactly.

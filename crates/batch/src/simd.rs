@@ -8,7 +8,7 @@
 //! eight alias-table loads from a register-resident table (which is why
 //! this path requires `alias.len() <= LANES`), and one 64-byte load
 //! fetches eight enabled masks (the site-row layout of
-//! [`BatchSim`](crate::BatchSim)).
+//! [`BatchSim`]).
 //!
 //! Bit-exactness notes:
 //!
@@ -24,7 +24,7 @@
 //!   masked updates — they draw nothing, exactly like a finished replica.
 //!
 //! Executed trials (a few percent) exit to the same scalar
-//! [`execute`](crate::BatchSim::execute) the scalar path uses.
+//! `BatchSim::execute` the scalar path uses.
 
 use std::arch::x86_64::*;
 

@@ -17,9 +17,9 @@
 //!   checkerboards, and the degenerate `m = 1` / `m = N` partitions;
 //! - [`pndca`] — the Partitioned NDCA with the four chunk-selection
 //!   strategies of §5;
-//! - [`propensity`] — the incremental per-chunk propensity cache that makes
-//!   the weighted chunk selection O(affected) per event instead of
-//!   O(N·|T|) per draw;
+//! - [`propensity`] — the weighted chunk draw, over the per-chunk counts
+//!   the kernel keeps beside its masks (O(|P|) per draw, nothing extra per
+//!   event);
 //! - [`lpndca`] — L-PNDCA: the general structure with a per-chunk trial
 //!   budget `L` interpolating between PNDCA and RSM;
 //! - [`tpndca`] — the Ω×T approach: partitioning the *reaction types* too,
@@ -54,6 +54,5 @@ pub use partition_builder::{
     singleton_chunks,
 };
 pub use pndca::{run_alternating, ChunkSelection, Pndca};
-pub use propensity::ChunkPropensityCache;
 pub use splitting::{squarest_grid, FractionalStepKmc, Schedule, SplitPlan, FS_STREAM_NAMESPACE};
 pub use tpndca::{axis_type_partition, TPndca, TypePartition};

@@ -104,6 +104,11 @@ impl Partition {
         self.chunk_of[site.0 as usize] as usize
     }
 
+    /// The chunk index of every site, by flat site id.
+    pub fn chunk_labels(&self) -> &[u32] {
+        &self.chunk_of
+    }
+
     /// Total number of sites.
     pub fn num_sites(&self) -> usize {
         self.chunk_of.len()

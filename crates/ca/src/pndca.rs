@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use crate::partition::Partition;
-use crate::propensity::ChunkPropensityCache;
+use crate::propensity::draw_weighted;
 use psr_dmc::events::{Event, EventHook};
 use psr_dmc::recorder::{drive_steps, drive_until, Recorder};
 use psr_dmc::rsm::{RunStats, TimeMode};
@@ -44,8 +44,9 @@ pub enum ChunkSelection {
     /// `|P|` independent uniform draws per step (chunks may repeat/skip).
     RandomWithReplacement,
     /// `|P|` draws weighted by each chunk's summed enabled-reaction rate,
-    /// served from the incremental [`ChunkPropensityCache`] (O(|P|) per
-    /// draw, O(affected) per executed event).
+    /// from the per-chunk counts the kernel keeps beside its masks
+    /// ([`SiteKernel::attach_counts`]): O(|P|) per draw, nothing extra per
+    /// executed event.
     WeightedByRates,
 }
 
@@ -86,8 +87,6 @@ pub struct Pndca<'m, 'p> {
     alias: AliasTable,
     time_mode: TimeMode,
     selection: ChunkSelection,
-    /// Incremental chunk weights, built lazily on the first weighted step.
-    cache: Option<ChunkPropensityCache>,
     compiled: Arc<CompiledModel>,
     /// Lattice-bound kernel, bound on every step.
     kernel: Option<SiteKernel>,
@@ -108,7 +107,6 @@ impl<'m, 'p> Pndca<'m, 'p> {
             alias: AliasTable::new(&model.rate_weights()),
             time_mode: TimeMode::Discretized,
             selection: ChunkSelection::InOrder,
-            cache: None,
             compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
@@ -140,12 +138,9 @@ impl<'m, 'p> Pndca<'m, 'p> {
         self.partition
     }
 
-    /// Simulate one chunk: one trial per site, sweeping the chunk.
-    ///
-    /// When a propensity cache is passed, every executed reaction's changes
-    /// are folded into it too, keeping the chunk weights exact as the sweep
-    /// proceeds. `nk` and `dt_disc` are the loop-invariant `N·K` and
-    /// `1/(N·K)` hoisted by the caller.
+    /// Simulate one chunk: one trial per site, sweeping the chunk. `nk` and
+    /// `dt_disc` are the loop-invariant `N·K` and `1/(N·K)` hoisted by the
+    /// caller.
     #[allow(clippy::too_many_arguments)]
     fn sweep_chunk(
         &self,
@@ -155,7 +150,6 @@ impl<'m, 'p> Pndca<'m, 'p> {
         changes: &mut Vec<(Site, u8, u8)>,
         stats: &mut RunStats,
         hook: &mut impl EventHook,
-        mut cache: Option<&mut ChunkPropensityCache>,
         kernel: &mut SiteKernel,
         nk: f64,
         dt_disc: f64,
@@ -163,12 +157,6 @@ impl<'m, 'p> Pndca<'m, 'p> {
         for &site in self.partition.chunk(chunk) {
             let reaction = self.alias.sample(rng);
             let executed = state.fire(kernel, site, reaction, changes);
-            if executed {
-                if let Some(c) = cache.as_deref_mut() {
-                    c.apply_changes(kernel, self.partition, changes);
-                    c.note_epoch(state.mutation_epoch());
-                }
-            }
             state.time += match self.time_mode {
                 TimeMode::Stochastic => exponential(rng, nk),
                 TimeMode::Discretized => dt_disc,
@@ -182,22 +170,6 @@ impl<'m, 'p> Pndca<'m, 'p> {
                 executed,
             });
         }
-    }
-
-    /// Build (or refresh) the propensity cache for the current lattice.
-    fn take_fresh_cache(&mut self, state: &SimState) -> ChunkPropensityCache {
-        let mut cache = self.cache.take().unwrap_or_else(|| {
-            let mut c = ChunkPropensityCache::new(self.model, self.partition, &state.lattice);
-            c.note_epoch(state.mutation_epoch());
-            c
-        });
-        cache.ensure_fresh(
-            self.model,
-            self.partition,
-            &state.lattice,
-            state.mutation_epoch(),
-        );
-        cache
     }
 
     /// Run one PNDCA step (each strategy performs `|P|` chunk sweeps).
@@ -220,21 +192,22 @@ impl<'m, 'p> Pndca<'m, 'p> {
             &state.lattice,
             state.mutation_epoch(),
         );
-        let mut cache = (self.selection == ChunkSelection::WeightedByRates)
-            .then(|| self.take_fresh_cache(state));
+        if self.selection == ChunkSelection::WeightedByRates && !kernel.is_counting() {
+            kernel.attach_counts(self.partition.chunk_labels().to_vec(), m);
+        }
         let mut order: Vec<usize> = (0..m).collect();
         if self.selection == ChunkSelection::RandomOrder {
             shuffle(rng, &mut order);
         }
         let mut weights = Vec::new();
         for &scheduled in &order {
-            let chunk = match (&cache, self.selection) {
-                (Some(cache), _) => {
-                    cache.weights_into(&mut weights);
-                    crate::propensity::draw_weighted(rng, &weights)
+            let chunk = match self.selection {
+                ChunkSelection::WeightedByRates => {
+                    kernel.weights_into(0, 0..self.model.num_reactions(), &mut weights);
+                    draw_weighted(rng, &weights)
                 }
-                (None, ChunkSelection::RandomWithReplacement) => rng.index(m),
-                (None, _) => scheduled,
+                ChunkSelection::RandomWithReplacement => rng.index(m),
+                ChunkSelection::InOrder | ChunkSelection::RandomOrder => scheduled,
             };
             self.sweep_chunk(
                 chunk,
@@ -243,16 +216,10 @@ impl<'m, 'p> Pndca<'m, 'p> {
                 &mut changes,
                 &mut stats,
                 hook,
-                cache.as_mut(),
                 kernel,
                 nk,
                 dt_disc,
             );
-        }
-        if let Some(cache) = cache {
-            #[cfg(debug_assertions)]
-            cache.assert_matches_scan(self.model, self.partition, &state.lattice);
-            self.cache = Some(cache);
         }
         self.kernel = slot;
         stats

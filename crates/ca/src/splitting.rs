@@ -36,11 +36,11 @@ use psr_dmc::events::{Event, EventHook};
 use psr_dmc::recorder::Recorder;
 use psr_dmc::rsm::RunStats;
 use psr_dmc::sim::SimState;
-use psr_dmc::vssm::SiteSet;
+use psr_dmc::vssm::EnabledIndex;
 use psr_kernel::{CompiledModel, SiteKernel};
-use psr_lattice::{Dims, Lattice, Site};
+use psr_lattice::{Dims, Site};
 use psr_model::Model;
-use psr_rng::{exponential, SimRng, StreamFactory};
+use psr_rng::{SimRng, StreamFactory};
 
 /// XOR-folded into the master seed so fractional-step streams can never
 /// collide with `rng_from_seed(seed)` (= stream 0 of the unsalted factory).
@@ -285,9 +285,9 @@ pub struct FractionalStepKmc<'m, 'p> {
     slots: Vec<Slot>,
     /// Index of the next window to run (`set_start_window` on resume).
     next_window: u64,
-    /// Per-reaction enabled-anchor sets, rebuilt per (slot, block) and
-    /// restricted to the active block; allocations reused across blocks.
-    enabled: Vec<SiteSet>,
+    /// `Vssm`'s enabled index, rebuilt per (slot, block) over the active
+    /// block only; allocations reused across blocks.
+    index: EnabledIndex,
     compiled: Arc<CompiledModel>,
     /// Lattice-bound kernel, bound on every `run_windows`.
     kernel: Option<SiteKernel>,
@@ -314,7 +314,7 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
             factory: StreamFactory::new(seed ^ FS_STREAM_NAMESPACE),
             slots,
             next_window: 0,
-            enabled: Vec::new(),
+            index: EnabledIndex::new(&model.rate_weights(), plan.partition().num_sites()),
             compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
@@ -347,77 +347,14 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
         self.window * (window as f64 + frac)
     }
 
-    /// Rebuild the enabled sets for `block` from the current lattice. The
-    /// per-set insertion order (block sites row-major) matches a fresh
-    /// [`Vssm::new`](psr_dmc::Vssm::new) scan when the block is the whole
-    /// lattice — the single-chunk bit-identity hinges on this.
-    fn rebuild_block_sets(&mut self, kernel: &SiteKernel, state: &SimState, block: usize) {
-        let n = state.lattice.len();
-        let reactions = self.model.num_reactions();
-        if self.enabled.len() != reactions
-            || self
-                .enabled
-                .first()
-                .is_some_and(|s| s.capacity_sites() != n)
-        {
-            self.enabled = vec![SiteSet::new(n); reactions];
-        } else {
-            for set in &mut self.enabled {
-                set.clear();
-            }
-        }
-        let sites = self.plan.partition.chunk(block);
-        for (ri, set) in self.enabled.iter_mut().enumerate() {
-            for &site in sites {
-                if kernel.is_enabled(site, ri, |s| state.lattice.get(s)) {
-                    set.insert(site);
-                }
-            }
-        }
-    }
-
-    /// Summed rate of the active block's enabled reactions.
-    fn total_propensity(&self) -> f64 {
-        self.model
-            .reactions()
-            .iter()
-            .zip(&self.enabled)
-            .map(|(rt, set)| rt.rate() * set.len() as f64)
-            .sum()
-    }
-
-    /// Re-examine enabledness of anchors that could touch `changed_site`,
-    /// restricted to anchors inside the active `block` — anchors in frozen
-    /// blocks are picked up when their own fractional step rebuilds its
-    /// sets. Visits the exact `(reaction, anchor)` sequence of
-    /// [`Vssm`](psr_dmc::Vssm) so the swap-remove order matches.
-    fn refresh_around_in_block(
-        &mut self,
-        kernel: &SiteKernel,
-        lattice: &Lattice,
-        changed_site: Site,
-        block: usize,
-    ) {
-        let partition = &self.plan.partition;
-        for (ri, set) in self.enabled.iter_mut().enumerate() {
-            for r in kernel.compiled().requirements(ri) {
-                let anchor = kernel.anchor(changed_site, r.cell as usize);
-                if partition.chunk_of(anchor) != block {
-                    continue;
-                }
-                if kernel.is_enabled(anchor, ri, |s| lattice.get(s)) {
-                    set.insert(anchor);
-                } else {
-                    set.remove(anchor);
-                }
-            }
-        }
-    }
-
     /// Exact KMC on `block` from `t_lo` to `t_hi` (absolute clock values on
-    /// the block's own integrated window clock), drawing from `rng` in the
-    /// exact per-event order of [`Vssm::step_until`](psr_dmc::Vssm): total →
-    /// exponential → reaction scan → site sample.
+    /// the block's own integrated window clock): [`Vssm`](psr_dmc::Vssm)'s
+    /// stepping over an index of the block's sites, so events are drawn in
+    /// its exact per-event order (total → exponential → reaction scan → site
+    /// sample). Anchors in frozen blocks stay out of the index; their own
+    /// fractional step rebuilds it. The per-set insertion order (block
+    /// sites row-major) matches a fresh `Vssm::new` scan when the block is
+    /// the whole lattice — the single-chunk bit-identity hinges on this.
     #[allow(clippy::too_many_arguments)]
     fn run_block_slot(
         &mut self,
@@ -430,43 +367,29 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
         changes: &mut Vec<(Site, u8, u8)>,
         hook: &mut impl EventHook,
     ) -> u64 {
-        self.rebuild_block_sets(kernel, state, block);
+        let partition = &self.plan.partition;
+        let sites = partition.chunk(block).iter().copied();
+        self.index.rebuild(sites, |site, ri| {
+            kernel.is_enabled(site, ri, |s| state.lattice.get(s))
+        });
+        let in_block = |anchor| partition.chunk_of(anchor) == block;
         let mut t = t_lo;
         let mut events = 0u64;
-        loop {
-            let total = self.total_propensity();
-            if total <= 0.0 {
-                break;
-            }
-            let dt = exponential(rng, total);
+        while let Some((total, dt)) = self.index.waiting_time(rng) {
             if t + dt > t_hi {
                 // The overshooting draw is consumed, exactly as VSSM's
                 // clamped step consumes it.
                 break;
             }
-            let mut x = rng.f64() * total;
-            let mut chosen = self.enabled.len() - 1;
-            for (ri, set) in self.enabled.iter().enumerate() {
-                let w = self.model.reaction(ri).rate() * set.len() as f64;
-                if x < w {
-                    chosen = ri;
-                    break;
-                }
-                x -= w;
-            }
-            // Guard against float drift selecting an empty set.
-            if self.enabled[chosen].is_empty() {
-                match self.enabled.iter().position(|s| !s.is_empty()) {
-                    Some(fallback) => chosen = fallback,
-                    None => break,
-                }
-            }
-            let site = self.enabled[chosen].sample(rng);
+            let Some((chosen, site)) = self.index.pick(rng, total) else {
+                break;
+            };
             t += dt;
             let executed = state.fire(kernel, site, chosen, changes);
             debug_assert!(executed, "enabled index held a disabled reaction");
             for &(z, _, _) in changes.iter() {
-                self.refresh_around_in_block(kernel, &state.lattice, z, block);
+                self.index
+                    .refresh_around(kernel, &state.lattice, z, in_block);
             }
             hook.on_event(Event {
                 time: t,
@@ -570,6 +493,7 @@ impl<'m, 'p> FractionalStepKmc<'m, 'p> {
 mod tests {
     use super::*;
     use psr_dmc::events::NoHook;
+    use psr_lattice::Lattice;
     use psr_model::library::zgb::zgb_ziff;
     use psr_model::ModelBuilder;
 

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crate::partition::Partition;
 use crate::partition_builder::checkerboard;
-use crate::propensity::{draw_weighted, ChunkPropensityCache};
+use crate::propensity::draw_weighted;
 use psr_dmc::events::{Event, EventHook};
 use psr_dmc::recorder::{drive_steps, drive_until, Recorder};
 use psr_dmc::rsm::{RunStats, TimeMode};
@@ -144,10 +144,6 @@ pub struct TPndca<'m> {
     /// instead of uniformly (the Ω×T analogue of
     /// [`ChunkSelection::WeightedByRates`](crate::pndca::ChunkSelection)).
     weighted_chunks: bool,
-    /// Per-subset incremental propensity caches, built lazily on the first
-    /// weighted step. All subsets' caches are updated on every executed
-    /// reaction so none goes stale mid-step.
-    caches: Option<Vec<ChunkPropensityCache>>,
     compiled: Arc<CompiledModel>,
     /// Lattice-bound kernel, bound on every step.
     kernel: Option<SiteKernel>,
@@ -185,7 +181,6 @@ impl<'m> TPndca<'m> {
             types,
             time_mode: TimeMode::Discretized,
             weighted_chunks: false,
-            caches: None,
             compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
@@ -198,10 +193,11 @@ impl<'m> TPndca<'m> {
     }
 
     /// Draw each swept chunk weighted by `count·k` of the selected reaction
-    /// type (served from per-subset [`ChunkPropensityCache`]s) instead of
-    /// uniformly. Subset and member-type draws are unchanged; only the
-    /// chunk draw gains the weighting, concentrating sweeps where the
-    /// chosen type is actually enabled.
+    /// type instead of uniformly: the kernel counts enabled sites per chunk
+    /// of every subset's partition, one group map each
+    /// ([`SiteKernel::attach_counts`]). Subset and member-type draws are
+    /// unchanged; only the chunk draw gains the weighting, concentrating
+    /// sweeps where the chosen type is actually enabled.
     ///
     /// # Panics
     ///
@@ -229,33 +225,6 @@ impl<'m> TPndca<'m> {
         };
     }
 
-    /// Build (or refresh) the per-subset propensity caches.
-    fn take_fresh_caches(&mut self, state: &SimState) -> Vec<ChunkPropensityCache> {
-        let mut caches = self.caches.take().unwrap_or_else(|| {
-            (0..self.types.num_subsets())
-                .map(|j| {
-                    let mut c = ChunkPropensityCache::for_reactions(
-                        self.model,
-                        &self.types.subsets[j],
-                        &self.types.partitions[j],
-                        &state.lattice,
-                    );
-                    c.note_epoch(state.mutation_epoch());
-                    c
-                })
-                .collect()
-        });
-        for (j, c) in caches.iter_mut().enumerate() {
-            c.ensure_fresh(
-                self.model,
-                &self.types.partitions[j],
-                &state.lattice,
-                state.mutation_epoch(),
-            );
-        }
-        caches
-    }
-
     /// One step: `|T|` subset draws, each sweeping one chunk with one
     /// reaction type.
     pub fn step(
@@ -266,11 +235,6 @@ impl<'m> TPndca<'m> {
     ) -> RunStats {
         let mut stats = RunStats::default();
         let mut changes: Vec<(Site, u8, u8)> = Vec::with_capacity(4);
-        let mut caches = if self.weighted_chunks {
-            Some(self.take_fresh_caches(state))
-        } else {
-            None
-        };
         let mut slot = self.kernel.take();
         let kernel = SiteKernel::bind(
             &mut slot,
@@ -278,32 +242,26 @@ impl<'m> TPndca<'m> {
             &state.lattice,
             state.mutation_epoch(),
         );
+        if self.weighted_chunks && !kernel.is_counting() {
+            for partition in &self.types.partitions {
+                kernel.attach_counts(partition.chunk_labels().to_vec(), partition.num_chunks());
+            }
+        }
         let mut weights: Vec<f64> = Vec::new();
         for _ in 0..self.types.num_subsets() {
             let j = self.subset_alias.sample(rng);
             let member = self.member_alias[j].sample(rng);
             let ri = self.types.subsets[j][member];
             let partition = &self.types.partitions[j];
-            let chunk = match caches.as_ref() {
-                Some(cs) => {
-                    cs[j].member_weights_into(member, &mut weights);
-                    draw_weighted(rng, &weights)
-                }
-                None => rng.index(partition.num_chunks()),
+            let chunk = if self.weighted_chunks {
+                kernel.weights_into(j, ri..ri + 1, &mut weights);
+                draw_weighted(rng, &weights)
+            } else {
+                rng.index(partition.num_chunks())
             };
             for idx in 0..partition.chunk(chunk).len() {
                 let site = partition.chunk(chunk)[idx];
                 let executed = state.fire(kernel, site, ri, &mut changes);
-                if executed {
-                    if let Some(cs) = caches.as_mut() {
-                        // A change can flip enabledness of types in every
-                        // subset, so all caches absorb it.
-                        for (jj, c) in cs.iter_mut().enumerate() {
-                            c.apply_changes(kernel, &self.types.partitions[jj], &changes);
-                            c.note_epoch(state.mutation_epoch());
-                        }
-                    }
-                }
                 self.advance(state, rng);
                 stats.trials += 1;
                 stats.executed += executed as u64;
@@ -314,13 +272,6 @@ impl<'m> TPndca<'m> {
                     executed,
                 });
             }
-        }
-        if let Some(cs) = caches {
-            #[cfg(debug_assertions)]
-            for (j, c) in cs.iter().enumerate() {
-                c.assert_matches_scan(self.model, &self.types.partitions[j], &state.lattice);
-            }
-            self.caches = Some(cs);
         }
         self.kernel = slot;
         stats
@@ -436,8 +387,8 @@ mod tests {
 
     #[test]
     fn weighted_chunks_reach_mixed_coverage_with_exact_caches() {
-        // Exercises the per-subset caches (and, in debug builds, the
-        // assert_matches_scan consistency check after every step).
+        // Exercises the per-subset counts (and, in debug builds, their
+        // recount check at the end of the run call).
         let model = zgb_ziff(0.5, 5.0);
         let d = Dims::square(20);
         let tp = axis_type_partition(&model, d);

@@ -5,11 +5,10 @@ use psr_ca::ndca::Ndca;
 use psr_ca::partition::Partition;
 use psr_ca::partition_builder::{five_coloring, greedy_coloring, singleton_chunks};
 use psr_ca::pndca::{ChunkSelection, Pndca};
-use psr_ca::propensity::ChunkPropensityCache;
 use psr_dmc::events::{Event, EventHook};
 use psr_dmc::rsm::Rsm;
 use psr_dmc::sim::SimState;
-use psr_kernel::{CompiledModel, SiteKernel};
+use psr_kernel::{CompiledModel, SiteKernel, DEFAULT_LUT_CAP, NO_GROUP};
 use psr_lattice::{Dims, Lattice, Site};
 use psr_model::library::kuzovkov::{kuzovkov_model, KuzovkovParams};
 use psr_model::library::zgb::zgb_ziff;
@@ -136,30 +135,39 @@ proptest! {
     }
 }
 
-/// Execute `n` randomly drawn reactions at randomly drawn sites directly on
-/// the lattice, mirroring every successful one into a kernel and through it
-/// into the cache.
-fn random_executions(
-    model: &Model,
-    partition: &Partition,
-    lattice: &mut Lattice,
-    cache: &mut ChunkPropensityCache,
-    seed: u64,
-    n: usize,
-) {
-    let mut kernel = SiteKernel::new(Arc::new(CompiledModel::compile(model)), lattice);
-    let mut rng = rng_from_seed(seed);
-    let mut changes = Vec::new();
-    let sites = partition.dims().sites();
-    for _ in 0..n {
-        let ri = rng.index(model.num_reactions());
-        let site = Site(rng.index(sites as usize) as u32);
-        changes.clear();
-        if model.reaction(ri).try_execute(lattice, site, &mut changes) {
-            kernel.apply_changes(lattice, &changes);
-            cache.apply_changes(&kernel, partition, &changes);
+/// In LUT and in mask mode: a kernel counting enabled sites per chunk of
+/// `partition`, and per chunk of the same partition with every third site
+/// a hole (`NO_GROUP`, like a shard's halo cells), folds 300 randomly drawn
+/// reactions executed at randomly drawn sites directly on the lattice and
+/// still agrees with a recount from the model's own matcher.
+fn kernel_counts_match_scan(model: &Model, partition: &Partition, seed: u64) -> bool {
+    let chunks = partition.chunk_labels();
+    let holey = chunks.iter().enumerate();
+    let holey: Vec<u32> = holey
+        .map(|(s, &c)| if s % 3 == 0 { NO_GROUP } else { c })
+        .collect();
+    [DEFAULT_LUT_CAP, 0].into_iter().all(|cap| {
+        let mut lattice = Lattice::filled(partition.dims(), 0);
+        let compiled = CompiledModel::compile_with_cap(model, cap);
+        let mut kernel = SiteKernel::new(Arc::new(compiled), &lattice);
+        kernel.attach_counts(chunks.to_vec(), partition.num_chunks());
+        kernel.attach_counts(holey.clone(), partition.num_chunks());
+        let mut rng = rng_from_seed(seed);
+        let mut changes = Vec::new();
+        for _ in 0..300 {
+            let ri = rng.index(model.num_reactions());
+            let site = Site(rng.index(lattice.len()) as u32);
+            changes.clear();
+            if model
+                .reaction(ri)
+                .try_execute(&mut lattice, site, &mut changes)
+            {
+                kernel.apply_changes(&lattice, &changes);
+            }
         }
-    }
+        kernel.assert_matches_scan(model, &lattice);
+        kernel.matches_scan(model, &lattice)
+    })
 }
 
 proptest! {
@@ -168,13 +176,8 @@ proptest! {
     #[test]
     fn propensity_cache_matches_scan_on_zgb(seed in 0u64..1000) {
         let model = zgb_ziff(0.45, 5.0);
-        let dims = Dims::square(10);
-        let p = five_coloring(dims);
-        let mut lattice = Lattice::filled(dims, 0);
-        let mut cache = ChunkPropensityCache::new(&model, &p, &lattice);
-        random_executions(&model, &p, &mut lattice, &mut cache, seed, 300);
-        prop_assert!(cache.matches_scan(&model, &p, &lattice));
-        cache.assert_matches_scan(&model, &p, &lattice);
+        let p = five_coloring(Dims::square(10));
+        prop_assert!(kernel_counts_match_scan(&model, &p, seed));
     }
 
     #[test]
@@ -182,13 +185,8 @@ proptest! {
         // Kuzovkov has phase-transformation reactions with larger
         // neighborhoods than ZGB — a harder stencil test.
         let model = kuzovkov_model(KuzovkovParams::default());
-        let dims = Dims::new(9, 7);
-        let p = greedy_coloring(dims, &model);
-        let mut lattice = Lattice::filled(dims, 0);
-        let mut cache = ChunkPropensityCache::new(&model, &p, &lattice);
-        random_executions(&model, &p, &mut lattice, &mut cache, seed, 300);
-        prop_assert!(cache.matches_scan(&model, &p, &lattice));
-        cache.assert_matches_scan(&model, &p, &lattice);
+        let p = greedy_coloring(Dims::new(9, 7), &model);
+        prop_assert!(kernel_counts_match_scan(&model, &p, seed));
     }
 }
 

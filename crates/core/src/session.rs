@@ -11,8 +11,9 @@
 //! Resume fidelity relies on two properties of the step-driven algorithms:
 //! the RNG consumption of a step depends only on the (state, RNG) pair at
 //! its start — there is no hidden cross-step generator state — and every
-//! auxiliary structure (propensity caches, alias tables) is a pure function
-//! of the model and lattice, so it can be rebuilt after a restore. The
+//! auxiliary structure (kernel masks and enabled-set counts, alias tables)
+//! is a pure function of the model and lattice, so it can be rebuilt after
+//! a restore. The
 //! free-running event-driven algorithms (VSSM, FRM) carry pending-event
 //! queues that are *not* pure functions of the lattice; they are rejected
 //! at session construction. The fractional-step splitting executor

@@ -44,5 +44,5 @@ pub use rate_meter::RateMeter;
 pub use recorder::Recorder;
 pub use rsm::{Rsm, RunStats, TimeMode};
 pub use sim::SimState;
-pub use vssm::{SiteSet, Vssm};
+pub use vssm::{EnabledIndex, Vssm};
 pub use vssm_tree::VssmTree;

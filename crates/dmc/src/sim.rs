@@ -18,12 +18,13 @@ pub struct SimState {
     /// Simulated (real) time.
     pub time: f64,
     /// Monotone mutation epoch: bumped whenever the lattice is changed
-    /// through this state's tracked entry points ([`apply_changes`]
-    /// (Self::apply_changes), [`randomize`](Self::randomize), or an explicit
+    /// through this state's tracked entry points
+    /// ([`apply_changes`](Self::apply_changes),
+    /// [`randomize`](Self::randomize), or an explicit
     /// [`bump_mutations`](Self::bump_mutations) after direct lattice
-    /// writes). Incremental caches (the per-chunk propensity cache in
-    /// `psr-ca`) compare this against their last-seen epoch to detect that
-    /// the lattice changed behind their back and a rescan is needed.
+    /// writes). A [`SiteKernel`] compares it against its last-seen epoch
+    /// ([`SiteKernel::bind`]) to detect that the lattice changed behind its
+    /// back, and then rebuilds its codes, masks and enabled-set counts.
     mutations: u64,
 }
 
@@ -96,8 +97,10 @@ impl SimState {
 
     /// The debug-build check executors end a run call with: the kernel kept
     /// in `slot`, if it claims to reflect this state's mutation epoch,
-    /// [`matches_scan`](SiteKernel::matches_scan). O(N·|T|), so once per
-    /// run call, not per step.
+    /// [`matches_scan`](SiteKernel::matches_scan) — its masks, and the
+    /// enabled-set counts of weighted selection, against a recount from
+    /// [`Model::enabled_mask_at`]. O(N·|T|), so once per run call, not per
+    /// step.
     pub fn agrees_with(&self, slot: &Option<SiteKernel>, model: &Model) -> bool {
         slot.as_ref()
             .is_none_or(|k| k.epoch() != self.mutations || k.matches_scan(model, &self.lattice))

@@ -20,14 +20,10 @@ use psr_model::Model;
 use psr_rng::{exponential, SimRng};
 
 /// For one reaction type: the set of sites where it is enabled, supporting
-/// O(1) insert/remove/sample (swap-remove with a position map).
-///
-/// Public because the fractional-step executor in `psr-ca` maintains the
-/// same per-reaction enabled index for its within-window exact KMC; the
-/// swap-remove iteration order is part of the trajectory contract, so both
-/// executors must share one implementation.
+/// O(1) insert/remove/sample (swap-remove with a position map, so the
+/// insertion and removal order is part of the trajectory).
 #[derive(Clone, Debug)]
-pub struct SiteSet {
+struct SiteSet {
     sites: Vec<Site>,
     /// `pos[site] = index + 1` in `sites`, or 0 when absent.
     pos: Vec<u32>,
@@ -35,7 +31,7 @@ pub struct SiteSet {
 
 impl SiteSet {
     /// An empty set over a lattice of `num_sites` sites.
-    pub fn new(num_sites: usize) -> Self {
+    fn new(num_sites: usize) -> Self {
         SiteSet {
             sites: Vec::new(),
             pos: vec![0; num_sites],
@@ -43,22 +39,22 @@ impl SiteSet {
     }
 
     /// Number of sites currently in the set.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.sites.len()
     }
 
     /// True when the set is empty.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.sites.is_empty()
     }
 
     /// Membership test.
-    pub fn contains(&self, site: Site) -> bool {
+    fn contains(&self, site: Site) -> bool {
         self.pos[site.0 as usize] != 0
     }
 
     /// Insert `site` (no-op when already present).
-    pub fn insert(&mut self, site: Site) {
+    fn insert(&mut self, site: Site) {
         if !self.contains(site) {
             self.sites.push(site);
             self.pos[site.0 as usize] = self.sites.len() as u32;
@@ -66,7 +62,7 @@ impl SiteSet {
     }
 
     /// Remove `site` (no-op when absent); swap-remove, order-affecting.
-    pub fn remove(&mut self, site: Site) {
+    fn remove(&mut self, site: Site) {
         let p = self.pos[site.0 as usize];
         if p == 0 {
             return;
@@ -81,21 +77,138 @@ impl SiteSet {
     }
 
     /// Draw a member uniformly (one `rng.index` consumption).
-    pub fn sample(&self, rng: &mut SimRng) -> Site {
+    fn sample(&self, rng: &mut SimRng) -> Site {
         self.sites[rng.index(self.sites.len())]
     }
 
     /// Remove every site, keeping the allocation.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         for &s in &self.sites {
             self.pos[s.0 as usize] = 0;
         }
         self.sites.clear();
     }
+}
 
-    /// Number of site slots the position map covers.
-    pub fn capacity_sites(&self) -> usize {
-        self.pos.len()
+/// VSSM's enabled-reaction index: per reaction type, the set of sites where
+/// it is enabled, and the draw of the next event from those sets.
+///
+/// [`Vssm`] keeps one over the whole lattice; the fractional-step executor
+/// in `psr-ca` keeps one over the block it is running, so its within-block
+/// exact KMC consumes randomness and visits sites exactly as `Vssm` does.
+#[derive(Clone, Debug)]
+pub struct EnabledIndex {
+    rates: Vec<f64>,
+    sets: Vec<SiteSet>,
+}
+
+impl EnabledIndex {
+    /// An empty index for reactions of rate constants `rates` over a
+    /// lattice of `num_sites` sites.
+    pub fn new(rates: &[f64], num_sites: usize) -> Self {
+        EnabledIndex {
+            rates: rates.to_vec(),
+            sets: vec![SiteSet::new(num_sites); rates.len()],
+        }
+    }
+
+    /// Empty the index, then insert every site of `sites` where
+    /// `enabled(site, reaction)` holds; each set receives its sites in the
+    /// order of `sites`.
+    pub fn rebuild(
+        &mut self,
+        sites: impl IntoIterator<Item = Site>,
+        enabled: impl Fn(Site, usize) -> bool,
+    ) {
+        for set in &mut self.sets {
+            set.clear();
+        }
+        for site in sites {
+            for (ri, set) in self.sets.iter_mut().enumerate() {
+                if enabled(site, ri) {
+                    set.insert(site);
+                }
+            }
+        }
+    }
+
+    /// Re-examine the anchors whose patterns can read `changed`: for every
+    /// reaction, the anchors `changed − offset` in transform order, skipping
+    /// those `keep` rejects. The swap-remove sets make this visiting order
+    /// part of the trajectory.
+    pub fn refresh_around(
+        &mut self,
+        kernel: &SiteKernel,
+        lattice: &Lattice,
+        changed: Site,
+        keep: impl Fn(Site) -> bool,
+    ) {
+        for (ri, set) in self.sets.iter_mut().enumerate() {
+            for r in kernel.compiled().requirements(ri) {
+                let anchor = kernel.anchor(changed, r.cell as usize);
+                if !keep(anchor) {
+                    continue;
+                }
+                if kernel.is_enabled(anchor, ri, |s| lattice.get(s)) {
+                    set.insert(anchor);
+                } else {
+                    set.remove(anchor);
+                }
+            }
+        }
+    }
+
+    /// Summed rate of the enabled reactions, `Σ k·|set|` in reaction order.
+    #[inline]
+    pub fn total(&self) -> f64 {
+        self.rates
+            .iter()
+            .zip(&self.sets)
+            .map(|(k, set)| k * set.len() as f64)
+            .sum()
+    }
+
+    /// The [`total`](Self::total) and a waiting time `Exp(total)` drawn
+    /// from it; `None`, drawing nothing, when no reaction is enabled.
+    #[inline]
+    pub fn waiting_time(&self, rng: &mut SimRng) -> Option<(f64, f64)> {
+        let total = self.total();
+        if total <= 0.0 {
+            return None;
+        }
+        Some((total, exponential(rng, total)))
+    }
+
+    /// The event of a draw whose total is `total`: the reaction by one
+    /// uniform draw scanned over `k·|set|` in reaction order — moved to the
+    /// first non-empty set should float drift land on an empty one — then a
+    /// uniform site of its set. `None` only when every set is empty.
+    #[inline]
+    pub fn pick(&self, rng: &mut SimRng, total: f64) -> Option<(usize, Site)> {
+        let mut x = rng.f64() * total;
+        let mut chosen = self.sets.len() - 1;
+        for (ri, (k, set)) in self.rates.iter().zip(&self.sets).enumerate() {
+            let w = k * set.len() as f64;
+            if x < w {
+                chosen = ri;
+                break;
+            }
+            x -= w;
+        }
+        if self.sets[chosen].is_empty() {
+            chosen = self.sets.iter().position(|s| !s.is_empty())?;
+        }
+        Some((chosen, self.sets[chosen].sample(rng)))
+    }
+
+    /// Number of sites where `reaction` is enabled.
+    pub fn len(&self, reaction: usize) -> usize {
+        self.sets[reaction].len()
+    }
+
+    /// Whether `site` is in the set of `reaction`.
+    pub fn contains(&self, reaction: usize, site: Site) -> bool {
+        self.sets[reaction].contains(site)
     }
 }
 
@@ -103,7 +216,7 @@ impl SiteSet {
 #[derive(Clone, Debug)]
 pub struct Vssm<'m> {
     model: &'m Model,
-    enabled: Vec<SiteSet>,
+    index: EnabledIndex,
     compiled: Arc<CompiledModel>,
     /// Lattice-bound kernel, bound on every step.
     kernel: Option<SiteKernel>,
@@ -112,18 +225,13 @@ pub struct Vssm<'m> {
 impl<'m> Vssm<'m> {
     /// Build the enabled index by scanning `lattice`.
     pub fn new(model: &'m Model, lattice: &Lattice) -> Self {
-        let n = lattice.len();
-        let mut enabled = vec![SiteSet::new(n); model.num_reactions()];
-        for site in lattice.dims().iter_sites() {
-            for (ri, rt) in model.reactions().iter().enumerate() {
-                if rt.is_enabled(lattice, site) {
-                    enabled[ri].insert(site);
-                }
-            }
-        }
+        let mut index = EnabledIndex::new(&model.rate_weights(), lattice.len());
+        index.rebuild(lattice.dims().iter_sites(), |site, ri| {
+            model.reaction(ri).is_enabled(lattice, site)
+        });
         Vssm {
             model,
-            enabled,
+            index,
             compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
@@ -131,40 +239,12 @@ impl<'m> Vssm<'m> {
 
     /// Summed rate of all enabled reactions (`Σ kSS'` of the ME, Eq. 1).
     pub fn total_propensity(&self) -> f64 {
-        self.model
-            .reactions()
-            .iter()
-            .zip(&self.enabled)
-            .map(|(rt, set)| rt.rate() * set.len() as f64)
-            .sum()
+        self.index.total()
     }
 
     /// Number of sites where reaction `ri` is enabled.
     pub fn enabled_count(&self, ri: usize) -> usize {
-        self.enabled[ri].len()
-    }
-
-    /// Re-examine enabledness of all reactions whose pattern could touch
-    /// `changed_site`: for every reaction, the anchors `changed_site −
-    /// offset` in transform order. The swap-remove site sets' iteration
-    /// order affects sampling, so this visiting order is part of the
-    /// trajectory.
-    fn refresh_around(
-        enabled: &mut [SiteSet],
-        kernel: &SiteKernel,
-        lattice: &Lattice,
-        changed_site: Site,
-    ) {
-        for (ri, set) in enabled.iter_mut().enumerate() {
-            for r in kernel.compiled().requirements(ri) {
-                let anchor = kernel.anchor(changed_site, r.cell as usize);
-                if kernel.is_enabled(anchor, ri, |s| lattice.get(s)) {
-                    set.insert(anchor);
-                } else {
-                    set.remove(anchor);
-                }
-            }
-        }
+        self.index.len(ri)
     }
 
     /// Execute one event; returns `None` when nothing is enabled (absorbing
@@ -188,32 +268,12 @@ impl<'m> Vssm<'m> {
         changes: &mut Vec<(Site, u8, u8)>,
         t_end: f64,
     ) -> Option<Event> {
-        let total = self.total_propensity();
-        if total <= 0.0 {
-            return None;
-        }
-        let dt = exponential(rng, total);
+        let (total, dt) = self.index.waiting_time(rng)?;
         if state.time + dt > t_end {
             state.time = t_end;
             return None;
         }
-        // Select the reaction type proportionally to rate · |enabled|.
-        let mut x = rng.f64() * total;
-        let mut chosen = self.enabled.len() - 1;
-        for (ri, set) in self.enabled.iter().enumerate() {
-            let w = self.model.reaction(ri).rate() * set.len() as f64;
-            if x < w {
-                chosen = ri;
-                break;
-            }
-            x -= w;
-        }
-        // Guard against float drift selecting an empty set.
-        if self.enabled[chosen].is_empty() {
-            let fallback = self.enabled.iter().position(|s| !s.is_empty())?;
-            chosen = fallback;
-        }
-        let site = self.enabled[chosen].sample(rng);
+        let (chosen, site) = self.index.pick(rng, total)?;
         state.time += dt;
         let kernel = SiteKernel::bind(
             &mut self.kernel,
@@ -226,7 +286,8 @@ impl<'m> Vssm<'m> {
         let executed = state.fire(kernel, site, chosen, changes);
         debug_assert!(executed, "enabled index held a disabled reaction");
         for &(z, _, _) in changes.iter() {
-            Self::refresh_around(&mut self.enabled, kernel, &state.lattice, z);
+            self.index
+                .refresh_around(kernel, &state.lattice, z, |_| true);
         }
         Some(Event {
             time: state.time,
@@ -273,7 +334,7 @@ impl<'m> Vssm<'m> {
     pub fn index_is_consistent(&self, lattice: &Lattice) -> bool {
         for (ri, rt) in self.model.reactions().iter().enumerate() {
             for site in lattice.dims().iter_sites() {
-                if rt.is_enabled(lattice, site) != self.enabled[ri].contains(site) {
+                if rt.is_enabled(lattice, site) != self.index.contains(ri, site) {
                     return false;
                 }
             }

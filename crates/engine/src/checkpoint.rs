@@ -6,13 +6,27 @@
 //! directory doubles as the batch's progress ledger: a `.done` file means
 //! the job finished, a `.ckpt` file means it can be resumed mid-flight.
 //!
-//! Writes go through a temp file in the same directory followed by a
-//! rename, so a crash mid-write leaves the previous checkpoint intact
-//! rather than a torn file.
+//! Writes go through [`atomic_put`], so a killed process leaves the
+//! previous checkpoint intact rather than a torn file.
 
 use psr_core::SessionCheckpoint;
 use psr_lattice::io::{self, SnapshotMeta};
 use std::path::{Path, PathBuf};
+
+/// Replace the file at `path` with `bytes`: written in full to
+/// `<path>.tmp` (the extension swapped for `tmp`), then renamed over
+/// `path`. A killed process leaves the old file or the new one, never a
+/// torn one. Nothing is fsynced, so an OS crash or power loss can still
+/// lose the write or tear it.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the write or the rename.
+pub fn atomic_put(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
 
 /// Checkpoint directory handle for one batch.
 #[derive(Clone, Debug)]
@@ -55,11 +69,8 @@ impl CheckpointStore {
             rng: ck.rng,
         };
         let text = io::to_text_v2(&ck.lattice, &meta);
-        let bytes = text.len() as u64;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(bytes)
+        atomic_put(path, text.as_bytes())?;
+        Ok(text.len() as u64)
     }
 
     /// Atomically persist the in-flight checkpoint for `job`, returning the

@@ -32,7 +32,7 @@ pub mod metrics;
 pub mod runner;
 pub mod spec;
 
-pub use checkpoint::CheckpointStore;
+pub use checkpoint::{atomic_put, CheckpointStore};
 pub use engine::{BatchReport, Engine, JobReport, JobStatus, RunOptions};
 pub use journal::{Journal, JsonLine};
 pub use metrics::{MetricsSnapshot, Registry};

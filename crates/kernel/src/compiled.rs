@@ -244,6 +244,11 @@ impl CompiledModel {
         self.rates[reaction]
     }
 
+    /// The rate constants, in reaction order.
+    pub fn rates(&self) -> &[f64] {
+        &self.rates
+    }
+
     /// True when the full-code LUT was compiled (vs the per-reaction
     /// requirement fallback).
     pub fn has_lut(&self) -> bool {

@@ -19,6 +19,10 @@
 //!    write-back. [`SiteKernel::bind`] is the one build-or-refresh step;
 //!    [`SiteKernel::split_anchors`] lends disjoint site ranges of the codes
 //!    and masks to concurrent folds ([`AnchorRange`]).
+//! 3. [`counts`] — per-(group, reaction) enabled-site counts, kept by a
+//!    kernel beside its masks once [`SiteKernel::attach_counts`] gives it a
+//!    site → group map, and the `Σ count·k` weights of weighted chunk
+//!    selection.
 //!
 //! A kernel is *tracked* (the enabled test is one mask load) unless the
 //! model has more than [`MAX_KERNEL_REACTIONS`] types; then it is
@@ -32,9 +36,11 @@
 #![warn(missing_docs)]
 
 pub mod compiled;
+pub mod counts;
 pub mod site;
 
 pub use compiled::{
     require_masks, CompiledModel, Requirement, DEFAULT_LUT_CAP, MAX_KERNEL_REACTIONS,
 };
-pub use site::{AnchorRange, SiteKernel};
+pub use counts::{count_diff, group_weights, NO_GROUP};
+pub use site::{AnchorRange, RangeTail, SiteKernel};

@@ -24,14 +24,21 @@
 //! consult: the model has more than
 //! [`MAX_KERNEL_REACTIONS`](crate::MAX_KERNEL_REACTIONS) types.
 //!
-//! Freshness follows the same mutation-epoch protocol as `psr-ca`'s
-//! propensity cache: simulators call [`SiteKernel::bind`] with the state's
-//! `mutation_epoch()` before a sweep and [`SiteKernel::note_epoch`] after
-//! applying changes through the kernel.
+//! A tracked kernel can also keep per-(group, reaction) enabled-site
+//! counts ([`SiteKernel::attach_counts`]): every fold that replaces an
+//! anchor's mask hands the old and the new mask to
+//! [`count_diff`], so the counts cost no walk of their own.
+//!
+//! Freshness follows a mutation-epoch protocol: simulators call
+//! [`SiteKernel::bind`] with the state's `mutation_epoch()` before a sweep
+//! and [`SiteKernel::note_epoch`] after applying changes through the
+//! kernel; a rebuild re-derives codes, masks and counts together.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::compiled::CompiledModel;
+use crate::compiled::{require_masks, CompiledModel};
+use crate::counts::count_diff;
 use psr_lattice::{Change, Dims, Lattice, Site};
 use psr_model::Model;
 
@@ -67,12 +74,18 @@ pub struct SiteKernel {
     /// `compiled.tracks_masks()`, kept here so the per-trial branch does
     /// not chase the `Arc`.
     tracked: bool,
+    /// The site → group maps of [`attach_counts`](Self::attach_counts).
+    group_maps: Vec<Vec<u32>>,
+    /// Per map: `counts[g · R + r]` = sites of group `g` where reaction `r`
+    /// is enabled.
+    counts: Vec<Vec<u32>>,
 }
 
 /// Exclusive access to the codes and masks of the anchors in one contiguous
-/// site range of a tracked [`SiteKernel`] (see
-/// [`SiteKernel::split_anchors`]).
-pub struct AnchorRange<'k> {
+/// site range of a tracked kernel: all of them for the kernel's own folds,
+/// one slice's share for an [`AnchorRange`]. Owns nothing, so the per-event
+/// fold builds and drops it for free.
+struct Anchors<'k> {
     compiled: &'k CompiledModel,
     table: &'k [u32],
     lut_mask: &'k [u64],
@@ -80,42 +93,117 @@ pub struct AnchorRange<'k> {
     lo: u32,
     codes: &'k mut [u32],
     masks: &'k mut [u64],
+    /// The kernel's site → group maps.
+    group_maps: &'k [Vec<u32>],
+}
+
+/// One of the disjoint site ranges of a tracked [`SiteKernel`] that
+/// concurrent folds work on (see [`SiteKernel::split_anchors`]).
+pub struct AnchorRange<'k> {
+    anchors: Anchors<'k>,
+    /// Per map, the count changes of this range's folds (wrapping; added to
+    /// the kernel's counts by [`SiteKernel::apply_tail`]).
+    deltas: Vec<Vec<u32>>,
+}
+
+/// What a fold over an [`AnchorRange`] leaves for the calling thread (see
+/// [`SiteKernel::apply_tail`]).
+pub struct RangeTail {
+    sites: Range<u32>,
+    /// The changes that also reach an anchor outside `sites`.
+    spill: Vec<Change>,
+    deltas: Vec<Vec<u32>>,
 }
 
 impl AnchorRange<'_> {
     /// The sites whose codes and masks this range holds.
-    pub fn sites(&self) -> std::ops::Range<u32> {
-        self.lo..self.lo + self.masks.len() as u32
+    pub fn sites(&self) -> Range<u32> {
+        self.anchors.sites()
     }
 
-    /// Fold `changes` into the anchors of this range; every entry that also
-    /// reaches an anchor outside it is appended to `spill`, for
-    /// [`SiteKernel::apply_changes_outside`]. `lattice` must reflect the
-    /// changes and be quiescent.
-    pub fn apply_changes(
-        &mut self,
-        lattice: &Lattice,
-        changes: &[Change],
-        spill: &mut Vec<Change>,
-    ) {
-        let sites = self.sites();
+    /// Fold `changes` into the anchors of this range, and return what is
+    /// left for [`SiteKernel::apply_tail`]: every entry that also reaches
+    /// an anchor outside the range, and the range's count changes.
+    /// `lattice` must reflect the changes and be quiescent.
+    pub fn apply_changes(self, lattice: &Lattice, changes: &[Change]) -> RangeTail {
+        let AnchorRange {
+            mut anchors,
+            mut deltas,
+        } = self;
+        let sites = anchors.sites();
+        let mut spill = Vec::new();
         let mut spilled = false;
         for change in changes {
-            self.fold(lattice, std::slice::from_ref(change), |anchor| {
+            let keep = |anchor| {
                 let mine = sites.contains(&anchor);
                 spilled |= !mine;
                 mine
-            });
+            };
+            anchors.fold(lattice, std::slice::from_ref(change), keep, &mut deltas);
             if std::mem::take(&mut spilled) {
                 spill.push(*change);
             }
         }
+        RangeTail {
+            sites,
+            spill,
+            deltas,
+        }
+    }
+}
+
+impl Anchors<'_> {
+    fn sites(&self) -> Range<u32> {
+        self.lo..self.lo + self.masks.len() as u32
     }
 
     /// Update the anchors reading each changed site, `keep` deciding which
-    /// of them (all of those it keeps must lie in this range).
+    /// of them (all of those it keeps must lie in this range), and carry
+    /// every mask change into `counts` (one vector per group map). Without
+    /// group maps the count step compiles away.
     #[inline]
-    fn fold(&mut self, lattice: &Lattice, changes: &[Change], mut keep: impl FnMut(u32) -> bool) {
+    fn fold(
+        &mut self,
+        lattice: &Lattice,
+        changes: &[Change],
+        keep: impl FnMut(u32) -> bool,
+        counts: &mut [Vec<u32>],
+    ) {
+        if self.group_maps.is_empty() {
+            self.fold_masks(lattice, changes, keep, |_, _, _| {});
+        } else {
+            self.fold_counting(lattice, changes, keep, counts);
+        }
+    }
+
+    /// [`fold`](Self::fold) with group maps; kept out of line so that the
+    /// callers' unattached fold compiles to the mask walk alone.
+    #[inline(never)]
+    fn fold_counting(
+        &mut self,
+        lattice: &Lattice,
+        changes: &[Change],
+        keep: impl FnMut(u32) -> bool,
+        counts: &mut [Vec<u32>],
+    ) {
+        let (maps, reactions) = (self.group_maps, self.compiled.num_reactions());
+        self.fold_masks(lattice, changes, keep, |anchor, old, new| {
+            for (map, counts) in maps.iter().zip(counts.iter_mut()) {
+                count_diff(counts, reactions, map[anchor as usize], old, new);
+            }
+        });
+    }
+
+    /// The fold proper: `tally(anchor, old, new)` sees every mask it
+    /// changes.
+    #[inline(always)]
+    fn fold_masks(
+        &mut self,
+        lattice: &Lattice,
+        changes: &[Change],
+        mut keep: impl FnMut(u32) -> bool,
+        mut tally: impl FnMut(u32, u64, u64),
+    ) {
         let c = self.compiled.cells().len();
         let reads = self.compiled.read_cells();
         // `row[c − 1 − j]` is the anchor `site − cells[j]`, which reads
@@ -137,7 +225,11 @@ impl AnchorRange<'_> {
                         .wrapping_sub(w.wrapping_mul(u32::from(old)));
                     let code = &mut self.codes[(anchor - self.lo) as usize];
                     *code = code.wrapping_add(delta);
-                    self.masks[(anchor - self.lo) as usize] = self.lut_mask[*code as usize];
+                    let mask = self.lut_mask[*code as usize];
+                    let was = std::mem::replace(&mut self.masks[(anchor - self.lo) as usize], mask);
+                    if was != mask {
+                        tally(anchor, was, mask);
+                    }
                 }
             }
         } else {
@@ -149,9 +241,13 @@ impl AnchorRange<'_> {
                         continue;
                     }
                     let nb = neighbors_of(self.table, c, anchor as usize);
-                    self.masks[(anchor - self.lo) as usize] = self
+                    let mask = self
                         .compiled
                         .eval(|cell| lattice.cells()[nb[cell as usize] as usize]);
+                    let was = std::mem::replace(&mut self.masks[(anchor - self.lo) as usize], mask);
+                    if was != mask {
+                        tally(anchor, was, mask);
+                    }
                 }
             }
         }
@@ -198,6 +294,8 @@ impl SiteKernel {
             lut_mask,
             masks: Vec::new(),
             epoch: 0,
+            group_maps: Vec::new(),
+            counts: Vec::new(),
         };
         kernel.rebuild(lattice);
         kernel
@@ -260,8 +358,8 @@ impl SiteKernel {
         }
     }
 
-    /// Re-derive all codes/masks from the lattice (cold path; nothing to
-    /// derive for an untracked kernel).
+    /// Re-derive all codes, masks and counts from the lattice (cold path;
+    /// nothing to derive for an untracked kernel).
     ///
     /// # Panics
     ///
@@ -305,6 +403,61 @@ impl SiteKernel {
                     .eval(|cell| lattice.cells()[row[cell as usize] as usize]);
             }
         }
+        self.counts = self.recount(&self.masks);
+    }
+
+    /// The counts of every attached map, derived afresh from `masks`.
+    fn recount(&self, masks: &[u64]) -> Vec<Vec<u32>> {
+        let reactions = self.compiled.num_reactions();
+        self.group_maps
+            .iter()
+            .zip(&self.counts)
+            .map(|(map, counts)| {
+                let mut fresh = vec![0; counts.len()];
+                for (&group, &mask) in map.iter().zip(masks) {
+                    count_diff(&mut fresh, reactions, group, 0, mask);
+                }
+                fresh
+            })
+            .collect()
+    }
+
+    /// Keep, from now on, per-(group, reaction) counts of the enabled sites
+    /// over `group_of` (`group_of[site]` in `0..groups`, or
+    /// [`NO_GROUP`](crate::NO_GROUP) for a site no group counts): the
+    /// weights of weighted chunk selection. Every fold and rebuild keeps
+    /// them exact. Returns the map's index for [`counts`](Self::counts).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model fails [`require_masks`] (the counts are read off
+    /// the masks) or `group_of` does not give one group per site.
+    pub fn attach_counts(&mut self, group_of: Vec<u32>, groups: usize) -> usize {
+        require_masks(self.compiled.num_reactions()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(group_of.len(), self.masks.len(), "one group per site");
+        self.group_maps.push(group_of);
+        self.counts
+            .push(vec![0; groups * self.compiled.num_reactions()]);
+        self.counts = self.recount(&self.masks);
+        self.counts.len() - 1
+    }
+
+    /// True once [`attach_counts`](Self::attach_counts) gave this kernel a
+    /// group map.
+    pub fn is_counting(&self) -> bool {
+        !self.counts.is_empty()
+    }
+
+    /// The counts over map `map`: `counts(map)[g · R + r]` sites of group
+    /// `g` have reaction `r` enabled.
+    pub fn counts(&self, map: usize) -> &[u32] {
+        &self.counts[map]
+    }
+
+    /// The [`group_weights`](crate::group_weights) of map `map` over the
+    /// reactions in `reactions`, into `out`.
+    pub fn weights_into(&self, map: usize, reactions: Range<usize>, out: &mut Vec<f64>) {
+        crate::group_weights(&self.counts[map], self.compiled.rates(), reactions, out);
     }
 
     /// Fold a batch of executed changes into the kernel.
@@ -316,22 +469,22 @@ impl SiteKernel {
     #[inline]
     pub fn apply_changes(&mut self, lattice: &Lattice, changes: &[Change]) {
         if self.is_tracked() {
-            self.all_anchors().fold(lattice, changes, |_| true);
+            let (mut all, counts) = self.all_anchors();
+            all.fold(lattice, changes, |_| true, counts);
         }
     }
 
-    /// [`apply_changes`](Self::apply_changes) restricted to the anchors
-    /// *outside* `range`: the serial tail after an
-    /// [`AnchorRange::apply_changes`] over `range` left these entries.
-    pub fn apply_changes_outside(
-        &mut self,
-        lattice: &Lattice,
-        changes: &[Change],
-        range: std::ops::Range<u32>,
-    ) {
-        if self.is_tracked() {
-            self.all_anchors()
-                .fold(lattice, changes, |anchor| !range.contains(&anchor));
+    /// Finish an [`AnchorRange::apply_changes`] on the calling thread:
+    /// fold its spilled changes into the anchors *outside* its range and
+    /// add its count changes.
+    pub fn apply_tail(&mut self, lattice: &Lattice, tail: RangeTail) {
+        let (mut all, counts) = self.all_anchors();
+        let outside = |anchor| !tail.sites.contains(&anchor);
+        all.fold(lattice, &tail.spill, outside, counts);
+        for (counts, deltas) in counts.iter_mut().zip(&tail.deltas) {
+            for (c, d) in counts.iter_mut().zip(deltas) {
+                *c = c.wrapping_add(*d);
+            }
         }
     }
 
@@ -356,27 +509,34 @@ impl SiteKernel {
             let (m, m_rest) = masks.split_at_mut(len);
             (codes, masks) = (c_rest, m_rest);
             ranges.push(AnchorRange {
-                compiled: &self.compiled,
-                table: &self.table,
-                lut_mask: &self.lut_mask,
-                lo,
-                codes: c,
-                masks: m,
+                anchors: Anchors {
+                    compiled: &self.compiled,
+                    table: &self.table,
+                    lut_mask: &self.lut_mask,
+                    lo,
+                    codes: c,
+                    masks: m,
+                    group_maps: &self.group_maps,
+                },
+                deltas: self.counts.iter().map(|c| vec![0; c.len()]).collect(),
             });
             lo = hi;
         }
         ranges
     }
 
-    fn all_anchors(&mut self) -> AnchorRange<'_> {
-        AnchorRange {
+    /// Every anchor, and the counts its folds update in place.
+    fn all_anchors(&mut self) -> (Anchors<'_>, &mut [Vec<u32>]) {
+        let all = Anchors {
             compiled: &self.compiled,
             table: &self.table,
             lut_mask: &self.lut_mask,
             lo: 0,
             codes: &mut self.codes,
             masks: &mut self.masks,
-        }
+            group_maps: &self.group_maps,
+        };
+        (all, &mut self.counts)
     }
 
     /// The one trial: if `reaction` is enabled at `site`, write its target
@@ -386,8 +546,9 @@ impl SiteKernel {
     /// `read` and `write` are the caller's cells: a plain lattice, a shared
     /// one, a shard's owned-or-deferred write-back. `read` is consulted only
     /// by an untracked kernel. A tracked kernel trusts its masks, so the
-    /// caller folds the writes back with [`apply_changes`]
-    /// (Self::apply_changes) before any trial whose pattern can see them.
+    /// caller folds the writes back with
+    /// [`apply_changes`](Self::apply_changes) before any trial whose
+    /// pattern can see them.
     #[inline]
     pub fn fire(
         &self,
@@ -466,15 +627,25 @@ impl SiteKernel {
         Site(neighbors_of(&self.table, c, site.0 as usize)[cell])
     }
 
-    /// Check every site's mask against the model's own per-reaction scan;
-    /// true iff they all agree (an untracked kernel has no masks to go
-    /// stale, so it always does).
+    /// Every site's enabled mask by the model's own per-reaction scan.
+    fn scan(model: &Model, lattice: &Lattice) -> Vec<u64> {
+        lattice
+            .dims()
+            .iter_sites()
+            .map(|site| model.enabled_mask_at(lattice, site))
+            .collect()
+    }
+
+    /// Check every site's mask against the model's own per-reaction scan,
+    /// and every attached count against a recount of that scan; true iff
+    /// they all agree (an untracked kernel has no masks to go stale, so it
+    /// always does).
     pub fn matches_scan(&self, model: &Model, lattice: &Lattice) -> bool {
-        !self.is_tracked()
-            || lattice
-                .dims()
-                .iter_sites()
-                .all(|site| self.enabled_mask(site) == model.enabled_mask_at(lattice, site))
+        if !self.is_tracked() {
+            return true;
+        }
+        let scanned = Self::scan(model, lattice);
+        scanned == self.masks && self.recount(&scanned) == self.counts
     }
 
     /// Assert [`matches_scan`](Self::matches_scan), reporting the first
@@ -483,15 +654,18 @@ impl SiteKernel {
         if !self.is_tracked() {
             return;
         }
-        for site in lattice.dims().iter_sites() {
-            let compiled = self.enabled_mask(site);
-            let naive = model.enabled_mask_at(lattice, site);
+        let scanned = Self::scan(model, lattice);
+        for (site, (&compiled, &naive)) in self.masks.iter().zip(&scanned).enumerate() {
             assert_eq!(
                 compiled, naive,
-                "kernel mask {compiled:#b} != naive {naive:#b} at site {}",
-                site.0
+                "kernel mask {compiled:#b} != naive {naive:#b} at site {site}"
             );
         }
+        assert_eq!(
+            self.counts,
+            self.recount(&scanned),
+            "enabled-set counts diverged from a recount"
+        );
     }
 }
 
@@ -567,14 +741,18 @@ mod tests {
     #[test]
     fn range_folds_plus_their_tails_equal_one_fold() {
         // Three ranges each fold "their" journal (here: the changes at
-        // sites they hold), the tails go through `apply_changes_outside`.
-        // The torus wrap reaches from the last range into the first, and the
-        // bounds cut through lattice rows; LUT and mask mode.
+        // sites they hold), the tails go through `apply_tail`. The torus
+        // wrap reaches from the last range into the first, and the bounds
+        // cut through lattice rows; LUT and mask mode. The kernel counts
+        // over a group map with `NO_GROUP` holes, which the range deltas
+        // must carry exactly.
         let model = zgb_ziff(0.4, 3.0);
         for cap in [crate::DEFAULT_LUT_CAP, 0] {
             let compiled = Arc::new(CompiledModel::compile_with_cap(&model, cap));
             let mut lattice = checker_lattice(Dims::new(7, 12));
             let mut kernel = SiteKernel::new(Arc::clone(&compiled), &lattice);
+            let groups = (0..84).map(|s| if s % 5 == 4 { crate::NO_GROUP } else { s % 3 });
+            kernel.attach_counts(groups.collect(), 3);
             let mut changes = Vec::new();
             for site in (0..84u32).step_by(2) {
                 let old = lattice.get(Site(site));
@@ -582,21 +760,23 @@ mod tests {
                 changes.push((Site(site), old, (old + 1) % 3));
             }
             let mut tails = Vec::new();
-            for mut range in kernel.split_anchors(&[27, 58]) {
+            for range in kernel.split_anchors(&[27, 58]) {
                 let sites = range.sites();
                 let journal: Vec<Change> = changes
                     .iter()
                     .copied()
                     .filter(|(s, _, _)| sites.contains(&s.0))
                     .collect();
-                let mut tail = Vec::new();
-                range.apply_changes(&lattice, &journal, &mut tail);
-                assert!(tail.len() < journal.len(), "interior changes stay home");
-                tails.push((sites, tail));
+                let tail = range.apply_changes(&lattice, &journal);
+                assert!(
+                    tail.spill.len() < journal.len(),
+                    "interior changes stay home"
+                );
+                tails.push(tail);
             }
             assert_eq!(tails.len(), 3);
-            for (sites, tail) in tails {
-                kernel.apply_changes_outside(&lattice, &tail, sites);
+            for tail in tails {
+                kernel.apply_tail(&lattice, tail);
             }
             kernel.assert_matches_scan(&model, &lattice);
         }

@@ -14,12 +14,11 @@
 //! [`SubLattice::unpack_rect_diff`]: row-major byte strips suitable for
 //! message frames. Unpacking reports the cells that actually changed as a
 //! `(site, old, new)` journal, which is exactly what incremental kernels
-//! and propensity caches consume — halo maintenance is change-journal
-//! maintenance across the domain edge.
+//! consume — halo maintenance is change-journal maintenance across the
+//! domain edge.
 
 use crate::geometry::{Dims, Site};
-use crate::journal::Change;
-use crate::lattice::Lattice;
+use crate::lattice::{Change, Lattice};
 
 /// A halo-padded private copy of one rectangular domain of a global lattice.
 #[derive(Clone, Debug)]

@@ -10,6 +10,10 @@ use crate::wrap::WrapTables;
 /// lattice at 1 MB, which fits in L2 on most machines.
 pub type State = u8;
 
+/// A `(site, old_state, new_state)` mutation record: what simulators
+/// journal as they write, and what the kernel folds back in.
+pub type Change = (Site, State, State);
+
 /// Per-axis displacement served by every lattice's built-in wrap tables
 /// without falling back to division (larger offsets remain correct via
 /// [`Dims::translate`]). Covers every pattern in the model library.

@@ -8,12 +8,11 @@
 //! - [`Dims`] / [`Site`] / [`Coord`] / [`Offset`] — torus geometry with
 //!   periodic boundary conditions and translation-invariant offsets;
 //! - [`Lattice`] — the configuration `S : Ω → D`, stored as a flat `Vec<u8>`
-//!   of state ids for cache-friendly sweeps;
+//!   of state ids for cache-friendly sweeps, and the [`Change`] records
+//!   simulators journal as they mutate it;
 //! - [`neighborhood`] — von Neumann / Moore / custom offset stencils;
 //! - [`coverage`] — incremental per-state occupation counting (the observable
 //!   every figure in the paper plots);
-//! - [`journal`] — change journal recording mutated sites plus the
-//!   affected-neighborhood expansion used by incremental propensity caches;
 //! - [`cluster`] — connected-component analysis of same-state islands;
 //! - [`halo`] — halo-padded sub-lattice views with pack/unpack strips for
 //!   sharded domain decomposition;
@@ -29,7 +28,6 @@ pub mod coverage;
 pub mod geometry;
 pub mod halo;
 pub mod io;
-pub mod journal;
 pub mod lattice;
 pub mod neighborhood;
 pub mod region;
@@ -41,8 +39,7 @@ pub use correlation::{correlation_profile, pair_correlation};
 pub use coverage::Coverage;
 pub use geometry::{Coord, Dims, Offset, Site};
 pub use halo::SubLattice;
-pub use journal::{affected_sites, Change, ChangeJournal};
-pub use lattice::{Lattice, State};
+pub use lattice::{Change, Lattice, State};
 pub use neighborhood::Neighborhood;
 pub use region::Region;
 pub use wrap::WrapTables;

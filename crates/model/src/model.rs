@@ -101,44 +101,9 @@ impl Model {
         self.combined_neighborhood().radius()
     }
 
-    /// Largest L1 distance from an anchor site to any site one of its
-    /// patterns reads or writes — the "pattern extent" of the model.
-    ///
-    /// A reaction anchored at `s` only inspects sites within this distance
-    /// of `s`, so changing site `x` can only alter the enabledness of
-    /// anchors within `max_pattern_extent()` of `x`. This is the radius to
-    /// pass to `ChangeJournal::affected_sites` / `affected_sites` in
-    /// `psr-lattice`. Numerically equal to [`interaction_radius`]
-    /// (Self::interaction_radius) — both are the max L1 offset norm — but
-    /// kept as a separate query because the former is about partition
-    /// conflicts and this one is about propensity-update stencils.
-    pub fn max_pattern_extent(&self) -> u32 {
-        self.reactions
-            .iter()
-            .map(|rt| rt.neighborhood().radius())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The update stencil: offsets `o` such that changing site `x` may
-    /// change the enabledness of an anchor at `x + o`.
-    ///
-    /// An anchor `s` reads site `s + t.offset` for each transform `t`, so
-    /// the anchors reading `x` are exactly `{x − t.offset}` — the negated
-    /// transform offsets, deduplicated across all reaction types. Always
-    /// contains the origin (every pattern includes its anchor).
-    pub fn update_stencil(&self) -> Neighborhood {
-        Neighborhood::new(
-            self.reactions
-                .iter()
-                .flat_map(|rt| rt.transforms().iter().map(|t| t.offset.negated()))
-                .collect(),
-        )
-    }
-
     /// Visit every reaction type enabled at `site`, in declaration order,
-    /// without allocating — the hot-path form of [`enabled_at`]
-    /// (Self::enabled_at).
+    /// without allocating — the hot-path form of
+    /// [`enabled_at`](Self::enabled_at).
     #[inline]
     pub fn for_each_enabled(
         &self,
@@ -239,23 +204,6 @@ mod tests {
         let nb = m.combined_neighborhood();
         assert_eq!(nb.len(), 2);
         assert_eq!(m.interaction_radius(), 1);
-    }
-
-    #[test]
-    fn max_pattern_extent_matches_interaction_radius() {
-        let m = toy_model();
-        assert_eq!(m.max_pattern_extent(), 1);
-        assert_eq!(m.max_pattern_extent(), m.interaction_radius());
-    }
-
-    #[test]
-    fn update_stencil_negates_transform_offsets() {
-        let m = toy_model();
-        let stencil = m.update_stencil();
-        // Transform offsets are {0, (1,0)} → stencil {0, (-1,0)}.
-        assert!(stencil.offsets().contains(&Offset::ZERO));
-        assert!(stencil.offsets().contains(&Offset::new(-1, 0)));
-        assert_eq!(stencil.len(), 2);
     }
 
     #[test]

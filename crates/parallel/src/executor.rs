@@ -15,8 +15,9 @@
 //! another one's mask says. The slices journal their writes and the
 //! barrier folds the journals into the kernel against the quiescent
 //! lattice — one thread per slice, each slice's journal into its own range
-//! of anchors ([`fold_journals`]) — and then, on the calling thread, into
-//! the coverage and the weighted selection's propensity cache.
+//! of anchors, handing its enabled-set count changes back to the calling
+//! thread (see `fold_journals`) — and then, on the calling thread, into the
+//! coverage.
 //!
 //! Determinism: every *trial* gets its own RNG stream, keyed by
 //! `(step, sweep position, site)` and derived from the master seed. Within
@@ -31,7 +32,7 @@ use crate::fork_join;
 use crate::shared::{Claim, ClaimTable, SharedCells};
 use psr_ca::partition::Partition;
 use psr_ca::pndca::ChunkSelection;
-use psr_ca::propensity::{draw_weighted, ChunkPropensityCache};
+use psr_ca::propensity::draw_weighted;
 use psr_dmc::recorder::Recorder;
 use psr_dmc::rsm::RunStats;
 use psr_dmc::sim::SimState;
@@ -63,8 +64,6 @@ pub struct ParallelPndca<'m, 'p> {
     step: u64,
     conflicts: u64,
     selection: ChunkSelection,
-    /// Incremental chunk weights for `WeightedByRates`, built lazily.
-    cache: Option<ChunkPropensityCache>,
     compiled: Arc<CompiledModel>,
     /// Lattice-bound kernel, bound on every run.
     kernel: Option<SiteKernel>,
@@ -116,7 +115,6 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
             step: 0,
             conflicts: 0,
             selection: ChunkSelection::InOrder,
-            cache: None,
             compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
         }
@@ -135,7 +133,16 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
     /// sweep *position* and site, so results remain a pure function of
     /// `(seed, partition)` even when weighted selection repeats a chunk
     /// within one step.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`ChunkSelection::WeightedByRates`] if the model fails
+    /// [`psr_kernel::require_masks`]: chunk weights are counted from
+    /// enabled-set masks.
     pub fn with_selection(mut self, selection: ChunkSelection) -> Self {
+        if selection == ChunkSelection::WeightedByRates {
+            psr_kernel::require_masks(self.model.num_reactions()).unwrap_or_else(|e| panic!("{e}"));
+        }
         self.selection = selection;
         self
     }
@@ -149,22 +156,6 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
     /// Completed steps.
     pub fn steps_done(&self) -> u64 {
         self.step
-    }
-
-    /// Build (or refresh) the propensity cache for the current lattice.
-    fn take_fresh_cache(&mut self, state: &SimState) -> ChunkPropensityCache {
-        let mut cache = self.cache.take().unwrap_or_else(|| {
-            let mut c = ChunkPropensityCache::new(self.model, self.partition, &state.lattice);
-            c.note_epoch(state.mutation_epoch());
-            c
-        });
-        cache.ensure_fresh(
-            self.model,
-            self.partition,
-            &state.lattice,
-            state.mutation_epoch(),
-        );
-        cache
     }
 
     /// Run `steps` parallel PNDCA steps.
@@ -185,6 +176,10 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
             &state.lattice,
             state.mutation_epoch(),
         );
+        let weighted = self.selection == ChunkSelection::WeightedByRates;
+        if weighted && !kernel.is_counting() {
+            kernel.attach_counts(self.partition.chunk_labels().to_vec(), m);
+        }
         if let Some(rec) = recorder.as_deref_mut() {
             rec.record(state.time, &state.coverage);
         }
@@ -192,8 +187,6 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
             // The step's chunk draws come from dedicated per-step streams;
             // weighted draws depend on the weights after the previous sweep,
             // so they interleave with the chunk barriers.
-            let mut cache = (self.selection == ChunkSelection::WeightedByRates)
-                .then(|| self.take_fresh_cache(state));
             let mut order: Vec<usize> = (0..m).collect();
             let mut draw_rng = self.factory.stream(draw_stream_id(self.step));
             match self.selection {
@@ -208,12 +201,11 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
             }
             let mut weights = Vec::new();
             for (position, &scheduled) in order.iter().enumerate() {
-                let chunk_idx = match &cache {
-                    Some(cache) => {
-                        cache.weights_into(&mut weights);
-                        draw_weighted(&mut draw_rng, &weights)
-                    }
-                    None => scheduled,
+                let chunk_idx = if weighted {
+                    kernel.weights_into(0, 0..self.model.num_reactions(), &mut weights);
+                    draw_weighted(&mut draw_rng, &weights)
+                } else {
+                    scheduled
                 };
                 let slices = self.slices_of(chunk_idx);
                 let outcomes = self.sweep_chunk_parallel(kernel, state, &slices, position);
@@ -228,20 +220,9 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
                     state.apply_changes(&outcome.changes);
                 }
                 kernel.note_epoch(state.mutation_epoch());
-                if let Some(cache) = &mut cache {
-                    for outcome in &outcomes {
-                        cache.apply_changes(kernel, self.partition, &outcome.changes);
-                    }
-                    cache.note_epoch(state.mutation_epoch());
-                }
                 if let Some(claims) = &self.claims {
                     claims.clear();
                 }
-            }
-            if let Some(cache) = cache {
-                #[cfg(debug_assertions)]
-                cache.assert_matches_scan(self.model, self.partition, &state.lattice);
-                self.cache = Some(cache);
             }
             // Discretised time: one step = N trials of 1/(N·K) each = 1/K,
             // applied once per step (no float accumulation across trials).
@@ -342,10 +323,11 @@ const MIN_PARALLEL_FOLD: usize = 2048;
 /// contiguous run of the chunk's (ascending) site list, so its journal
 /// lands almost entirely on the anchors between its first site and the next
 /// slice's first: each such range folds its own journal on its own thread,
-/// and only the entries that reach across a range border are left for the
-/// calling thread — the serial part of a barrier is the border, not the
-/// sweep's executed trials. Correct for any site order; an unsorted chunk
-/// merely leaves more to the tail.
+/// and only the entries that reach across a range border, plus each range's
+/// enabled-set count changes (integer adds, so the counts do not depend on
+/// the thread count), are left for the calling thread — the serial part of
+/// a barrier is the border, not the sweep's executed trials. Correct for any
+/// site order; an unsorted chunk merely leaves more to the tail.
 fn fold_journals(
     kernel: &mut SiteKernel,
     lattice: &Lattice,
@@ -371,13 +353,11 @@ fn fold_journals(
         .into_iter()
         .zip(journals)
         .collect();
-    let tails = fork_join(work, |(mut range, journal)| {
-        let mut tail = Vec::new();
-        range.apply_changes(lattice, journal, &mut tail);
-        (range.sites(), tail)
+    let tails = fork_join(work, |(range, journal)| {
+        range.apply_changes(lattice, journal)
     });
-    for (sites, tail) in tails {
-        kernel.apply_changes_outside(lattice, &tail, sites);
+    for tail in tails {
+        kernel.apply_tail(lattice, tail);
     }
 }
 
@@ -476,27 +456,33 @@ mod tests {
         // Big enough that a chunk sweep journals more than
         // MIN_PARALLEL_FOLD writes, so the barrier forks its fold; the
         // side is not a multiple of the slice count, so range borders cut
-        // through lattice rows.
+        // through lattice rows. Weighted selection draws every chunk from
+        // counts the forked folds handed back, so a count off by one would
+        // also show as a diverging trajectory.
         let model = zgb_ziff(0.5, 0.2);
         let d = Dims::square(250);
         let p = five_coloring(d);
-        let run = |threads: usize| {
-            let mut exec = ParallelPndca::new(&model, &p, threads, 11);
-            let mut state = SimState::new(Lattice::filled(d, 0), &model);
-            let stats = exec.run_steps(&mut state, 3, None);
-            assert!(
-                stats.executed as usize > 3 * p.num_chunks() * MIN_PARALLEL_FOLD,
-                "{}",
-                stats.executed
-            );
-            let kernel = exec.kernel.as_ref().expect("bound by run_steps");
-            kernel.assert_matches_scan(&model, &state.lattice);
-            assert!(state.coverage.matches(&state.lattice));
-            state.lattice
-        };
-        let serial_fold = run(1);
-        assert_eq!(run(3), serial_fold);
-        assert_eq!(run(7), serial_fold);
+        for selection in [ChunkSelection::InOrder, ChunkSelection::WeightedByRates] {
+            let run = |threads: usize| {
+                let mut exec =
+                    ParallelPndca::new(&model, &p, threads, 11).with_selection(selection);
+                let mut state = SimState::new(Lattice::filled(d, 0), &model);
+                let stats = exec.run_steps(&mut state, 3, None);
+                assert!(
+                    stats.executed as usize > 3 * p.num_chunks() * MIN_PARALLEL_FOLD,
+                    "{}",
+                    stats.executed
+                );
+                let kernel = exec.kernel.as_ref().expect("bound by run_steps");
+                assert_eq!(kernel.is_counting(), selection != ChunkSelection::InOrder);
+                kernel.assert_matches_scan(&model, &state.lattice);
+                assert!(state.coverage.matches(&state.lattice));
+                state.lattice
+            };
+            let serial_fold = run(1);
+            assert_eq!(run(3), serial_fold, "{selection:?}");
+            assert_eq!(run(7), serial_fold, "{selection:?}");
+        }
     }
 
     #[test]
@@ -608,10 +594,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "MAX_KERNEL_REACTIONS = 64")]
+    fn weighted_selection_rejects_models_beyond_the_mask_limit() {
+        let mut builder = ModelBuilder::new(&["*", "A"]);
+        for i in 0..=psr_kernel::MAX_KERNEL_REACTIONS {
+            builder = builder.reaction(format!("r{i}"), 1.0, |r| {
+                r.site((0, 0), "*", "A");
+            });
+        }
+        let model = builder.build();
+        let p = five_coloring(Dims::square(10));
+        let _ =
+            ParallelPndca::new(&model, &p, 2, 0).with_selection(ChunkSelection::WeightedByRates);
+    }
+
+    #[test]
     fn weighted_selection_deterministic_and_consistent() {
         // WeightedByRates results must stay a pure function of
-        // (seed, partition, threads); the debug-build assert_matches_scan
-        // inside run_steps verifies the barrier-merged cache as well.
+        // (seed, partition, threads); the debug-build recount check at the
+        // end of run_steps verifies the barrier-merged counts as well.
         let model = zgb_ziff(0.5, 3.0);
         let d = Dims::square(20);
         let p = five_coloring(d);

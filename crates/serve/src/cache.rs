@@ -3,9 +3,10 @@
 //! Results live as `<dir>/<key>.jsonl` where the key is the canonical spec
 //! digest ([`crate::request`]), so the filesystem *is* the index: a restart
 //! rescans the directory and seeds recency from file mtimes. Entries are
-//! whole observable files written atomically (temp + rename), and because a
-//! trajectory is a pure function of its spec, a hit returns bytes identical
-//! to what a fresh run would produce — the bit-identity tests pin this.
+//! whole observable files written by [`psr_engine::atomic_put`], and
+//! because a trajectory is a pure function of its spec, a hit returns bytes
+//! identical to what a fresh run would produce — the bit-identity tests pin
+//! this.
 //!
 //! The total footprint is bounded: inserting past `max_bytes` evicts
 //! least-recently-used entries (never the one just inserted, so a single
@@ -141,10 +142,7 @@ impl ResultCache {
     ///
     /// Propagates I/O errors from the atomic write.
     pub fn put(&self, key: &str, bytes: &[u8]) -> std::io::Result<()> {
-        let path = self.path(key);
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, &path)?;
+        psr_engine::atomic_put(&self.path(key), bytes)?;
         let mut state = self.inner.lock().expect("cache lock");
         state.clock += 1;
         let clock = state.clock;

@@ -136,9 +136,7 @@ impl Partial {
             kept.push_str(&line(num_states, ck));
             kept.push('\n');
         }
-        let tmp = self.path.with_extension("tmp");
-        std::fs::write(&tmp, kept)?;
-        std::fs::rename(&tmp, &self.path)
+        psr_engine::atomic_put(&self.path, kept.as_bytes())
     }
 
     /// Append the final observable line if it is not already the last line

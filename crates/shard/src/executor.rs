@@ -2,7 +2,7 @@
 //! state, and two interchangeable schedulers.
 //!
 //! [`ShardedPndca`] splits the lattice over a [`ShardGrid`] of workers and
-//! drives the worker phase protocol (see [`crate::worker`]) with one of:
+//! drives the worker phase protocol (see the `worker` module) with one of:
 //!
 //! - **Inline** — a lockstep loop over the workers inside the calling
 //!   thread. Frames still flow as encoded byte messages, so the protocol

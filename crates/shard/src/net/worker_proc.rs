@@ -1,11 +1,11 @@
 //! The body of one `psr-shard-worker` process.
 //!
 //! Mirrors the threaded worker loop in [`crate::executor`] phase for
-//! phase — same schedule, same keyed demux ([`recv_keyed`], shared with
+//! phase — same schedule, same keyed demux (`recv_keyed`, shared with
 //! it), same determinism contract — but with sockets in place of channels:
 //!
 //! - outgoing frames are appended to *per-peer coalesced send buffers*
-//!   ([`SocketSink`]): every frame bound for one peer within one phase
+//!   (`SocketSink`): every frame bound for one peer within one phase
 //!   lands back-to-back in a single buffer (frames are self-delimiting)
 //!   and is flushed with a single `write`, so an 8-direction exchange
 //!   costs at most one syscall per adjacent peer, not one per frame;
@@ -13,7 +13,7 @@
 //!   feeding a shared channel, demuxed by the same `(kind, step, pos,
 //!   dir, src)` key with a pending map;
 //! - phase busy-times are measured with the scheduler's on-CPU clock
-//!   ([`super::BusyClock`]) and shipped to the hub in each step report,
+//!   (`BusyClock`) and shipped to the hub in each step report,
 //!   so the critical path stays honest on hosts with fewer cores than
 //!   workers;
 //! - a monitor thread watches the hub control connection and kills the

@@ -1,5 +1,5 @@
-//! One shard worker: a halo-padded sub-lattice, its compiled kernel, its
-//! owned propensity counts, and the phase methods of the sweep protocol.
+//! One shard worker: a halo-padded sub-lattice, its compiled kernel, and
+//! the phase methods of the sweep protocol.
 //!
 //! A worker advances by the same `(step, position, chunk)` schedule as the
 //! shared-lattice executor, but only trials anchored at sites it *owns*.
@@ -22,14 +22,17 @@
 //!    After this phase every copy of every global cell agrees again.
 //! 4. **fold** — push the sweep's accumulated change journal (own writes,
 //!    applied write-backs, halo diffs) through the compiled kernel's code
-//!    tables and the owned propensity counts.
+//!    tables, masks and — for weighted selection — enabled-site counts.
 //!
-//! For `WeightedByRates` chunk selection a counts exchange precedes each
-//! sweep: workers all-gather their owned per-(chunk, reaction) enabled-site
-//! counts, sum them (integer adds — order-free), and evaluate the *same*
-//! count-times-rate weight formula as `ChunkPropensityCache::chunk_weight`,
-//! so every worker draws the identical chunk from its private copy of the
-//! per-step draw stream.
+//! For `WeightedByRates` chunk selection the kernel counts enabled sites
+//! per (chunk, reaction) over the worker's *owned* sites: its group map
+//! gives every owned site its global chunk id and every halo cell
+//! [`NO_GROUP`] (halo-cell codes may be wrap-corrupted at the padded edge
+//! and are never trusted). A counts exchange precedes each sweep: workers
+//! all-gather those counts, sum them (integer adds — order-free) into the
+//! shared-lattice executor's counts, and evaluate the *same*
+//! [`group_weights`], so every worker draws the identical chunk from its
+//! private copy of the per-step draw stream.
 
 use crate::domain::{dir_index, opposite, ShardGrid, DIRS};
 use crate::frame::{
@@ -39,7 +42,7 @@ use crate::frame::{
 use psr_ca::partition::Partition;
 use psr_ca::pndca::ChunkSelection;
 use psr_ca::propensity::draw_weighted;
-use psr_kernel::{CompiledModel, SiteKernel};
+use psr_kernel::{group_weights, CompiledModel, SiteKernel, NO_GROUP};
 use psr_lattice::{Change, Lattice, Site, SubLattice};
 use psr_model::Model;
 use psr_parallel::{draw_stream_id, shuffle_stream_id, trial_stream_base};
@@ -81,100 +84,6 @@ fn border_rect(bw: u32, bh: u32, r: u32, dir: usize) -> (u32, u32, u32, u32) {
     (x0, y0, w, h)
 }
 
-/// Per-(chunk, reaction) enabled-site counts over this worker's owned
-/// sites: the shard-local summand of `ChunkPropensityCache`'s counts.
-///
-/// Masks are read from the worker's [`SiteKernel`] (only *owned* anchors
-/// are ever queried — halo-cell codes may be wrap-corrupted at the padded
-/// edge and are never trusted). Summed across workers the counts equal a
-/// shared-lattice cache's, and the weight formula is the same
-/// count-times-rate loop, so weighted selection stays bit-identical.
-struct OwnedCounts {
-    rates: Vec<f64>,
-    members: usize,
-    /// Per padded-local site: enabled-reaction bitmask (owned sites only).
-    enabled: Vec<u64>,
-    /// Per padded-local site: global chunk id, `u32::MAX` for halo cells.
-    chunk_of: Vec<u32>,
-    /// `counts[c * members + m]` over owned sites.
-    counts: Vec<u32>,
-}
-
-impl OwnedCounts {
-    fn new(model: &Model, partition: &Partition, sub: &SubLattice, kernel: &SiteKernel) -> Self {
-        let members = model.num_reactions();
-        let n = sub.lattice().len();
-        let mut counts = vec![0u32; partition.num_chunks() * members];
-        let mut enabled = vec![0u64; n];
-        let mut chunk_of = vec![u32::MAX; n];
-        for i in 0..n {
-            let local = Site(i as u32);
-            if !sub.is_owned(local) {
-                continue;
-            }
-            chunk_of[i] = partition.chunk_of(sub.to_global(local)) as u32;
-            let mask = kernel.enabled_mask(local);
-            enabled[i] = mask;
-            let base = chunk_of[i] as usize * members;
-            let mut bits = mask;
-            while bits != 0 {
-                let m = bits.trailing_zeros() as usize;
-                counts[base + m] += 1;
-                bits &= bits - 1;
-            }
-        }
-        OwnedCounts {
-            rates: (0..members).map(|m| model.reaction(m).rate()).collect(),
-            members,
-            enabled,
-            chunk_of,
-            counts,
-        }
-    }
-
-    /// Re-evaluate every owned anchor whose pattern can read a changed
-    /// cell. The kernel must already reflect `changes`. Idempotent per
-    /// anchor, so overlapping stencils across changes are harmless.
-    fn fold(&mut self, kernel: &SiteKernel, changes: &[Change]) {
-        for &(site, _, _) in changes {
-            for &j in kernel.compiled().read_cells() {
-                let anchor = kernel.anchor(site, j as usize);
-                if self.chunk_of[anchor.0 as usize] == u32::MAX {
-                    continue;
-                }
-                self.store_mask(anchor, kernel.enabled_mask(anchor));
-            }
-        }
-    }
-
-    fn store_mask(&mut self, site: Site, new_mask: u64) {
-        let old_mask = self.enabled[site.0 as usize];
-        let mut diff = old_mask ^ new_mask;
-        if diff == 0 {
-            return;
-        }
-        self.enabled[site.0 as usize] = new_mask;
-        let base = self.chunk_of[site.0 as usize] as usize * self.members;
-        while diff != 0 {
-            let m = diff.trailing_zeros() as usize;
-            if new_mask & (1 << m) != 0 {
-                self.counts[base + m] += 1;
-            } else {
-                self.counts[base + m] -= 1;
-            }
-            diff &= diff - 1;
-        }
-    }
-
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 * self.counts.len());
-        for c in &self.counts {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out
-    }
-}
-
 /// One shard worker. The executor (inline or threaded) drives the phase
 /// methods in protocol order; the worker itself never blocks.
 pub(crate) struct Worker<'m> {
@@ -196,7 +105,6 @@ pub(crate) struct Worker<'m> {
     chunk_interior: Vec<Vec<(Site, Site)>>,
     /// Per chunk: owned sites within `radius` of the domain border.
     chunk_boundary: Vec<Vec<(Site, Site)>>,
-    counts: Option<OwnedCounts>,
     // Per-step / per-sweep scratch.
     draw_rng: Option<Pcg32>,
     journal: Vec<Change>,
@@ -222,7 +130,7 @@ impl<'m> Worker<'m> {
         let radius = model.interaction_radius();
         let (x0, y0, bw, bh) = grid.domain_of(dims, id);
         let sub = SubLattice::scatter(global, x0, y0, bw, bh, radius);
-        let kernel = SiteKernel::new(compiled, sub.lattice());
+        let mut kernel = SiteKernel::new(compiled, sub.lattice());
         let m = partition.num_chunks();
         let mut chunk_interior = vec![Vec::new(); m];
         let mut chunk_boundary = vec![Vec::new(); m];
@@ -243,11 +151,19 @@ impl<'m> Worker<'m> {
                 }
             }
         }
-        let counts = (selection == ChunkSelection::WeightedByRates)
-            .then(|| OwnedCounts::new(model, partition, &sub, &kernel));
-        let counts_len = counts.as_ref().map_or(0, |c| c.counts.len());
         let species = model.species().len();
         let reactions = model.num_reactions();
+        let mut counts_len = 0;
+        if selection == ChunkSelection::WeightedByRates {
+            let group_of = (0..sub.lattice().len() as u32)
+                .map(|i| match Site(i) {
+                    local if sub.is_owned(local) => partition.chunk_of(sub.to_global(local)) as u32,
+                    _ => NO_GROUP,
+                })
+                .collect();
+            kernel.attach_counts(group_of, m);
+            counts_len = m * reactions;
+        }
         Worker {
             id,
             model,
@@ -264,7 +180,6 @@ impl<'m> Worker<'m> {
             bh,
             chunk_interior,
             chunk_boundary,
-            counts,
             draw_rng: None,
             journal: Vec::new(),
             wb_out: vec![Vec::new(); 8],
@@ -324,7 +239,12 @@ impl<'m> Worker<'m> {
     /// Counts frames for the pre-sweep all-gather (weighted selection):
     /// one to every worker, own id included for a uniform receive loop.
     pub(crate) fn counts_frames(&mut self, step: u64, pos: u32, sink: &mut impl FrameSink) {
-        let payload = self.counts.as_ref().expect("weighted only").payload();
+        let payload: Vec<u8> = self
+            .kernel
+            .counts(0)
+            .iter()
+            .flat_map(|c| c.to_le_bytes())
+            .collect();
         for dest in 0..self.grid.workers() {
             self.note_sent(dest, frame::HEADER_LEN + payload.len());
             sink.frame(dest, KIND_COUNTS, NO_DIR, self.id, step, pos, &payload);
@@ -333,19 +253,8 @@ impl<'m> Worker<'m> {
 
     /// Draw the next chunk after all counts frames were accepted.
     pub(crate) fn weighted_draw(&mut self) -> usize {
-        let counts = self.counts.as_ref().expect("weighted only");
-        let members = counts.members;
-        self.weights.clear();
-        self.weights.extend((0..self.num_chunks).map(|c| {
-            let base = c * members;
-            // Same loop as ChunkPropensityCache::chunk_weight, fed by the
-            // all-worker count sums — bit-identical weights.
-            let mut w = 0.0;
-            for m in 0..members {
-                w += self.counts_total[base + m] as f64 * counts.rates[m];
-            }
-            w
-        }));
+        let rates = self.kernel.compiled().rates();
+        group_weights(&self.counts_total, rates, 0..rates.len(), &mut self.weights);
         for t in &mut self.counts_total {
             *t = 0;
         }
@@ -530,16 +439,11 @@ impl<'m> Worker<'m> {
         }
     }
 
-    /// Phase 4: fold the sweep's change journal into the kernel codes and
-    /// the owned propensity counts. After this the worker is ready for the
-    /// next draw/sweep.
+    /// Phase 4: fold the sweep's change journal into the kernel's codes,
+    /// masks and owned enabled-site counts. After this the worker is ready
+    /// for the next draw/sweep.
     pub(crate) fn fold(&mut self) {
-        let changes = std::mem::take(&mut self.journal);
-        self.kernel.apply_changes(self.sub.lattice(), &changes);
-        if let Some(counts) = &mut self.counts {
-            counts.fold(&self.kernel, &changes);
-        }
-        self.journal = changes;
+        self.kernel.apply_changes(self.sub.lattice(), &self.journal);
         self.journal.clear();
     }
 

@@ -18,7 +18,7 @@
 //!
 //! T-PNDCA is gated in the *opposite direction*: its ZGB deviation is
 //! a documented property of the whole-chunk type sweeps, so the check
-//! requires the TOST verdict `Different` (see [`deviation_checks`]'s
+//! requires the TOST verdict `Different` (see `deviation_checks`'s
 //! doc comment and `tests/equivalence.rs`).
 
 use crate::ensemble::{run_sequential, run_sequential_batched, EnsembleOutcome, SequentialConfig};

@@ -5,7 +5,7 @@
 //! [`Report`] groups them by tier and renders both the CLI summary and
 //! the machine-readable JSON document that `scripts/validate.sh`
 //! writes for CI (built with the engine's hand-rolled
-//! [`JsonLine`](psr_engine::journal::JsonLine) encoder — no serde in
+//! [`JsonLine`] encoder — no serde in
 //! the workspace).
 
 use psr_engine::journal::JsonLine;

@@ -1,6 +1,7 @@
 //! Rate-weighted chunk selection (§5 strategy 4) end to end: sequential
-//! PNDCA served by the incremental propensity cache, the same strategy on
-//! the threaded executor, and the Ω×T weighted chunk draw.
+//! PNDCA drawing from the per-chunk counts its kernel keeps beside the
+//! enabled masks, the same strategy on the threaded executor, and the Ω×T
+//! weighted chunk draw.
 //!
 //! ```text
 //! cargo run --release --example weighted_selection
@@ -16,8 +17,8 @@ fn main() {
     let dims = Dims::square(60);
     let partition = five_coloring(dims);
 
-    // Sequential weighted PNDCA: every draw is served from the incremental
-    // cache (debug builds re-verify it against a full scan after each step).
+    // Sequential weighted PNDCA: every draw reads the kernel's chunk counts
+    // (debug builds recount them from a full scan at the end of the run).
     let mut pndca = Pndca::new(&model, &partition).with_selection(ChunkSelection::WeightedByRates);
     let mut state = SimState::new(Lattice::filled(dims, 0), &model);
     let mut rng = rng_from_seed(7);
@@ -28,9 +29,9 @@ fn main() {
         state.coverage.fraction(2),
     );
 
-    // Threaded executor with the same strategy: pure function of
-    // (seed, partition, threads); thread count changes the slice streams
-    // but never safety or the per-step trial count.
+    // Threaded executor with the same strategy: the barrier folds hand
+    // their count changes back as integer adds, so the trajectory is a pure
+    // function of (seed, partition) whatever the thread count.
     for threads in [1usize, 4] {
         let mut exec = ParallelPndca::new(&model, &partition, threads, 11)
             .with_selection(ChunkSelection::WeightedByRates);

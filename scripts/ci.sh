@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --locked --workspace -D warnings"
 cargo clippy --locked --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --locked -D warnings (every doc link resolves to a public item)"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --exclude proptest --exclude criterion
+
 echo "==> cargo build --locked --release"
 cargo build --locked --release
 
