@@ -244,7 +244,8 @@ impl BatchSim {
         let n = lattice.len();
         let c = compiled.cells().len();
 
-        // Neighbor/anchor tables, built exactly like `SiteKernel::new`.
+        // Neighbor/anchor tables through the lattice's wrap tables (the
+        // batch's own SoA layout; `SiteKernel` computes neighbors instead).
         let mut neighbors = vec![0u32; n * c];
         let mut anchors = vec![0u32; n * c];
         let wrap = lattice.wrap_tables();

@@ -185,4 +185,15 @@ mod tests {
         // No stray temp file left behind.
         assert!(!store.ckpt_path("j").with_extension("tmp").exists());
     }
+
+    #[test]
+    fn checkpoint_with_overflowing_dimensions_is_invalid_data() {
+        // A corrupt `.ckpt` must come back as an error the caller reports,
+        // not a panic: serve workers load it outside their unwind guard.
+        let store = temp_store("overflow");
+        let text = "psr-lattice v2\ntime_bits 0\nsteps 0\nrng 1 3\n70000 70000\n0\n";
+        std::fs::write(store.ckpt_path("j"), text).expect("write");
+        let err = store.load("j").expect_err("70000² sites exceed u32");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
 }

@@ -7,7 +7,7 @@
 //!   offsets *and their negations*. The offsets themselves are the **read
 //!   cells** — what a source pattern can read; the negations close the
 //!   stencil under point reflection so that the anchors reading a site are
-//!   among that site's own stencil cells (one neighbor table serves both
+//!   among that site's own stencil cells (one addressing serves both
 //!   directions, see [`SiteKernel`](crate::SiteKernel)). A symmetric
 //!   stencil, as in every library model, has nothing but read cells;
 //! - per-reaction **requirements**: each transform re-expressed as
@@ -112,7 +112,8 @@ impl CompiledModel {
         cells.sort_unstable();
         cells.dedup();
         // Sorted and reflection-closed: negation reverses the order, which
-        // is how `SiteKernel::anchor` finds `site − cells[j]` in the table.
+        // is how `SiteKernel::anchor` finds `site − cells[j]` as
+        // `site + cells[c − 1 − j]`.
         assert!(
             cells
                 .iter()

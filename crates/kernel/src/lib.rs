@@ -11,11 +11,12 @@
 //!    enabled-reaction bitmask plus its summed rate. Falls back to
 //!    per-reaction requirement masks when `S^|read cells|` exceeds
 //!    [`DEFAULT_LUT_CAP`].
-//! 2. [`SiteKernel`] — lattice-bound: the precomputed neighbor table (no
-//!    div/mod in the inner loop), the incrementally maintained per-site
-//!    codes and masks, and [`SiteKernel::fire`]: enabled test, then the
-//!    target states written through the neighbor table into the caller's
-//!    cells — a plain lattice, a shared one, a shard's owned-or-deferred
+//! 2. [`SiteKernel`] — lattice-bound: the incrementally maintained
+//!    per-site codes and masks (no per-site neighbor table: a
+//!    [`psr_lattice::Stencil`] computes `site + cell` with one add away from
+//!    the edges), and [`SiteKernel::fire`]: enabled test, then the target
+//!    states written to the stencil's cells through the caller's writer —
+//!    a plain lattice, a shared one, a shard's owned-or-deferred
 //!    write-back. [`SiteKernel::bind`] is the one build-or-refresh step;
 //!    [`SiteKernel::split_anchors`] lends disjoint site ranges of the codes
 //!    and masks to concurrent folds ([`AnchorRange`]).

@@ -1,12 +1,15 @@
-//! Per-site kernel state: neighbor tables, neighborhood codes, masks — and
-//! the one trial body, [`SiteKernel::fire`].
+//! Per-site kernel state: neighborhood codes and masks — and the one trial
+//! body, [`SiteKernel::fire`].
 //!
-//! A [`SiteKernel`] binds a [`CompiledModel`] to one lattice geometry. At
-//! construction it precomputes, for every site, the flat indices of its
-//! stencil cells — so the hot loop never touches `Dims::translate`'s
-//! div/mod arithmetic. The stencil is closed under point reflection, so
-//! the same row read backwards lists the anchors that read the site: a
-//! firing trial writes through it and folds the write back from it.
+//! A [`SiteKernel`] binds a [`CompiledModel`] to one lattice geometry. It
+//! keeps no per-site neighbor table: a [`Stencil`] over the compiled
+//! stencil cells gives `site + cells[j]` as one add of `dy·w + dx` when the
+//! site is at least the stencil's reach from every edge, and through two
+//! wrap-table loads in the edge band; the site's row comes from one
+//! multiply-high, once per fired or changed site. The stencil is closed
+//! under point reflection, so the same addressing lists the anchors
+//! `site − cells[j] = site + cells[c − 1 − j]` that read the site: a firing
+//! trial writes through it and folds the write back from it.
 //!
 //! A **tracked** kernel additionally scans the lattice once to seed the
 //! per-site neighborhood codes (LUT mode) or enabled-reaction masks
@@ -17,9 +20,9 @@
 //! digit transitions independently, even when torus aliasing folds several
 //! cells of one anchor onto `x`. Its enabled test is one mask load.
 //!
-//! An **untracked** kernel holds the tables only and answers the enabled
-//! test by walking the reaction's requirements through the neighbor table
-//! and the caller's cell reader — the single requirement-walk scan in the
+//! An **untracked** kernel keeps nothing per site and answers the enabled
+//! test by walking the reaction's requirements through the stencil and the
+//! caller's cell reader — the single requirement-walk scan in the
 //! workspace. A kernel is untracked exactly when it has no masks to
 //! consult: the model has more than
 //! [`MAX_KERNEL_REACTIONS`](crate::MAX_KERNEL_REACTIONS) types.
@@ -39,25 +42,15 @@ use std::sync::Arc;
 
 use crate::compiled::{require_masks, CompiledModel};
 use crate::counts::count_diff;
-use psr_lattice::{Change, Dims, Lattice, Site};
+use psr_lattice::{Change, Dims, Lattice, Site, Stencil};
 use psr_model::Model;
-
-/// Row `site` of the neighbor table: the flat indices of `site + cells[j]`.
-/// Because `cells[c − 1 − j] == −cells[j]`, entry `c − 1 − j` is also the
-/// anchor `site − cells[j]` whose stencil cell `j` reads `site`.
-#[inline]
-fn neighbors_of(table: &[u32], c: usize, site: usize) -> &[u32] {
-    &table[site * c..site * c + c]
-}
 
 /// A [`CompiledModel`] instantiated for one lattice geometry.
 #[derive(Clone, Debug)]
 pub struct SiteKernel {
     compiled: Arc<CompiledModel>,
-    dims: Dims,
-    /// `table[site·C + j]` = flat index of `site + cells[j]` (see
-    /// [`neighbors_of`]).
-    table: Vec<u32>,
+    /// The geometry, and `site + cells[j]` for every site and stencil cell.
+    stencil: Stencil,
     /// LUT mode: the base-S neighborhood code of every site.
     codes: Vec<u32>,
     /// LUT mode: a flat copy of the compiled mask table (refresh source for
@@ -87,7 +80,7 @@ pub struct SiteKernel {
 /// fold builds and drops it for free.
 struct Anchors<'k> {
     compiled: &'k CompiledModel,
-    table: &'k [u32],
+    stencil: &'k Stencil,
     lut_mask: &'k [u64],
     /// First site of the range; `codes[i]`/`masks[i]` belong to `lo + i`.
     lo: u32,
@@ -206,16 +199,17 @@ impl Anchors<'_> {
     ) {
         let c = self.compiled.cells().len();
         let reads = self.compiled.read_cells();
-        // `row[c − 1 − j]` is the anchor `site − cells[j]`, which reads
-        // `site` as its cell `j`.
+        let stencil = self.stencil;
+        // `site + cells[c − 1 − j]` is the anchor `site − cells[j]`, which
+        // reads `site` as its cell `j`.
         if self.compiled.has_lut() {
             for &(site, old, new) in changes {
                 if old == new {
                     continue;
                 }
-                let row = neighbors_of(self.table, c, site.0 as usize);
+                let at = stencil.locate(site);
                 for &j in reads {
-                    let anchor = row[c - 1 - j as usize];
+                    let anchor = stencil.at(at, c - 1 - j as usize).0;
                     if !keep(anchor) {
                         continue;
                     }
@@ -234,19 +228,20 @@ impl Anchors<'_> {
             }
         } else {
             for &(site, _, _) in changes {
-                let row = neighbors_of(self.table, c, site.0 as usize);
+                let at = stencil.locate(site);
                 for &j in reads {
-                    let anchor = row[c - 1 - j as usize];
-                    if !keep(anchor) {
+                    let anchor = stencil.at(at, c - 1 - j as usize);
+                    if !keep(anchor.0) {
                         continue;
                     }
-                    let nb = neighbors_of(self.table, c, anchor as usize);
+                    let nb = stencil.locate(anchor);
                     let mask = self
                         .compiled
-                        .eval(|cell| lattice.cells()[nb[cell as usize] as usize]);
-                    let was = std::mem::replace(&mut self.masks[(anchor - self.lo) as usize], mask);
+                        .eval(|cell| lattice.cells()[stencil.at(nb, cell as usize).0 as usize]);
+                    let slot = &mut self.masks[(anchor.0 - self.lo) as usize];
+                    let was = std::mem::replace(slot, mask);
                     if was != mask {
-                        tally(anchor, was, mask);
+                        tally(anchor.0, was, mask);
                     }
                 }
             }
@@ -258,38 +253,14 @@ impl SiteKernel {
     /// Build the kernel for `lattice`'s geometry and, when the compiled
     /// model tracks masks, seed it from the current configuration.
     pub fn new(compiled: Arc<CompiledModel>, lattice: &Lattice) -> Self {
-        let dims = lattice.dims();
-        let n = lattice.len();
-        let c = compiled.cells().len();
-        let mut table = vec![0u32; n * c];
-        let wrap = lattice.wrap_tables();
-        for (j, &offset) in compiled.cells().iter().enumerate() {
-            if wrap.covers(offset) {
-                // Division-free: sweep coordinates row-major and translate
-                // through the wrap tables.
-                let mut site = 0usize;
-                for y in 0..dims.height() {
-                    for x in 0..dims.width() {
-                        table[site * c + j] = wrap.translate_xy(x, y, offset).0;
-                        site += 1;
-                    }
-                }
-            } else {
-                // Wide stencil cell: exact one-time fallback.
-                for site in dims.iter_sites() {
-                    table[site.0 as usize * c + j] = dims.translate(site, offset).0;
-                }
-            }
-        }
         let lut_mask = compiled
             .lut_masks()
             .map(<[u64]>::to_vec)
             .unwrap_or_default();
         let mut kernel = SiteKernel {
             tracked: compiled.tracks_masks(),
+            stencil: Stencil::new(lattice.dims(), compiled.cells()),
             compiled,
-            dims,
-            table,
             codes: Vec::new(),
             lut_mask,
             masks: Vec::new(),
@@ -308,7 +279,7 @@ impl SiteKernel {
 
     /// The geometry this kernel was built for.
     pub fn dims(&self) -> Dims {
-        self.dims
+        self.stencil.dims()
     }
 
     /// The mutation epoch this kernel last reflected.
@@ -334,7 +305,7 @@ impl SiteKernel {
         epoch: u64,
     ) -> &'a mut SiteKernel {
         match slot {
-            Some(k) if k.dims == lattice.dims() => k.ensure_fresh(lattice, epoch),
+            Some(k) if k.dims() == lattice.dims() => k.ensure_fresh(lattice, epoch),
             _ => *slot = None,
         }
         slot.get_or_insert_with(|| {
@@ -365,43 +336,39 @@ impl SiteKernel {
     ///
     /// Panics if a cell holds a state outside the compiled model's domain.
     pub fn rebuild(&mut self, lattice: &Lattice) {
-        assert_eq!(self.dims, lattice.dims(), "kernel built for other dims");
+        assert_eq!(self.dims(), lattice.dims(), "kernel built for other dims");
         if !self.is_tracked() {
             return;
         }
-        let n = lattice.len();
-        let c = self.compiled.cells().len();
         let num_states = self.compiled.num_states();
-        for (i, &s) in lattice.cells().iter().enumerate() {
+        let cells = lattice.cells();
+        for (i, &s) in cells.iter().enumerate() {
             assert!(
                 u32::from(s) < num_states,
                 "site {i} holds state {s} outside the compiled domain (< {num_states})"
             );
         }
-        if self.compiled.has_lut() {
-            self.codes.clear();
-            self.codes.resize(n, 0);
-            for (site, code) in self.codes.iter_mut().enumerate() {
-                let row = neighbors_of(&self.table, c, site);
-                let mut acc = 0u32;
-                for (j, &nb) in row.iter().enumerate() {
-                    acc += self.compiled.weight(j) * u32::from(lattice.cells()[nb as usize]);
+        let (compiled, stencil) = (&*self.compiled, &self.stencil);
+        self.codes.clear();
+        self.masks.clear();
+        if compiled.has_lut() {
+            // One digit at a time over whole runs of sites: contiguous
+            // slices, no per-site addressing.
+            self.codes.resize(lattice.len(), 0);
+            for &j in compiled.read_cells() {
+                let weight = compiled.weight(j as usize);
+                for (sites, to) in stencil.runs(j as usize) {
+                    for (code, &s) in self.codes[sites].iter_mut().zip(&cells[to..]) {
+                        *code += weight * u32::from(s);
+                    }
                 }
-                *code = acc;
             }
-            self.masks.clear();
             self.masks
                 .extend(self.codes.iter().map(|&code| self.lut_mask[code as usize]));
         } else {
-            self.codes.clear();
-            self.masks.clear();
-            self.masks.resize(n, 0);
-            for site in 0..n {
-                let row = neighbors_of(&self.table, c, site);
-                self.masks[site] = self
-                    .compiled
-                    .eval(|cell| lattice.cells()[row[cell as usize] as usize]);
-            }
+            let cell = |at, j: u16| cells[stencil.at(at, j as usize).0 as usize];
+            self.masks
+                .extend(stencil.loci().map(|at| compiled.eval(|j| cell(at, j))));
         }
         self.counts = self.recount(&self.masks);
     }
@@ -511,7 +478,7 @@ impl SiteKernel {
             ranges.push(AnchorRange {
                 anchors: Anchors {
                     compiled: &self.compiled,
-                    table: &self.table,
+                    stencil: &self.stencil,
                     lut_mask: &self.lut_mask,
                     lo,
                     codes: c,
@@ -529,7 +496,7 @@ impl SiteKernel {
     fn all_anchors(&mut self) -> (Anchors<'_>, &mut [Vec<u32>]) {
         let all = Anchors {
             compiled: &self.compiled,
-            table: &self.table,
+            stencil: &self.stencil,
             lut_mask: &self.lut_mask,
             lo: 0,
             codes: &mut self.codes,
@@ -540,8 +507,9 @@ impl SiteKernel {
     }
 
     /// The one trial: if `reaction` is enabled at `site`, write its target
-    /// states — in transform order, through the neighbor table — into
-    /// `write` and return true; otherwise write nothing and return false.
+    /// states — in transform order, to the cells the stencil addresses from
+    /// `site` — into `write` and return true; otherwise write nothing and
+    /// return false.
     ///
     /// `read` and `write` are the caller's cells: a plain lattice, a shared
     /// one, a shard's owned-or-deferred write-back. `read` is consulted only
@@ -560,10 +528,9 @@ impl SiteKernel {
         if !self.is_enabled(site, reaction, read) {
             return false;
         }
-        let c = self.compiled.cells().len();
-        let row = neighbors_of(&self.table, c, site.0 as usize);
+        let at = self.stencil.locate(site);
         for r in self.compiled.requirements(reaction) {
-            write(Site(row[r.cell as usize]), r.tgt);
+            write(self.stencil.at(at, r.cell as usize), r.tgt);
         }
         true
     }
@@ -575,12 +542,11 @@ impl SiteKernel {
         if self.is_tracked() {
             return (self.masks[site.0 as usize] >> reaction) & 1 != 0;
         }
-        let c = self.compiled.cells().len();
-        let row = neighbors_of(&self.table, c, site.0 as usize);
+        let at = self.stencil.locate(site);
         self.compiled
             .requirements(reaction)
             .iter()
-            .all(|r| read(Site(row[r.cell as usize])) == r.src)
+            .all(|r| read(self.stencil.at(at, r.cell as usize)) == r.src)
     }
 
     /// Enabled-reaction bitmask at `site` (bit `i` ↔ reaction `i`).
@@ -612,19 +578,18 @@ impl SiteKernel {
         }
     }
 
-    /// The anchor `site − cells[cell]` from the precomputed table (used by
-    /// VSSM's enabled-set maintenance to avoid repeated translation).
+    /// The anchor `site − cells[cell]`, whose stencil cell `cell` reads
+    /// `site` (VSSM's enabled-set maintenance walks these).
     #[inline]
     pub fn anchor(&self, site: Site, cell: usize) -> Site {
         let c = self.compiled.cells().len();
-        Site(neighbors_of(&self.table, c, site.0 as usize)[c - 1 - cell])
+        self.stencil.neighbor(site, c - 1 - cell)
     }
 
-    /// The neighbor `site + cells[cell]` from the precomputed table.
+    /// The neighbor `site + cells[cell]`.
     #[inline]
     pub fn neighbor(&self, site: Site, cell: usize) -> Site {
-        let c = self.compiled.cells().len();
-        Site(neighbors_of(&self.table, c, site.0 as usize)[cell])
+        self.stencil.neighbor(site, cell)
     }
 
     /// Every site's enabled mask by the model's own per-reaction scan.
@@ -851,6 +816,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Heap bytes per site: the per-site arrays over the site count. The
+    /// destructuring names every field, so a new one must be placed: the
+    /// LUT copy is per model, the stencil's wrap tables grow with width +
+    /// height, not with the site count, and group maps are the callers'.
+    fn bytes_per_site(kernel: &SiteKernel) -> usize {
+        let SiteKernel {
+            compiled: _,
+            stencil,
+            codes,
+            lut_mask: _,
+            masks,
+            epoch: _,
+            tracked: _,
+            group_maps: _,
+            counts: _,
+        } = kernel;
+        let bytes = codes.capacity() * std::mem::size_of::<u32>()
+            + masks.capacity() * std::mem::size_of::<u64>();
+        bytes / stencil.dims().sites() as usize
+    }
+
+    #[test]
+    fn kernel_keeps_no_per_site_neighbor_table() {
+        let model = zgb_ziff(0.5, 2.0);
+        let many = Model::new(
+            model.species().clone(),
+            model.reactions().iter().cycle().take(70).cloned().collect(),
+        );
+        let lattice = checker_lattice(Dims::new(96, 64));
+        let kernel = |compiled: CompiledModel| SiteKernel::new(Arc::new(compiled), &lattice);
+        let lut = bytes_per_site(&kernel(CompiledModel::compile(&model)));
+        let masks = bytes_per_site(&kernel(CompiledModel::compile_with_cap(&model, 0)));
+        let untracked = kernel(CompiledModel::compile(&many));
+        assert!(!untracked.is_tracked());
+        let untracked = bytes_per_site(&untracked);
+        println!("psr-kernel.bytes_per_site: lut {lut}, masks {masks}, untracked {untracked}");
+        assert!(lut <= 12, "LUT kernel holds {lut} B/site");
+        assert!(masks <= 8, "mask-mode kernel holds {masks} B/site");
+        assert_eq!(untracked, 0, "untracked kernel holds per-site state");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use crate::geometry::Dims;
 use crate::lattice::Lattice;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Magic header line of the v1 snapshot format.
 const MAGIC: &str = "psr-lattice v1";
@@ -39,22 +39,46 @@ const MAGIC_V2: &str = "psr-lattice v2";
 
 /// Serialise a lattice to the snapshot text format.
 pub fn to_text(lattice: &Lattice) -> String {
-    let dims = lattice.dims();
-    let mut out = String::new();
+    let mut out = Vec::new();
     let _ = writeln!(out, "{MAGIC}");
+    write_body(&mut out, lattice);
+    into_text(out)
+}
+
+/// Append the dimension line and the cell rows both format versions share,
+/// writing each cell's decimal digits straight into `out`.
+fn write_body(out: &mut Vec<u8>, lattice: &Lattice) {
+    let dims = lattice.dims();
     let _ = writeln!(out, "{} {}", dims.width(), dims.height());
-    for y in 0..dims.height() {
-        let row: Vec<String> = (0..dims.width())
-            .map(|x| lattice.get(dims.site_at(x as i64, y as i64)).to_string())
-            .collect();
-        let _ = writeln!(out, "{}", row.join(" "));
+    // One digit and a separator per cell: exact for fewer than ten states.
+    out.reserve(lattice.len() * 2);
+    for row in lattice.cells().chunks(dims.width() as usize) {
+        for (x, &v) in row.iter().enumerate() {
+            if x > 0 {
+                out.push(b' ');
+            }
+            if v >= 100 {
+                out.push(b'0' + v / 100);
+            }
+            if v >= 10 {
+                out.push(b'0' + v / 10 % 10);
+            }
+            out.push(b'0' + v % 10);
+        }
+        out.push(b'\n');
     }
-    out
+}
+
+fn into_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("snapshot text is ASCII")
 }
 
 /// Parse the dimension line plus cell rows shared by both format versions,
-/// rejecting short/long rows, malformed cells and trailing garbage.
-fn parse_body(lines: &mut std::str::Lines<'_>) -> Result<Lattice, String> {
+/// rejecting short/long rows, malformed cells, trailing garbage and sizes
+/// beyond `u32` site indexing. `text_len` bounds what the rows can hold:
+/// every cell takes at least two bytes (a digit and a separator) but the
+/// last, so no more than that is reserved before the rows are read.
+fn parse_body(lines: &mut std::str::Lines<'_>, text_len: usize) -> Result<Lattice, String> {
     let dims_line = lines.next().ok_or("missing dimension line")?;
     let mut parts = dims_line.split_whitespace();
     let width: u32 = parts
@@ -73,8 +97,12 @@ fn parse_body(lines: &mut std::str::Lines<'_>) -> Result<Lattice, String> {
     if width == 0 || height == 0 {
         return Err("dimensions must be positive".to_owned());
     }
+    let sites = u64::from(width) * u64::from(height);
+    if sites > u64::from(u32::MAX) {
+        return Err(format!("{width}x{height} sites exceed u32 indexing"));
+    }
     let dims = Dims::new(width, height);
-    let mut cells = Vec::with_capacity((width * height) as usize);
+    let mut cells = Vec::with_capacity((sites as usize).min(text_len / 2 + 1));
     for y in 0..height {
         let row = lines.next().ok_or_else(|| format!("missing row {y}"))?;
         let mut count = 0u32;
@@ -106,7 +134,7 @@ pub fn from_text(text: &str) -> Result<Lattice, String> {
     if magic.trim() != MAGIC {
         return Err(format!("bad header {magic:?}, expected {MAGIC:?}"));
     }
-    parse_body(&mut lines)
+    parse_body(&mut lines, text.len())
 }
 
 /// Resume metadata carried by a v2 (checkpoint) snapshot.
@@ -126,16 +154,13 @@ pub struct SnapshotMeta {
 
 /// Serialise a lattice plus resume metadata to the v2 checkpoint format.
 pub fn to_text_v2(lattice: &Lattice, meta: &SnapshotMeta) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     let _ = writeln!(out, "{MAGIC_V2}");
     let _ = writeln!(out, "time_bits {}", meta.time.to_bits());
     let _ = writeln!(out, "steps {}", meta.steps);
     let _ = writeln!(out, "rng {} {}", meta.rng[0], meta.rng[1]);
-    // Append the v1 body (dims + rows) by reusing the v1 writer minus its
-    // header line.
-    let v1 = to_text(lattice);
-    out.push_str(v1.split_once('\n').map(|(_, body)| body).unwrap_or(""));
-    out
+    write_body(&mut out, lattice);
+    into_text(out)
 }
 
 /// Parse one `<key> <u64>…` metadata line of the v2 header.
@@ -181,7 +206,7 @@ pub fn from_text_v2(text: &str) -> Result<(Lattice, SnapshotMeta), String> {
     if !time.is_finite() || time < 0.0 {
         return Err(format!("time {time} is not a valid simulation clock"));
     }
-    let lattice = parse_body(&mut lines)?;
+    let lattice = parse_body(&mut lines, text.len())?;
     Ok((lattice, SnapshotMeta { time, steps, rng }))
 }
 

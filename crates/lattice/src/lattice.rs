@@ -109,8 +109,8 @@ impl Lattice {
         self.wrap.translate(site, offset)
     }
 
-    /// The lattice's precomputed wrap tables (shared with compiled kernels
-    /// so neighbor-table construction stays division-free).
+    /// The lattice's precomputed wrap tables (the batched engine addresses
+    /// its neighbors through them).
     pub fn wrap_tables(&self) -> &WrapTables {
         &self.wrap
     }

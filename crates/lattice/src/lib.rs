@@ -11,6 +11,9 @@
 //!   of state ids for cache-friendly sweeps, and the [`Change`] records
 //!   simulators journal as they mutate it;
 //! - [`neighborhood`] — von Neumann / Moore / custom offset stencils;
+//! - [`wrap`] — torus translation without division: [`WrapTables`], and
+//!   [`Stencil`], which addresses a fixed offset list with one add per
+//!   lookup away from the edges and no per-site table;
 //! - [`coverage`] — incremental per-state occupation counting (the observable
 //!   every figure in the paper plots);
 //! - [`cluster`] — connected-component analysis of same-state islands;
@@ -42,4 +45,4 @@ pub use halo::SubLattice;
 pub use lattice::{Change, Lattice, State};
 pub use neighborhood::Neighborhood;
 pub use region::Region;
-pub use wrap::WrapTables;
+pub use wrap::{Locus, Stencil, WrapTables};

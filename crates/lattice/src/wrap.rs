@@ -2,8 +2,8 @@
 //!
 //! [`Dims::translate`](crate::geometry::Dims::translate) pays three integer
 //! divisions per call (one to split the flat site index into coordinates,
-//! two `rem_euclid` to wrap them). Pattern matching and neighbor-table
-//! construction perform millions of translations with *small* offsets, for
+//! two `rem_euclid` to wrap them). Pattern matching and neighbor
+//! addressing perform millions of translations with *small* offsets, for
 //! which the wrapped coordinate can be read from a table instead: for every
 //! raw coordinate `x + dx` with `|dx| ≤ radius` the wrapped column is
 //! `x_wrap[x + dx + radius]`, and likewise for rows — with the row table
@@ -13,8 +13,14 @@
 //! Offsets beyond the table radius fall back to the exact `Dims` arithmetic,
 //! so a [`WrapTables`] is correct for *any* offset and merely fastest for
 //! the common small ones.
+//!
+//! A [`Stencil`] addresses one fixed list of offsets without any per-site
+//! table: a site at least the stencil's reach from every edge reaches
+//! `site + offset` by one add of the precomputed `dy·w + dx`; only the
+//! edge band goes through wrap tables built with that reach.
 
 use crate::geometry::{Dims, Offset, Site};
+use std::ops::Range;
 
 /// Precomputed wrapped row/column lookup tables for one lattice geometry.
 #[derive(Clone, Debug)]
@@ -92,6 +98,149 @@ impl WrapTables {
     }
 }
 
+/// A site and its coordinates, located once for any number of
+/// [`Stencil::at`] lookups.
+#[derive(Clone, Copy, Debug)]
+pub struct Locus {
+    site: u32,
+    x: u32,
+    y: u32,
+    /// At least the stencil's reach from every edge: every offset is one add.
+    interior: bool,
+}
+
+impl Locus {
+    /// The located site.
+    #[inline]
+    pub fn site(self) -> Site {
+        Site(self.site)
+    }
+
+    /// True when the site is at least the stencil's reach from every edge:
+    /// no offset wraps, so `site + offset` orders like the offset itself.
+    #[inline]
+    pub fn is_interior(self) -> bool {
+        self.interior
+    }
+}
+
+/// Table-free addressing of `site + offsets[j]` for one list of offsets on
+/// one geometry (see the module docs).
+#[derive(Clone, Debug)]
+pub struct Stencil {
+    offsets: Vec<Offset>,
+    /// `dy·w + dx` per offset, as a wrapping `u32` add: exact for an
+    /// interior site.
+    flat: Vec<u32>,
+    reach: u32,
+    width: u32,
+    /// Interior extent per axis: `width − 2·reach` and `height − 2·reach`,
+    /// 0 when no site is interior.
+    inner: (u32, u32),
+    /// `u64::MAX / width`: `y = ⌊recip · (site + 1) / 2⁶⁴⌋` for every site
+    /// of a `u32`-indexed lattice (a multiply-high instead of a division).
+    recip: u64,
+    /// Wrap tables with radius `reach`, for the edge band.
+    wrap: WrapTables,
+}
+
+impl Stencil {
+    /// Address `offsets` (in this order) on `dims`.
+    pub fn new(dims: Dims, offsets: &[Offset]) -> Self {
+        let reach = offsets.iter().map(|o| o.linf_norm()).max().unwrap_or(0);
+        let (w, h) = (dims.width(), dims.height());
+        let flat = offsets
+            .iter()
+            .map(|o| (i64::from(o.dy) * i64::from(w) + i64::from(o.dx)) as u32)
+            .collect();
+        let inner = |side: u32| u64::from(side).saturating_sub(2 * u64::from(reach)) as u32;
+        Stencil {
+            offsets: offsets.to_vec(),
+            flat,
+            reach,
+            width: w,
+            inner: (inner(w), inner(h)),
+            recip: u64::MAX / u64::from(w),
+            wrap: WrapTables::new(dims, reach),
+        }
+    }
+
+    /// The geometry addressed.
+    pub fn dims(&self) -> Dims {
+        self.wrap.dims()
+    }
+
+    /// Locate a site from its coordinates (no division: row sweeps carry
+    /// `(x, y)` along).
+    #[inline]
+    pub fn locate_xy(&self, x: u32, y: u32) -> Locus {
+        let interior =
+            x.wrapping_sub(self.reach) < self.inner.0 && y.wrapping_sub(self.reach) < self.inner.1;
+        Locus {
+            site: y * self.width + x,
+            x,
+            y,
+            interior,
+        }
+    }
+
+    /// Locate a site: its row by one multiply-high.
+    #[inline]
+    pub fn locate(&self, site: Site) -> Locus {
+        let y = ((u128::from(self.recip) * (u128::from(site.0) + 1)) >> 64) as u32;
+        self.locate_xy(site.0 - y * self.width, y)
+    }
+
+    /// `locus + offsets[j]`, wrapped onto the torus.
+    #[inline]
+    pub fn at(&self, locus: Locus, j: usize) -> Site {
+        if locus.interior {
+            Site(locus.site.wrapping_add(self.flat[j]))
+        } else {
+            self.at_edge(locus, j)
+        }
+    }
+
+    /// [`at`](Self::at) in the edge band, kept out of line so that callers
+    /// inline only the one-add interior path.
+    #[cold]
+    #[inline(never)]
+    fn at_edge(&self, locus: Locus, j: usize) -> Site {
+        self.wrap.translate_xy(locus.x, locus.y, self.offsets[j])
+    }
+
+    /// `site + offsets[j]`, wrapped onto the torus.
+    #[inline]
+    pub fn neighbor(&self, site: Site, j: usize) -> Site {
+        self.at(self.locate(site), j)
+    }
+
+    /// Every site, row-major, located without a division.
+    pub fn loci(&self) -> impl Iterator<Item = Locus> + '_ {
+        let dims = self.dims();
+        (0..dims.height()).flat_map(move |y| (0..dims.width()).map(move |x| self.locate_xy(x, y)))
+    }
+
+    /// The translation by `offsets[j]` of every site, as runs of
+    /// consecutive sites: each `(sites, to)` sends `sites` to
+    /// `to..to + sites.len()`, in order. Row-major, at most two runs per row
+    /// (the row's cells shifted by `dx`, split where they wrap), so a sweep
+    /// over all sites can work on contiguous slices.
+    pub fn runs(&self, j: usize) -> impl Iterator<Item = (Range<usize>, usize)> {
+        let (w, h) = (i64::from(self.width), i64::from(self.dims().height()));
+        let o = self.offsets[j];
+        let dx = i64::from(o.dx).rem_euclid(w) as usize;
+        let dy = i64::from(o.dy);
+        let w = w as usize;
+        (0..h).flat_map(move |y| {
+            let (row, to) = (y as usize * w, (y + dy).rem_euclid(h) as usize * w);
+            [(row..row + w - dx, to + dx), (row + w - dx..row + w, to)]
+                .into_iter()
+                .filter(|(sites, _)| !sites.is_empty())
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +283,81 @@ mod tests {
                 let site = dims.site_at(x as i64, y as i64);
                 let o = Offset::new(-2, 1);
                 assert_eq!(wrap.translate_xy(x, y, o), dims.translate(site, o));
+            }
+        }
+    }
+
+    #[test]
+    fn stencil_agrees_with_dims_translate_on_every_geometry() {
+        // Sides below, at and beyond 2·reach + 1, so some lattices have no
+        // interior sites and others have both kinds.
+        let offsets = [
+            Offset::new(0, 0),
+            Offset::new(1, 0),
+            Offset::new(-2, 1),
+            Offset::new(0, -2),
+            Offset::new(2, 2),
+        ];
+        for (w, h) in [
+            (1, 1),
+            (1, 9),
+            (9, 1),
+            (2, 3),
+            (4, 5),
+            (5, 5),
+            (6, 7),
+            (13, 8),
+        ] {
+            let dims = Dims::new(w, h);
+            let stencil = Stencil::new(dims, &offsets);
+            assert_eq!(stencil.reach, 2);
+            let loci: Vec<Locus> = stencil.loci().collect();
+            assert_eq!(loci.len(), dims.sites() as usize);
+            for (site, row_major) in dims.iter_sites().zip(loci) {
+                assert_eq!(row_major.site(), site);
+                let located = stencil.locate(site);
+                for (j, &o) in offsets.iter().enumerate() {
+                    let want = dims.translate(site, o);
+                    assert_eq!(stencil.at(row_major, j), want, "{w}x{h} {site:?} {o:?}");
+                    assert_eq!(stencil.at(located, j), want, "{w}x{h} {site:?} {o:?}");
+                    assert_eq!(stencil.neighbor(site, j), want);
+                }
+            }
+            for (j, &o) in offsets.iter().enumerate() {
+                let mut covered = 0;
+                for (sites, to) in stencil.runs(j) {
+                    assert_eq!(sites.start, covered, "runs are row-major and gapless");
+                    covered = sites.end;
+                    for (k, site) in sites.enumerate() {
+                        let want = dims.translate(Site(site as u32), o);
+                        assert_eq!(to + k, want.0 as usize, "{w}x{h} run of {o:?}");
+                    }
+                }
+                assert_eq!(covered, dims.sites() as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn stencil_locates_rows_exactly_on_wide_lattices() {
+        // The multiply-high row split against a division, where the site
+        // index nears 2³² and for power-of-two and odd widths.
+        for (w, h) in [
+            (1, 1 << 20),
+            (2, 1 << 20),
+            (65_536, 65_535),
+            (65_537, 65_535),
+        ] {
+            let dims = Dims::new(w, h);
+            let stencil = Stencil::new(dims, &[Offset::ZERO]);
+            let n = u64::from(dims.sites());
+            let probes = (0..4096u64)
+                .chain((n - 4096)..n)
+                .chain((1..=64).map(|k| k * n / 65 + k));
+            for s in probes {
+                let site = Site(s as u32);
+                let locus = stencil.locate(site);
+                assert_eq!((locus.x, locus.y), (site.0 % w, site.0 / w), "{w}x{h} {s}");
             }
         }
     }
