@@ -4,6 +4,8 @@
 //! The Master-Equation algorithms in `psr-dmc` are inherently sequential;
 //! the CA family trades kinetic accuracy for parallel structure:
 //!
+//! - [`sweep`] — the one partitioned sweep: the CA methods below are
+//!   schedules of segments over the trial loop of [`CaSweep`];
 //! - [`ndca`] — the Non-Deterministic Cellular Automaton: every site is
 //!   visited once per step, reaction types chosen with probability
 //!   `k_i / K` (§4);
@@ -43,6 +45,7 @@ pub mod partition_builder;
 pub mod pndca;
 pub mod propensity;
 pub mod splitting;
+pub mod sweep;
 pub mod tpndca;
 
 pub use conflict::ConflictDetector;
@@ -53,6 +56,7 @@ pub use partition_builder::{
     checkerboard, five_coloring, five_coloring_alt, greedy_coloring, seven_coloring, single_chunk,
     singleton_chunks,
 };
-pub use pndca::{run_alternating, ChunkSelection, Pndca};
+pub use pndca::{ChunkSelection, Pndca};
 pub use splitting::{squarest_grid, FractionalStepKmc, Schedule, SplitPlan, FS_STREAM_NAMESPACE};
+pub use sweep::CaSweep;
 pub use tpndca::{axis_type_partition, TPndca, TypePartition};

@@ -31,17 +31,11 @@
 //!   per step in random order; preserves oscillations even for the maximal
 //!   `L` (Fig 10).
 
-use std::sync::Arc;
-
 use crate::partition::Partition;
-use psr_dmc::events::{Event, EventHook};
-use psr_dmc::recorder::{drive_steps, drive_until, Recorder};
-use psr_dmc::rsm::{RunStats, TimeMode};
-use psr_dmc::sim::SimState;
-use psr_kernel::{CompiledModel, SiteKernel};
-use psr_lattice::Site;
+use crate::sweep::{CaSweep, StepSchedule, Trials};
+use psr_dmc::events::EventHook;
 use psr_model::Model;
-use psr_rng::{exponential, sample::shuffle, AliasTable, SimRng};
+use psr_rng::{sample::shuffle, SimRng};
 
 /// How chunks are chosen within a step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,22 +72,19 @@ impl std::str::FromStr for ChunkVisit {
     }
 }
 
-/// L-PNDCA simulator.
+/// L-PNDCA's schedule: one segment per burst of `L` uniform site draws.
 #[derive(Clone, Debug)]
-pub struct LPndca<'m, 'p> {
-    model: &'m Model,
+pub struct Bursts<'p> {
     partition: &'p Partition,
-    alias: AliasTable,
     /// Trial budget per chunk visit (clamped to the remaining step budget).
     l: usize,
     visit: ChunkVisit,
-    time_mode: TimeMode,
     /// Cumulative chunk-size weights for size-proportional selection.
     size_cumulative: Vec<f64>,
-    compiled: Arc<CompiledModel>,
-    /// Lattice-bound kernel, bound on every step.
-    kernel: Option<SiteKernel>,
 }
+
+/// L-PNDCA simulator.
+pub type LPndca<'m, 'p> = CaSweep<'m, Bursts<'p>>;
 
 impl<'m, 'p> LPndca<'m, 'p> {
     /// L-PNDCA with trial budget `l` per chunk visit.
@@ -118,173 +109,56 @@ impl<'m, 'p> LPndca<'m, 'p> {
                 acc
             })
             .collect();
-        LPndca {
+        CaSweep::with_schedule(
             model,
-            partition,
-            alias: AliasTable::new(&model.rate_weights()),
-            l,
-            visit: ChunkVisit::SizeWeighted,
-            time_mode: TimeMode::Discretized,
-            size_cumulative,
-            compiled: Arc::new(CompiledModel::compile(model)),
-            kernel: None,
-        }
+            Bursts {
+                partition,
+                l,
+                visit: ChunkVisit::SizeWeighted,
+                size_cumulative,
+            },
+        )
     }
 
     /// Select the chunk-visit mode.
     pub fn with_visit(mut self, visit: ChunkVisit) -> Self {
-        self.visit = visit;
+        self.schedule.visit = visit;
         self
     }
+}
 
-    /// Select the time-advance mode.
-    pub fn with_time_mode(mut self, mode: TimeMode) -> Self {
-        self.time_mode = mode;
-        self
+impl Bursts<'_> {
+    /// `l` trials at sites drawn uniformly, with replacement, from `chunk`.
+    fn burst<H: EventHook>(&self, t: &mut Trials<'_, H>, chunk: usize, l: usize) {
+        let (sites, alias) = (self.partition.chunk(chunk), t.alias);
+        let uniform = |_: usize, rng: &mut SimRng| sites[rng.index(sites.len())];
+        t.run(l, uniform, |rng| alias.sample(rng));
     }
+}
 
-    /// The trial budget `L`.
-    pub fn l(&self) -> usize {
-        self.l
-    }
-
-    fn pick_chunk_by_size(&self, rng: &mut SimRng) -> usize {
-        let total = *self.size_cumulative.last().expect("non-empty partition");
-        let x = rng.f64() * total;
-        self.size_cumulative.partition_point(|&c| c <= x)
-    }
-
-    /// `count` trials at random sites of `chunk`. `nk` and `dt_disc` are the
-    /// loop-invariant `N·K` and `1/(N·K)` hoisted by the caller.
-    #[allow(clippy::too_many_arguments)]
-    fn burst(
-        &self,
-        chunk: usize,
-        count: usize,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        changes: &mut Vec<(Site, u8, u8)>,
-        stats: &mut RunStats,
-        hook: &mut impl EventHook,
-        kernel: &mut SiteKernel,
-        nk: f64,
-        dt_disc: f64,
-    ) {
-        let sites = self.partition.chunk(chunk);
-        for _ in 0..count {
-            let site = sites[rng.index(sites.len())];
-            let reaction = self.alias.sample(rng);
-            let executed = state.fire(kernel, site, reaction, changes);
-            state.time += match self.time_mode {
-                TimeMode::Stochastic => exponential(rng, nk),
-                TimeMode::Discretized => dt_disc,
-            };
-            stats.trials += 1;
-            stats.executed += executed as u64;
-            hook.on_event(Event {
-                time: state.time,
-                site,
-                reaction,
-                executed,
-            });
-        }
-    }
-
-    /// Run one step (`N` trials in total).
-    pub fn step(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let mut stats = RunStats::default();
-        let mut changes = Vec::with_capacity(4);
-        let n = state.num_sites();
-        let nk = n as f64 * self.model.total_rate();
-        let dt_disc = 1.0 / nk;
-        // Detached while sweeping so `burst` can borrow `self`.
-        let mut slot = self.kernel.take();
-        let kernel = SiteKernel::bind(
-            &mut slot,
-            &self.compiled,
-            &state.lattice,
-            state.mutation_epoch(),
-        );
+impl StepSchedule for Bursts<'_> {
+    fn step<H: EventHook>(&mut self, t: &mut Trials<'_, H>) {
         match self.visit {
             ChunkVisit::SizeWeighted => {
+                let n = t.state.num_sites();
+                let total = *self.size_cumulative.last().expect("non-empty partition");
                 let mut trials = 0usize;
                 while trials < n {
-                    let chunk = self.pick_chunk_by_size(rng);
+                    let x = t.rng.f64() * total;
+                    let chunk = self.size_cumulative.partition_point(|&c| c <= x);
                     let l = self.l.min(n - trials);
                     trials += l;
-                    self.burst(
-                        chunk,
-                        l,
-                        state,
-                        rng,
-                        &mut changes,
-                        &mut stats,
-                        hook,
-                        kernel,
-                        nk,
-                        dt_disc,
-                    );
+                    self.burst(t, chunk, l);
                 }
             }
             ChunkVisit::RandomOnce => {
-                let m = self.partition.num_chunks();
-                let mut order: Vec<usize> = (0..m).collect();
-                shuffle(rng, &mut order);
-                for &chunk in &order {
-                    let l = self.partition.chunk(chunk).len();
-                    self.burst(
-                        chunk,
-                        l,
-                        state,
-                        rng,
-                        &mut changes,
-                        &mut stats,
-                        hook,
-                        kernel,
-                        nk,
-                        dt_disc,
-                    );
+                let mut order: Vec<usize> = (0..self.partition.num_chunks()).collect();
+                shuffle(t.rng, &mut order);
+                for chunk in order {
+                    self.burst(t, chunk, self.partition.chunk(chunk).len());
                 }
             }
         }
-        self.kernel = slot;
-        stats
-    }
-
-    /// Run `steps` steps with optional recording.
-    pub fn run_steps(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        steps: u64,
-        recorder: Option<&mut Recorder>,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let stats = drive_steps(state, steps, recorder, |state| self.step(state, rng, hook));
-        debug_assert!(state.agrees_with(&self.kernel, self.model));
-        stats
-    }
-
-    /// Run whole steps until `t_end`.
-    pub fn run_until(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        t_end: f64,
-        recorder: Option<&mut Recorder>,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let k = self.model.total_rate();
-        let stats = drive_until(state, t_end, k, recorder, |state| {
-            self.step(state, rng, hook)
-        });
-        debug_assert!(state.agrees_with(&self.kernel, self.model));
-        stats
     }
 }
 
@@ -292,7 +166,8 @@ impl<'m, 'p> LPndca<'m, 'p> {
 mod tests {
     use super::*;
     use crate::partition_builder::{five_coloring, single_chunk, singleton_chunks};
-    use psr_dmc::events::NoHook;
+    use psr_dmc::events::{Event, NoHook};
+    use psr_dmc::sim::SimState;
     use psr_lattice::{Dims, Lattice};
     use psr_model::library::zgb::zgb_ziff;
     use psr_model::ModelBuilder;

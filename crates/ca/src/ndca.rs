@@ -16,16 +16,11 @@
 //! reading) or a freshly shuffled order per step, which reduces (but does
 //! not remove) sweep-direction correlations.
 
-use std::sync::Arc;
-
-use psr_dmc::events::{Event, EventHook};
-use psr_dmc::recorder::{drive_until, Recorder};
-use psr_dmc::rsm::{RunStats, TimeMode};
-use psr_dmc::sim::SimState;
-use psr_kernel::{CompiledModel, SiteKernel};
+use crate::sweep::{CaSweep, StepSchedule, Trials};
+use psr_dmc::events::EventHook;
 use psr_lattice::Site;
 use psr_model::Model;
-use psr_rng::{exponential, sample::shuffle, AliasTable, SimRng};
+use psr_rng::sample::shuffle;
 
 /// Site visit order within a step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,290 +31,64 @@ pub enum SweepOrder {
     Shuffled,
 }
 
-/// NDCA simulator.
+/// NDCA's schedule: one segment per step, the whole lattice.
 #[derive(Clone, Debug)]
-pub struct Ndca<'m> {
-    model: &'m Model,
-    alias: AliasTable,
-    time_mode: TimeMode,
+pub struct WholeLattice {
     order: SweepOrder,
-    compiled: Arc<CompiledModel>,
-    /// Lattice-bound kernel, bound on every run (the geometry is only known
-    /// then) and kept fresh via the mutation-epoch protocol.
-    kernel: Option<SiteKernel>,
+    /// The shuffled order, kept between steps to reuse its allocation.
+    shuffled: Vec<Site>,
 }
+
+/// NDCA simulator.
+pub type Ndca<'m> = CaSweep<'m, WholeLattice>;
 
 impl<'m> Ndca<'m> {
     /// NDCA with row-major sweeps and discretised time.
     pub fn new(model: &'m Model) -> Self {
-        Ndca {
+        CaSweep::with_schedule(
             model,
-            alias: AliasTable::new(&model.rate_weights()),
-            time_mode: TimeMode::Discretized,
-            order: SweepOrder::RowMajor,
-            compiled: Arc::new(CompiledModel::compile(model)),
-            kernel: None,
-        }
-    }
-
-    /// Select the time-advance mode.
-    pub fn with_time_mode(mut self, mode: TimeMode) -> Self {
-        self.time_mode = mode;
-        self
+            WholeLattice {
+                order: SweepOrder::RowMajor,
+                shuffled: Vec::new(),
+            },
+        )
     }
 
     /// Select the sweep order.
     pub fn with_order(mut self, order: SweepOrder) -> Self {
-        self.order = order;
+        self.schedule.order = order;
         self
     }
+}
 
-    /// Run `steps` CA steps (each visits all N sites once).
-    pub fn run_steps(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        steps: u64,
-        recorder: Option<&mut Recorder>,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let stats = self.advance(state, rng, steps, recorder, hook);
-        debug_assert!(state.agrees_with(&self.kernel, self.model));
-        stats
-    }
+impl StepSchedule for WholeLattice {
+    const UNCLAMPED_SERIES: bool = true;
 
-    /// [`run_steps`](Self::run_steps) without its closing debug-build
-    /// kernel check, so `run_until` can step without a scan per step.
-    fn advance(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        steps: u64,
-        mut recorder: Option<&mut Recorder>,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let kernel = SiteKernel::bind(
-            &mut self.kernel,
-            &self.compiled,
-            &state.lattice,
-            state.mutation_epoch(),
-        );
-        let mut stats = RunStats::default();
-        let mut changes = Vec::with_capacity(4);
-        let n = state.num_sites();
-        // Hoisted out of the trial loop: same operands, same values, so the
-        // trajectory is unchanged.
-        let nk = n as f64 * self.model.total_rate();
-        let dt_disc = 1.0 / nk;
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(state.time, &state.coverage);
-        }
-        for _ in 0..steps {
-            if self.order == SweepOrder::Shuffled {
+    fn step<H: EventHook>(&mut self, t: &mut Trials<'_, H>) {
+        let (n, alias) = (t.state.num_sites(), t.alias);
+        match self.order {
+            SweepOrder::RowMajor => t.run(n, |i, _| Site(i as u32), |rng| alias.sample(rng)),
+            SweepOrder::Shuffled => {
                 // Shuffle from the identity each step so the sweep order is
-                // a pure function of the RNG state — `run_steps(a)` then
+                // a pure function of the RNG state: `run_steps(a)` then
                 // `run_steps(b)` must match `run_steps(a + b)` exactly
                 // (checkpoint/resume relies on this).
-                for (i, v) in order.iter_mut().enumerate() {
-                    *v = i as u32;
-                }
-                shuffle(rng, &mut order);
-            }
-            // Row-major sweeps take the monomorphized sequential path: no
-            // per-trial indirection through the order array.
-            if !kernel.is_tracked() {
-                // No masks to scan: every trial asks the kernel.
-                for &site_id in &order {
-                    let site = Site(site_id);
-                    let reaction = self.alias.sample(rng);
-                    let executed = state.fire(kernel, site, reaction, &mut changes);
-                    state.time += match self.time_mode {
-                        TimeMode::Stochastic => exponential(rng, nk),
-                        TimeMode::Discretized => dt_disc,
-                    };
-                    stats.executed += executed as u64;
-                    hook.on_event(Event {
-                        time: state.time,
-                        site,
-                        reaction,
-                        executed,
-                    });
-                }
-                stats.trials += n as u64;
-            } else if self.order == SweepOrder::RowMajor {
-                Self::sweep_tracked(
-                    &self.alias,
-                    self.time_mode,
-                    kernel,
-                    Sequential(n),
-                    state,
-                    rng,
-                    &mut changes,
-                    &mut stats,
-                    hook,
-                    nk,
-                    dt_disc,
-                );
-            } else {
-                Self::sweep_tracked(
-                    &self.alias,
-                    self.time_mode,
-                    kernel,
-                    order.as_slice(),
-                    state,
-                    rng,
-                    &mut changes,
-                    &mut stats,
-                    hook,
-                    nk,
-                    dt_disc,
-                );
-            }
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(state.time, &state.coverage);
+                self.shuffled.clear();
+                self.shuffled.extend((0..n as u32).map(Site));
+                shuffle(t.rng, &mut self.shuffled);
+                let order = &self.shuffled;
+                t.run(n, |i, _| order[i], |rng| alias.sample(rng));
             }
         }
-        stats
-    }
-
-    /// One sweep over `order` with a tracked kernel: the tuned T(1,N) loop.
-    ///
-    /// Trial-for-trial this performs the exact operations of the per-trial
-    /// loop — same RNG draws in the same order, same event sequence — but
-    /// non-executing trials are scanned against the borrowed mask slice and
-    /// the kernel fires only on a hit.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_tracked(
-        alias: &psr_rng::AliasTable,
-        time_mode: TimeMode,
-        kernel: &mut SiteKernel,
-        order: impl SweepSites,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        changes: &mut Vec<(Site, u8, u8)>,
-        stats: &mut RunStats,
-        hook: &mut impl EventHook,
-        nk: f64,
-        dt_disc: f64,
-    ) {
-        // A register-local clone of the generator and clock: borrows through
-        // `rng`/`state` would otherwise force both serial chains through
-        // memory every trial.
-        let mut local_rng = rng.clone();
-        let mut time = state.time;
-        let n = order.len();
-        let mut i = 0usize;
-        'sweep: while i < n {
-            // Fast scan over non-executing trials: the masks slice is
-            // borrowed once, so the check is one load with no per-trial
-            // bounds check, and the kernel stays immutable until a hit.
-            let hit_site;
-            let hit_reaction;
-            {
-                let masks = kernel.enabled_masks();
-                loop {
-                    if i >= n {
-                        break 'sweep;
-                    }
-                    let site = Site(order.site(i));
-                    i += 1;
-                    let reaction = alias.sample(&mut local_rng);
-                    if (masks[site.0 as usize] >> reaction) & 1 != 0 {
-                        hit_site = site;
-                        hit_reaction = reaction;
-                        break;
-                    }
-                    time += match time_mode {
-                        TimeMode::Stochastic => exponential(&mut local_rng, nk),
-                        TimeMode::Discretized => dt_disc,
-                    };
-                    hook.on_event(Event {
-                        time,
-                        site,
-                        reaction,
-                        executed: false,
-                    });
-                }
-            }
-            let executed = state.fire(kernel, hit_site, hit_reaction, changes);
-            debug_assert!(executed, "mask and kernel disagree");
-            stats.executed += 1;
-            time += match time_mode {
-                TimeMode::Stochastic => exponential(&mut local_rng, nk),
-                TimeMode::Discretized => dt_disc,
-            };
-            hook.on_event(Event {
-                time,
-                site: hit_site,
-                reaction: hit_reaction,
-                executed: true,
-            });
-        }
-        // Every site is trialed exactly once per sweep; counting them here
-        // instead of per trial leaves the scan loop two instructions lighter
-        // and the total is identical.
-        stats.trials += n as u64;
-        state.time = time;
-        *rng = local_rng;
-    }
-
-    /// Run until the simulated clock reaches `t_end` (whole steps).
-    pub fn run_until(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        t_end: f64,
-        mut recorder: Option<&mut Recorder>,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        // The sweep samples for itself, unclamped: grid points a last step
-        // overshoots past `t_end` are part of the recorded series.
-        let k = self.model.total_rate();
-        let stats = drive_until(state, t_end, k, None, |state| {
-            self.advance(state, rng, 1, recorder.as_deref_mut(), hook)
-        });
-        debug_assert!(state.agrees_with(&self.kernel, self.model));
-        stats
-    }
-}
-
-/// Site-visit order for a compiled sweep, monomorphized so the row-major
-/// case compiles to `site = i` with no load from the order array.
-trait SweepSites {
-    fn len(&self) -> usize;
-    fn site(&self, i: usize) -> u32;
-}
-
-/// Row-major order: site `i` is just `i`.
-struct Sequential(usize);
-
-impl SweepSites for Sequential {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.0
-    }
-    #[inline(always)]
-    fn site(&self, i: usize) -> u32 {
-        i as u32
-    }
-}
-
-impl SweepSites for &[u32] {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        (*self).len()
-    }
-    #[inline(always)]
-    fn site(&self, i: usize) -> u32 {
-        self[i]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psr_dmc::events::NoHook;
+    use psr_dmc::events::{Event, NoHook};
+    use psr_dmc::recorder::Recorder;
+    use psr_dmc::sim::SimState;
     use psr_lattice::{Dims, Lattice};
     use psr_model::library::zgb::zgb_ziff;
     use psr_model::ModelBuilder;

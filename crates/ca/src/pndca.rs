@@ -21,18 +21,12 @@
 //! 3. `|P|` random chunk draws with replacement (probability `1/|P|` each),
 //! 4. weighted selection by the summed rates of enabled reactions per chunk.
 
-use std::sync::Arc;
-
 use crate::partition::Partition;
 use crate::propensity::draw_weighted;
-use psr_dmc::events::{Event, EventHook};
-use psr_dmc::recorder::{drive_steps, drive_until, Recorder};
-use psr_dmc::rsm::{RunStats, TimeMode};
-use psr_dmc::sim::SimState;
-use psr_kernel::{CompiledModel, SiteKernel};
-use psr_lattice::Site;
+use crate::sweep::{CaSweep, StepSchedule, Trials};
+use psr_dmc::events::EventHook;
 use psr_model::Model;
-use psr_rng::{exponential, sample::shuffle, AliasTable, SimRng};
+use psr_rng::sample::shuffle;
 
 /// Chunk-selection strategy (§5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,8 +39,8 @@ pub enum ChunkSelection {
     RandomWithReplacement,
     /// `|P|` draws weighted by each chunk's summed enabled-reaction rate,
     /// from the per-chunk counts the kernel keeps beside its masks
-    /// ([`SiteKernel::attach_counts`]): O(|P|) per draw, nothing extra per
-    /// executed event.
+    /// ([`psr_kernel::SiteKernel::attach_counts`]): O(|P|) per draw, nothing
+    /// extra per executed event.
     WeightedByRates,
 }
 
@@ -79,18 +73,15 @@ impl std::str::FromStr for ChunkSelection {
     }
 }
 
-/// PNDCA simulator over a fixed partition.
+/// PNDCA's schedule: one segment per chunk sweep, `|P|` per step.
 #[derive(Clone, Debug)]
-pub struct Pndca<'m, 'p> {
-    model: &'m Model,
+pub struct Chunks<'p> {
     partition: &'p Partition,
-    alias: AliasTable,
-    time_mode: TimeMode,
     selection: ChunkSelection,
-    compiled: Arc<CompiledModel>,
-    /// Lattice-bound kernel, bound on every step.
-    kernel: Option<SiteKernel>,
 }
+
+/// PNDCA simulator over a fixed partition.
+pub type Pndca<'m, 'p> = CaSweep<'m, Chunks<'p>>;
 
 impl<'m, 'p> Pndca<'m, 'p> {
     /// PNDCA with in-order chunk sweeps and discretised time.
@@ -101,15 +92,13 @@ impl<'m, 'p> Pndca<'m, 'p> {
     /// sweep *parallelisable*, and `psr-parallel` enforces it before
     /// spawning threads.
     pub fn new(model: &'m Model, partition: &'p Partition) -> Self {
-        Pndca {
+        CaSweep::with_schedule(
             model,
-            partition,
-            alias: AliasTable::new(&model.rate_weights()),
-            time_mode: TimeMode::Discretized,
-            selection: ChunkSelection::InOrder,
-            compiled: Arc::new(CompiledModel::compile(model)),
-            kernel: None,
-        }
+            Chunks {
+                partition,
+                selection: ChunkSelection::InOrder,
+            },
+        )
     }
 
     /// Select the chunk-selection strategy.
@@ -123,169 +112,45 @@ impl<'m, 'p> Pndca<'m, 'p> {
         if selection == ChunkSelection::WeightedByRates {
             psr_kernel::require_masks(self.model.num_reactions()).unwrap_or_else(|e| panic!("{e}"));
         }
-        self.selection = selection;
+        self.schedule.selection = selection;
         self
-    }
-
-    /// Select the time-advance mode.
-    pub fn with_time_mode(mut self, mode: TimeMode) -> Self {
-        self.time_mode = mode;
-        self
-    }
-
-    /// The partition in use.
-    pub fn partition(&self) -> &Partition {
-        self.partition
-    }
-
-    /// Simulate one chunk: one trial per site, sweeping the chunk. `nk` and
-    /// `dt_disc` are the loop-invariant `N·K` and `1/(N·K)` hoisted by the
-    /// caller.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_chunk(
-        &self,
-        chunk: usize,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        changes: &mut Vec<(Site, u8, u8)>,
-        stats: &mut RunStats,
-        hook: &mut impl EventHook,
-        kernel: &mut SiteKernel,
-        nk: f64,
-        dt_disc: f64,
-    ) {
-        for &site in self.partition.chunk(chunk) {
-            let reaction = self.alias.sample(rng);
-            let executed = state.fire(kernel, site, reaction, changes);
-            state.time += match self.time_mode {
-                TimeMode::Stochastic => exponential(rng, nk),
-                TimeMode::Discretized => dt_disc,
-            };
-            stats.trials += 1;
-            stats.executed += executed as u64;
-            hook.on_event(Event {
-                time: state.time,
-                site,
-                reaction,
-                executed,
-            });
-        }
-    }
-
-    /// Run one PNDCA step (each strategy performs `|P|` chunk sweeps).
-    pub fn step(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let mut stats = RunStats::default();
-        let mut changes = Vec::with_capacity(4);
-        let m = self.partition.num_chunks();
-        let nk = state.num_sites() as f64 * self.model.total_rate();
-        let dt_disc = 1.0 / nk;
-        // Detached while sweeping so `sweep_chunk` can borrow `self`.
-        let mut slot = self.kernel.take();
-        let kernel = SiteKernel::bind(
-            &mut slot,
-            &self.compiled,
-            &state.lattice,
-            state.mutation_epoch(),
-        );
-        if self.selection == ChunkSelection::WeightedByRates && !kernel.is_counting() {
-            kernel.attach_counts(self.partition.chunk_labels().to_vec(), m);
-        }
-        let mut order: Vec<usize> = (0..m).collect();
-        if self.selection == ChunkSelection::RandomOrder {
-            shuffle(rng, &mut order);
-        }
-        let mut weights = Vec::new();
-        for &scheduled in &order {
-            let chunk = match self.selection {
-                ChunkSelection::WeightedByRates => {
-                    kernel.weights_into(0, 0..self.model.num_reactions(), &mut weights);
-                    draw_weighted(rng, &weights)
-                }
-                ChunkSelection::RandomWithReplacement => rng.index(m),
-                ChunkSelection::InOrder | ChunkSelection::RandomOrder => scheduled,
-            };
-            self.sweep_chunk(
-                chunk,
-                state,
-                rng,
-                &mut changes,
-                &mut stats,
-                hook,
-                kernel,
-                nk,
-                dt_disc,
-            );
-        }
-        self.kernel = slot;
-        stats
-    }
-
-    /// Run `steps` PNDCA steps with optional coverage recording.
-    pub fn run_steps(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        steps: u64,
-        recorder: Option<&mut Recorder>,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let stats = drive_steps(state, steps, recorder, |state| self.step(state, rng, hook));
-        debug_assert!(state.agrees_with(&self.kernel, self.model));
-        stats
-    }
-
-    /// Run whole steps until the clock reaches `t_end`.
-    pub fn run_until(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        t_end: f64,
-        recorder: Option<&mut Recorder>,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let k = self.model.total_rate();
-        let stats = drive_until(state, t_end, k, recorder, |state| {
-            self.step(state, rng, hook)
-        });
-        debug_assert!(state.agrees_with(&self.kernel, self.model));
-        stats
     }
 }
 
-/// Run `steps` steps cycling through several PNDCA instances (one per
-/// partition) — the paper's "choose a partition P" step (§5), analogous to
-/// the shifting blocks of a BCA. Step `k` uses `pndcas[k % len]`.
-///
-/// # Panics
-///
-/// Panics if `pndcas` is empty.
-pub fn run_alternating(
-    pndcas: &mut [Pndca<'_, '_>],
-    state: &mut SimState,
-    rng: &mut SimRng,
-    steps: u64,
-    recorder: Option<&mut Recorder>,
-    hook: &mut impl EventHook,
-) -> RunStats {
-    assert!(!pndcas.is_empty(), "need at least one partition");
-    let mut k = 0;
-    drive_steps(state, steps, recorder, |state| {
-        let stats = pndcas[k % pndcas.len()].step(state, rng, hook);
-        k += 1;
-        stats
-    })
+impl StepSchedule for Chunks<'_> {
+    fn step<H: EventHook>(&mut self, t: &mut Trials<'_, H>) {
+        let m = self.partition.num_chunks();
+        if self.selection == ChunkSelection::WeightedByRates && !t.kernel.is_counting() {
+            t.kernel
+                .attach_counts(self.partition.chunk_labels().to_vec(), m);
+        }
+        let mut order: Vec<usize> = (0..m).collect();
+        let mut weights = Vec::new();
+        if self.selection == ChunkSelection::RandomOrder {
+            shuffle(t.rng, &mut order);
+        }
+        for scheduled in order {
+            let chunk = match self.selection {
+                ChunkSelection::WeightedByRates => {
+                    let reactions = 0..t.kernel.compiled().num_reactions();
+                    t.kernel.weights_into(0, reactions, &mut weights);
+                    draw_weighted(t.rng, &weights)
+                }
+                ChunkSelection::RandomWithReplacement => t.rng.index(m),
+                ChunkSelection::InOrder | ChunkSelection::RandomOrder => scheduled,
+            };
+            let (sites, alias) = (self.partition.chunk(chunk), t.alias);
+            t.run(sites.len(), |i, _| sites[i], |rng| alias.sample(rng));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partition_builder::five_coloring;
-    use psr_dmc::events::NoHook;
+    use psr_dmc::events::{Event, NoHook};
+    use psr_dmc::sim::SimState;
     use psr_lattice::{Dims, Lattice};
     use psr_model::library::zgb::zgb_ziff;
     use psr_model::ModelBuilder;
@@ -403,20 +268,6 @@ mod tests {
         let mut rng = rng_from_seed(7);
         let mut pndca = Pndca::new(&model, &partition).with_selection(ChunkSelection::RandomOrder);
         pndca.run_steps(&mut state, &mut rng, 20, None, &mut NoHook);
-        assert!(state.coverage.matches(&state.lattice));
-    }
-
-    #[test]
-    fn alternating_partitions_cycle() {
-        let model = zgb_ziff(0.5, 2.0);
-        let d = Dims::square(10);
-        let p1 = five_coloring(d);
-        let p2 = crate::partition_builder::five_coloring_alt(d);
-        let mut pndcas = [Pndca::new(&model, &p1), Pndca::new(&model, &p2)];
-        let mut state = SimState::new(Lattice::filled(d, 0), &model);
-        let mut rng = rng_from_seed(8);
-        let stats = run_alternating(&mut pndcas, &mut state, &mut rng, 4, None, &mut NoHook);
-        assert_eq!(stats.trials, 400);
         assert!(state.coverage.matches(&state.lattice));
     }
 }

@@ -19,19 +19,14 @@
 //!       3. advance the time;
 //! ```
 
-use std::sync::Arc;
-
 use crate::partition::Partition;
 use crate::partition_builder::checkerboard;
 use crate::propensity::draw_weighted;
-use psr_dmc::events::{Event, EventHook};
-use psr_dmc::recorder::{drive_steps, drive_until, Recorder};
-use psr_dmc::rsm::{RunStats, TimeMode};
-use psr_dmc::sim::SimState;
-use psr_kernel::{CompiledModel, SiteKernel};
-use psr_lattice::{Offset, Site};
+use crate::sweep::{CaSweep, StepSchedule, Trials};
+use psr_dmc::events::EventHook;
+use psr_lattice::Offset;
 use psr_model::Model;
-use psr_rng::{exponential, AliasTable, SimRng};
+use psr_rng::AliasTable;
 
 /// A partition of the reaction-type set into subsets `T_j`, each paired
 /// with a site partition that is conflict-free for every type in the subset.
@@ -131,23 +126,22 @@ pub fn axis_type_partition(model: &Model, dims: psr_lattice::Dims) -> TypePartit
     }
 }
 
-/// The type-partitioned NDCA simulator.
+/// Ω×T's schedule: `|T|` segments per step, each one chunk swept with one
+/// reaction type.
 #[derive(Clone, Debug)]
-pub struct TPndca<'m> {
-    model: &'m Model,
+pub struct TypeChunks {
     types: TypePartition,
     subset_alias: AliasTable,
     /// Per-subset alias over its member types.
     member_alias: Vec<AliasTable>,
-    time_mode: TimeMode,
     /// Draw the chunk weighted by the swept type's enabled propensity
     /// instead of uniformly (the Ω×T analogue of
     /// [`ChunkSelection::WeightedByRates`](crate::pndca::ChunkSelection)).
     weighted_chunks: bool,
-    compiled: Arc<CompiledModel>,
-    /// Lattice-bound kernel, bound on every step.
-    kernel: Option<SiteKernel>,
 }
+
+/// The type-partitioned NDCA simulator.
+pub type TPndca<'m> = CaSweep<'m, TypeChunks>;
 
 impl<'m> TPndca<'m> {
     /// Build the simulator; validates the type partition.
@@ -159,45 +153,28 @@ impl<'m> TPndca<'m> {
         types
             .validate(model)
             .unwrap_or_else(|e| panic!("invalid type partition: {e}"));
-        let subset_rates: Vec<f64> = (0..types.num_subsets())
-            .map(|j| types.subset_rate(model, j))
-            .collect();
-        let member_alias = types
-            .subsets
-            .iter()
-            .map(|subset| {
-                AliasTable::new(
-                    &subset
-                        .iter()
-                        .map(|&ri| model.reaction(ri).rate())
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        TPndca {
+        let alias = |rates: Vec<f64>| AliasTable::new(&rates);
+        let subset_rates = (0..types.num_subsets()).map(|j| types.subset_rate(model, j));
+        let rates = |subset: &[usize]| subset.iter().map(|&ri| model.reaction(ri).rate()).collect();
+        let member_alias = types.subsets.iter().map(|s| alias(rates(s))).collect();
+        CaSweep::with_schedule(
             model,
-            subset_alias: AliasTable::new(&subset_rates),
-            member_alias,
-            types,
-            time_mode: TimeMode::Discretized,
-            weighted_chunks: false,
-            compiled: Arc::new(CompiledModel::compile(model)),
-            kernel: None,
-        }
-    }
-
-    /// Select the time-advance mode.
-    pub fn with_time_mode(mut self, mode: TimeMode) -> Self {
-        self.time_mode = mode;
-        self
+            TypeChunks {
+                subset_alias: alias(subset_rates.collect()),
+                member_alias,
+                types,
+                weighted_chunks: false,
+            },
+        )
     }
 
     /// Draw each swept chunk weighted by `count·k` of the selected reaction
     /// type instead of uniformly: the kernel counts enabled sites per chunk
     /// of every subset's partition, one group map each
-    /// ([`SiteKernel::attach_counts`]). Subset and member-type draws are
-    /// unchanged; only the chunk draw gains the weighting, concentrating
-    /// sweeps where the chosen type is actually enabled.
+    /// ([`SiteKernel::attach_counts`](psr_kernel::SiteKernel::attach_counts)).
+    /// Subset and member-type draws are unchanged; only the chunk draw gains
+    /// the weighting, concentrating sweeps where the chosen type is
+    /// actually enabled.
     ///
     /// # Panics
     ///
@@ -207,105 +184,34 @@ impl<'m> TPndca<'m> {
         if yes {
             psr_kernel::require_masks(self.model.num_reactions()).unwrap_or_else(|e| panic!("{e}"));
         }
-        self.weighted_chunks = yes;
+        self.schedule.weighted_chunks = yes;
         self
     }
+}
 
-    /// The type partition in use.
-    pub fn types(&self) -> &TypePartition {
-        &self.types
-    }
-
-    #[inline]
-    fn advance(&self, state: &mut SimState, rng: &mut SimRng) {
-        let nk = state.num_sites() as f64 * self.model.total_rate();
-        state.time += match self.time_mode {
-            TimeMode::Stochastic => exponential(rng, nk),
-            TimeMode::Discretized => 1.0 / nk,
-        };
-    }
-
-    /// One step: `|T|` subset draws, each sweeping one chunk with one
-    /// reaction type.
-    pub fn step(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let mut stats = RunStats::default();
-        let mut changes: Vec<(Site, u8, u8)> = Vec::with_capacity(4);
-        let mut slot = self.kernel.take();
-        let kernel = SiteKernel::bind(
-            &mut slot,
-            &self.compiled,
-            &state.lattice,
-            state.mutation_epoch(),
-        );
-        if self.weighted_chunks && !kernel.is_counting() {
+impl StepSchedule for TypeChunks {
+    fn step<H: EventHook>(&mut self, t: &mut Trials<'_, H>) {
+        if self.weighted_chunks && !t.kernel.is_counting() {
             for partition in &self.types.partitions {
-                kernel.attach_counts(partition.chunk_labels().to_vec(), partition.num_chunks());
+                t.kernel
+                    .attach_counts(partition.chunk_labels().to_vec(), partition.num_chunks());
             }
         }
-        let mut weights: Vec<f64> = Vec::new();
+        let mut weights = Vec::new();
         for _ in 0..self.types.num_subsets() {
-            let j = self.subset_alias.sample(rng);
-            let member = self.member_alias[j].sample(rng);
+            let j = self.subset_alias.sample(t.rng);
+            let member = self.member_alias[j].sample(t.rng);
             let ri = self.types.subsets[j][member];
             let partition = &self.types.partitions[j];
             let chunk = if self.weighted_chunks {
-                kernel.weights_into(j, ri..ri + 1, &mut weights);
-                draw_weighted(rng, &weights)
+                t.kernel.weights_into(j, ri..ri + 1, &mut weights);
+                draw_weighted(t.rng, &weights)
             } else {
-                rng.index(partition.num_chunks())
+                t.rng.index(partition.num_chunks())
             };
-            for idx in 0..partition.chunk(chunk).len() {
-                let site = partition.chunk(chunk)[idx];
-                let executed = state.fire(kernel, site, ri, &mut changes);
-                self.advance(state, rng);
-                stats.trials += 1;
-                stats.executed += executed as u64;
-                hook.on_event(Event {
-                    time: state.time,
-                    site,
-                    reaction: ri,
-                    executed,
-                });
-            }
+            let sites = partition.chunk(chunk);
+            t.run(sites.len(), |i, _| sites[i], |_| ri);
         }
-        self.kernel = slot;
-        stats
-    }
-
-    /// Run `steps` steps with optional recording.
-    pub fn run_steps(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        steps: u64,
-        recorder: Option<&mut Recorder>,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let stats = drive_steps(state, steps, recorder, |state| self.step(state, rng, hook));
-        debug_assert!(state.agrees_with(&self.kernel, self.model));
-        stats
-    }
-
-    /// Run whole steps until `t_end`.
-    pub fn run_until(
-        &mut self,
-        state: &mut SimState,
-        rng: &mut SimRng,
-        t_end: f64,
-        recorder: Option<&mut Recorder>,
-        hook: &mut impl EventHook,
-    ) -> RunStats {
-        let k = self.model.total_rate();
-        let stats = drive_until(state, t_end, k, recorder, |state| {
-            self.step(state, rng, hook)
-        });
-        debug_assert!(state.agrees_with(&self.kernel, self.model));
-        stats
     }
 }
 
@@ -313,6 +219,7 @@ impl<'m> TPndca<'m> {
 mod tests {
     use super::*;
     use psr_dmc::events::NoHook;
+    use psr_dmc::sim::SimState;
     use psr_lattice::{Dims, Lattice};
     use psr_model::library::zgb::zgb_ziff;
     use psr_rng::rng_from_seed;

@@ -1,6 +1,7 @@
 //! Property-based tests for partitions and the CA algorithms.
 
 use proptest::prelude::*;
+use psr_ca::lpndca::LPndca;
 use psr_ca::ndca::Ndca;
 use psr_ca::partition::Partition;
 use psr_ca::partition_builder::{five_coloring, greedy_coloring, singleton_chunks};
@@ -234,11 +235,64 @@ fn models_beyond_the_mask_limit_run_through_the_untracked_kernel() {
     }
     assert_eq!(ndca_state.lattice, reference);
 
+    // In-order PNDCA: the chunks in index order, each swept in list order.
     let mut state = fresh();
     let stats =
         Pndca::new(&model, &partition).run_steps(&mut state, &mut rng_from_seed(6), 20, None, hook);
     assert!(stats.executed > 0);
     assert!(state.coverage.matches(&state.lattice));
+    let (mut reference, mut rng) = (fresh().lattice, rng_from_seed(6));
+    for _ in 0..20 {
+        for chunk in partition.chunks() {
+            for &site in chunk {
+                let reaction = alias.sample(&mut rng);
+                model
+                    .reaction(reaction)
+                    .try_execute(&mut reference, site, &mut changes);
+            }
+        }
+    }
+    assert_eq!(state.lattice, reference);
+
+    // Size-weighted L-PNDCA: a chunk drawn by size, then up to L uniform
+    // draws from it, each followed by its reaction draw.
+    let l = 7;
+    let mut state = fresh();
+    let stats = LPndca::new(&model, &partition, l).run_steps(
+        &mut state,
+        &mut rng_from_seed(8),
+        20,
+        None,
+        hook,
+    );
+    assert!(stats.executed > 0);
+    assert!(state.coverage.matches(&state.lattice));
+    let cumulative: Vec<f64> = partition
+        .chunks()
+        .iter()
+        .scan(0.0, |acc, c| {
+            *acc += c.len() as f64;
+            Some(*acc)
+        })
+        .collect();
+    let (mut reference, mut rng, n) = (fresh().lattice, rng_from_seed(8), partition.num_sites());
+    for _ in 0..20 {
+        let mut trials = 0;
+        while trials < n {
+            let x = rng.f64() * cumulative[cumulative.len() - 1];
+            let sites = partition.chunk(cumulative.partition_point(|&c| c <= x));
+            let burst = l.min(n - trials);
+            trials += burst;
+            for _ in 0..burst {
+                let site = sites[rng.index(sites.len())];
+                let reaction = alias.sample(&mut rng);
+                model
+                    .reaction(reaction)
+                    .try_execute(&mut reference, site, &mut changes);
+            }
+        }
+    }
+    assert_eq!(state.lattice, reference);
 
     let mut state = fresh();
     let stats = Rsm::new(&model).run_mc_steps(&mut state, &mut rng_from_seed(7), 20, None, hook);

@@ -22,7 +22,7 @@
 //! seams: one session step = one whole window, resumable from
 //! `(lattice, window count)` alone.
 
-use crate::simulator::Algorithm;
+use crate::simulator::{sides_divisible, Algorithm};
 use psr_ca::lpndca::LPndca;
 use psr_ca::ndca::{Ndca, SweepOrder};
 use psr_ca::partition::Partition;
@@ -93,8 +93,11 @@ impl Parts {
         Ok(match algorithm {
             Algorithm::Pndca { partition, .. }
             | Algorithm::LPndca { partition, .. }
-            | Algorithm::Parallel { partition, .. } => Parts::Sites(partition.build(dims, model)),
-            Algorithm::TPndca => Parts::Types(axis_type_partition(model, dims)),
+            | Algorithm::Parallel { partition, .. } => Parts::Sites(partition.build(dims, model)?),
+            Algorithm::TPndca => {
+                sides_divisible(dims, 2, "tpndca's checkerboard")?;
+                Parts::Types(axis_type_partition(model, dims))
+            }
             Algorithm::Fskmc { gx, gy, window, .. } => {
                 if !window.is_finite() || *window <= 0.0 {
                     return Err(format!(
@@ -114,7 +117,7 @@ impl Parts {
                 }
                 let grid = ShardGrid::for_workers(*workers);
                 grid.check(dims, model.interaction_radius())?;
-                let sites = partition.build(dims, model);
+                let sites = partition.build(dims, model)?;
                 if !sites.is_valid_for(model) {
                     return Err(format!(
                         "partition {partition} violates the non-overlap restriction; \
@@ -603,6 +606,28 @@ pub(crate) mod tests {
         })
         .unwrap_err();
         assert!(err.contains("non-overlap"), "got {err}");
+    }
+
+    #[test]
+    fn partitions_that_do_not_fit_the_lattice_are_rejected_at_build() {
+        let build = |side, algorithm| {
+            Simulator::new(zgb_ziff(0.5, 5.0))
+                .dims(Dims::square(side))
+                .algorithm(algorithm)
+                .into_session()
+        };
+        let pndca = |partition| Algorithm::Pndca {
+            partition,
+            selection: ChunkSelection::InOrder,
+        };
+        for (side, algorithm, needs) in [
+            (12, pndca(PartitionSpec::FiveColoring), "divisible by 5"),
+            (11, pndca(PartitionSpec::Checkerboard), "divisible by 2"),
+            (11, Algorithm::TPndca, "divisible by 2"),
+        ] {
+            let err = build(side, algorithm).unwrap_err();
+            assert!(err.contains(needs), "got {err}");
+        }
     }
 
     #[test]

@@ -64,15 +64,39 @@ impl std::str::FromStr for PartitionSpec {
 
 impl PartitionSpec {
     /// Materialise the partition.
-    pub fn build(&self, dims: Dims, model: &Model) -> Partition {
-        match self {
-            PartitionSpec::FiveColoring => five_coloring(dims),
+    ///
+    /// # Errors
+    ///
+    /// The five-colouring needs sides divisible by 5 and the checkerboard
+    /// even sides; either is an `Err` on any other `dims`.
+    pub fn build(&self, dims: Dims, model: &Model) -> Result<Partition, String> {
+        Ok(match self {
+            PartitionSpec::FiveColoring => {
+                sides_divisible(dims, 5, "partition five")?;
+                five_coloring(dims)
+            }
             PartitionSpec::Greedy => greedy_coloring(dims, model),
-            PartitionSpec::Checkerboard => checkerboard(dims),
+            PartitionSpec::Checkerboard => {
+                sides_divisible(dims, 2, "partition checkerboard")?;
+                checkerboard(dims)
+            }
             PartitionSpec::SingleChunk => single_chunk(dims),
             PartitionSpec::Singletons => singleton_chunks(dims),
-        }
+        })
     }
+}
+
+/// `Err` unless both sides of `dims` are multiples of `k`, which `what`
+/// needs to wrap consistently on the torus.
+pub(crate) fn sides_divisible(dims: Dims, k: u32, what: &str) -> Result<(), String> {
+    if dims.width().is_multiple_of(k) && dims.height().is_multiple_of(k) {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} needs dimensions divisible by {k}, got {}x{}",
+        dims.width(),
+        dims.height()
+    ))
 }
 
 /// The simulation algorithm to run.

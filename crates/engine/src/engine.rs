@@ -444,6 +444,28 @@ mod tests {
     }
 
     #[test]
+    fn a_partition_that_does_not_fit_fails_on_the_first_attempt() {
+        // Side 12 is not a multiple of 5: a build error, not a panic to retry.
+        let mut j = job("misfit", 20);
+        j.side = 12;
+        j.algorithm = Algorithm::Pndca {
+            partition: psr_core::PartitionSpec::FiveColoring,
+            selection: psr_ca::pndca::ChunkSelection::InOrder,
+        };
+        let batch = batch("misfit", vec![j]);
+        let engine = Engine::new(batch.engine.clone());
+        let report = engine
+            .run(&batch, &RunOptions::default())
+            .expect("batch runs");
+        assert!(matches!(
+            &report.jobs[0].status,
+            JobStatus::Failed(msg) if msg.contains("divisible by 5")
+        ));
+        assert_eq!(report.jobs[0].attempts, 1);
+        assert_eq!(engine.metrics().counter("retries").get(), 0);
+    }
+
+    #[test]
     fn pre_cancelled_engine_drains_the_queue_resumably() {
         let batch = batch("drain", vec![job("a", 20), job("b", 20)]);
         let engine = Engine::new(batch.engine.clone());

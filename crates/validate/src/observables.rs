@@ -180,7 +180,8 @@ pub fn zgb_replica(job: &ZgbJob, algorithm: &Algorithm, seed: u64) -> Vec<(Strin
 /// The lockstep-batch equivalent of `algorithm`, when the batch engine
 /// supports it (NDCA and PNDCA — the step-driven CA variants whose RNG
 /// consumption the engine replicates exactly). `None` routes the
-/// algorithm through the single-replica path.
+/// algorithm through the single-replica path, which also reports a
+/// partition that does not fit `dims`.
 pub fn batch_algorithm_for(
     algorithm: &Algorithm,
     dims: Dims,
@@ -194,7 +195,7 @@ pub fn batch_algorithm_for(
             partition,
             selection,
         } => Some(BatchAlgorithm::Pndca {
-            partition: partition.build(dims, model),
+            partition: partition.build(dims, model).ok()?,
             selection: *selection,
         }),
         _ => None,
@@ -284,7 +285,9 @@ pub fn zgb_replica_sharded(job: &ZgbJob, shards: u32, seed: u64) -> Vec<(String,
     let dims = Dims::square(job.side);
     let grid = ShardGrid::for_workers(shards);
     grid.validate(dims, model.interaction_radius());
-    let partition = PartitionSpec::FiveColoring.build(dims, &model);
+    let partition = PartitionSpec::FiveColoring
+        .build(dims, &model)
+        .unwrap_or_else(|e| panic!("{e}"));
     let co2_group = co2_reaction_indices(&model);
     let sites = (job.side as u64).pow(2) as f64;
 

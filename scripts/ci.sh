@@ -85,7 +85,8 @@ ADDR=$(cat "$SERVE_DIR/addr")
 # Each job is served over HTTP and run directly through psr-engine: both
 # must land on the same final observable line — the serving layer adds no
 # drift on top of the engine. One per session flavour: a serial sweep, the
-# fractional-step executor with its folded keys, and a sharded lattice.
+# fractional-step executor with its folded keys, a sharded lattice, and the
+# L-PNDCA and Ω×T schedules of the one CA trial loop.
 serve_smoke_job() {
     local name=$1 body=$2
     printf '%s\n' "$body" > "$SMOKE_DIR/serve_$name.spec"
@@ -125,7 +126,22 @@ side = 20
 seed = 7
 steps = 60
 checkpoint_every = 20'
-echo "serve smoke: served JSONL matches the direct psr-engine run (ndca, fskmc, shards = 2)"
+serve_smoke_job lpndca 'model = zgb 0.51 5
+algorithm = lpndca five 16 random-once
+side = 20
+seed = 7
+steps = 60
+checkpoint_every = 20'
+# Ω×T sweeps half the lattice with one reaction type at a time, so ZGB at
+# k = 5 is still empty at step 15 and poisoned by step 20; k = 1 stops on a
+# half-covered surface instead.
+serve_smoke_job tpndca 'model = zgb 0.51 1
+algorithm = tpndca
+side = 20
+seed = 7
+steps = 12
+checkpoint_every = 4'
+echo "serve smoke: served JSONL matches the direct psr-engine run (ndca, fskmc, shards = 2, lpndca, tpndca)"
 
 # Saturate the 2-deep queue with slow jobs; the next submission must be
 # shed with 429 (submit exits 4 on Retry-After).

@@ -237,6 +237,22 @@ fn computed() -> Vec<(String, u64)> {
             }
         }
     }
+
+    // Stochastic time on the chunk schedules of PNDCA and L-PNDCA.
+    let d = serial(&zgb, dims10, 0xD1CE, |state, rng, events| {
+        Pndca::new(&zgb, &five)
+            .with_selection(ChunkSelection::RandomOrder)
+            .with_time_mode(TimeMode::Stochastic)
+            .run_steps(state, rng, 1000, None, events);
+    });
+    out.push(("pndca/zgb/random-order/Stochastic".into(), d));
+    let d = serial(&zgb, dims10, 0xD1CE, |state, rng, events| {
+        LPndca::new(&zgb, &five, 16)
+            .with_visit(ChunkVisit::SizeWeighted)
+            .with_time_mode(TimeMode::Stochastic)
+            .run_steps(state, rng, 1000, None, events);
+    });
+    out.push(("lpndca/zgb/size-weighted/L16/Stochastic".into(), d));
     out
 }
 
@@ -276,6 +292,12 @@ const PINS: &[(&str, u64)] = &[
     ("fskmc/mixed/2x2/strang", 0x197514e6671da63f),
     ("fskmc/mixed/4x2/lie", 0x57a35d6ad606e592),
     ("fskmc/mixed/4x2/strang", 0x3d2bc87b17841131),
+    // Recorded before PNDCA and L-PNDCA shared NDCA's trial loop.
+    ("pndca/zgb/random-order/Stochastic", 0x28a6a599de3a30d0),
+    (
+        "lpndca/zgb/size-weighted/L16/Stochastic",
+        0x2d050476546c19c2,
+    ),
 ];
 
 #[test]
