@@ -9,7 +9,7 @@
 //! i.e. reactions anchored at two different sites of the same chunk can
 //! never touch a common lattice site.
 
-use psr_lattice::{Dims, Site};
+use psr_lattice::{Dims, Neighborhood, Offset, Site, Stencil};
 use psr_model::Model;
 
 /// A partition of the lattice sites into chunks.
@@ -121,29 +121,13 @@ impl Partition {
 
     /// Verify the paper's non-overlap restriction for `model`.
     ///
-    /// Returns the first violating pair `(s, t)` found, or `None` when the
-    /// partition is conflict-free. Cost: O(N · |Nb|²) using a site-marking
-    /// sweep per chunk.
+    /// Returns a violating pair `(s, t)` — two distinct sites of one chunk
+    /// whose combined neighborhoods overlap — or `None` when the partition
+    /// is conflict-free. Cost: O(N) label compares per conflict offset (6
+    /// for a von Neumann model), over contiguous runs of the label array;
+    /// nothing is allocated per site.
     pub fn find_conflict(&self, model: &Model) -> Option<(Site, Site)> {
-        // Union of all reaction neighborhoods; two same-chunk sites conflict
-        // iff their combined neighborhoods intersect. A per-site (owner,
-        // chunk-stamp) pair avoids clearing the scratch array per chunk.
-        let nb = model.combined_neighborhood();
-        let mut owner: Vec<u32> = vec![u32::MAX; self.num_sites()];
-        let mut stamp: Vec<u32> = vec![u32::MAX; self.num_sites()];
-        for (ci, chunk) in self.chunks.iter().enumerate() {
-            for &site in chunk {
-                for covered in nb.sites_at(self.dims, site) {
-                    let idx = covered.0 as usize;
-                    if stamp[idx] == ci as u32 && owner[idx] != site.0 {
-                        return Some((Site(owner[idx]), site));
-                    }
-                    stamp[idx] = ci as u32;
-                    owner[idx] = site.0;
-                }
-            }
-        }
-        None
+        self.find_overlap(&model.combined_neighborhood())
     }
 
     /// True if the non-overlap restriction holds for `model`.
@@ -155,23 +139,68 @@ impl Partition {
     /// requirement of the Ω×T approach, §5: non-overlap only within the
     /// selected `T_j`).
     pub fn is_valid_for_reaction(&self, model: &Model, reaction: usize) -> bool {
-        let nb = model.reaction(reaction).neighborhood();
-        let mut owner: Vec<u32> = vec![u32::MAX; self.num_sites()];
-        let mut stamp: Vec<u32> = vec![u32::MAX; self.num_sites()];
-        for (ci, chunk) in self.chunks.iter().enumerate() {
-            for &site in chunk {
-                for covered in nb.sites_at(self.dims, site) {
-                    let idx = covered.0 as usize;
-                    if stamp[idx] == ci as u32 && owner[idx] != site.0 {
-                        return false;
-                    }
-                    stamp[idx] = ci as u32;
-                    owner[idx] = site.0;
+        self.find_overlap(&model.reaction(reaction).neighborhood())
+            .is_none()
+    }
+
+    /// Two distinct same-chunk sites whose `nb` neighborhoods overlap.
+    ///
+    /// `Nb(s) ∩ Nb(t) ≠ ∅` iff `t = s + (a − b)` for some `a, b ∈ Nb`, so
+    /// the check compares every site's label with the label of the site
+    /// one difference away. Offsets are taken on the torus: `d` and `−d`
+    /// name the same pairs, so one of each is kept, and `d ≡ 0` names the
+    /// site itself, so it is dropped. Each remaining offset is one pass of
+    /// slice-against-slice compares over [`Stencil::runs`].
+    fn find_overlap(&self, nb: &Neighborhood) -> Option<(Site, Site)> {
+        let (w, h) = (i64::from(self.dims.width()), i64::from(self.dims.height()));
+        // The representative in (−side/2, side/2]: it fits an `i32`.
+        let wrap = |d: i64, side: i64| {
+            let d = d.rem_euclid(side);
+            (if 2 * d > side { d - side } else { d }) as i32
+        };
+        let mut diffs: Vec<Offset> = Vec::new();
+        for a in nb.offsets() {
+            for b in nb.offsets() {
+                let (dx, dy) = (
+                    i64::from(a.dx) - i64::from(b.dx),
+                    i64::from(a.dy) - i64::from(b.dy),
+                );
+                let d = Offset::new(wrap(dx, w), wrap(dy, h));
+                let neg = Offset::new(wrap(-dx, w), wrap(-dy, h));
+                if d != Offset::ZERO && !diffs.contains(&d) && !diffs.contains(&neg) {
+                    diffs.push(d);
                 }
             }
         }
-        true
+        let stencil = Stencil::new(self.dims, &diffs);
+        for j in 0..diffs.len() {
+            for (sites, to) in stencil.runs(j) {
+                let here = &self.chunk_of[sites.clone()];
+                let there = &self.chunk_of[to..to + sites.len()];
+                if let Some(k) = first_equal(here, there) {
+                    return Some((Site((sites.start + k) as u32), Site((to + k) as u32)));
+                }
+            }
+        }
+        None
     }
+}
+
+/// The first index at which `a` and `b` hold the same value, compared a
+/// block at a time without an early exit inside the block, so that the
+/// scan vectorises.
+fn first_equal(a: &[u32], b: &[u32]) -> Option<usize> {
+    const BLOCK: usize = 64;
+    a.chunks(BLOCK)
+        .zip(b.chunks(BLOCK))
+        .enumerate()
+        .find_map(|(i, (a, b))| {
+            let pairs = || a.iter().zip(b);
+            let hit = pairs().fold(false, |hit, (x, y)| hit | (x == y));
+            hit.then(|| pairs().position(|(x, y)| x == y))
+                .flatten()
+                .map(|k| i * BLOCK + k)
+        })
 }
 
 #[cfg(test)]

@@ -63,12 +63,17 @@ impl SubLattice {
         );
         let pw = w + 2 * halo;
         let ph = h + 2 * halo;
+        // Row by row, as up to three slices of the wrapped global row.
+        let (gw, gh) = (dims.width() as usize, i64::from(dims.height()));
         let mut cells = Vec::with_capacity(pw as usize * ph as usize);
         for ly in 0..ph {
-            for lx in 0..pw {
-                let gx = x0 as i64 + lx as i64 - halo as i64;
-                let gy = y0 as i64 + ly as i64 - halo as i64;
-                cells.push(global.get(dims.site_at(gx, gy)));
+            let gy = (i64::from(y0) + i64::from(ly) - i64::from(halo)).rem_euclid(gh) as usize;
+            let row = &global.cells()[gy * gw..(gy + 1) * gw];
+            let (mut gx, mut left) = ((x0 as usize + gw - halo as usize) % gw, pw as usize);
+            while left > 0 {
+                let n = left.min(gw - gx);
+                cells.extend_from_slice(&row[gx..gx + n]);
+                (gx, left) = (0, left - n);
             }
         }
         SubLattice {
@@ -245,6 +250,34 @@ mod tests {
             sub.lattice().get(sub.local_site(5, 1)),
             g.get(g.dims().site_at(8, 0))
         );
+    }
+
+    #[test]
+    fn scatter_matches_per_cell_wrapping() {
+        // Rectangles inside the lattice, against its seams, and as wide or
+        // tall as the whole lattice (the halo wraps onto the far side).
+        let g = numbered(Dims::new(9, 7));
+        for (x0, y0, w, h, halo) in [
+            (0, 0, 9, 7, 3),
+            (2, 1, 5, 3, 1),
+            (6, 4, 3, 3, 1),
+            (0, 0, 3, 7, 1),
+            (4, 2, 5, 5, 2),
+            (3, 0, 1, 1, 0),
+        ] {
+            let sub = SubLattice::scatter(&g, x0, y0, w, h, halo);
+            for ly in 0..h + 2 * halo {
+                for lx in 0..w + 2 * halo {
+                    let gx = i64::from(x0) + i64::from(lx) - i64::from(halo);
+                    let gy = i64::from(y0) + i64::from(ly) - i64::from(halo);
+                    assert_eq!(
+                        sub.lattice().get(sub.local_site(lx, ly)),
+                        g.get(g.dims().site_at(gx, gy)),
+                        "{w}x{h}@({x0},{y0}) halo {halo}: local ({lx}, {ly})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   worker and the *critical path* (Σ over phases of the slowest worker)
 //!   is accumulated — the honest strong-scaling measure on a machine with
 //!   fewer cores than workers.
-//! - **Threaded** — one OS thread per worker, mpsc channel inboxes, and a
-//!   hub (the calling thread) that consumes per-step reports and the final
-//!   gather. Workers demux out-of-order frames with a pending map keyed by
+//! - **Threaded** — one OS thread per worker, which also builds that
+//!   worker, mpsc channel inboxes, and a hub (the calling thread) that
+//!   consumes per-step reports and the final gather. Workers demux
+//!   out-of-order frames with a pending map keyed by
 //!   `(kind, step, pos, dir, src)`; adjacent workers may drift by at most
 //!   one sweep, non-adjacent ones further, and the hub re-orders reports
 //!   by step.
@@ -234,35 +235,41 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         if let Some(rec) = recorder.as_deref_mut() {
             rec.record(state.time, &state.coverage);
         }
-        let build_workers = |exec: &Self, lattice: &psr_lattice::Lattice| -> Vec<Worker<'m>> {
-            (0..exec.grid.workers())
-                .map(|id| {
-                    Worker::new(
-                        exec.model,
-                        exec.partition,
-                        exec.compiled.clone(),
-                        lattice,
-                        exec.grid,
-                        id,
-                        exec.seed,
-                        exec.selection,
-                    )
-                })
-                .collect()
-        };
         let stats = match self.mode {
             ScheduleMode::Inline => {
-                let workers = build_workers(self, &state.lattice);
+                let build = self.worker_builder();
+                let workers = (0..self.grid.workers())
+                    .map(|id| build(&state.lattice, id))
+                    .collect();
                 self.run_inline(workers, state, steps, recorder)
             }
-            ScheduleMode::Threaded => {
-                let workers = build_workers(self, &state.lattice);
-                self.run_threaded(workers, state, steps, recorder)?
-            }
+            ScheduleMode::Threaded => self.run_threaded(state, steps, recorder)?,
             ScheduleMode::Socket(wire) => self.run_socket(wire, state, steps, recorder)?,
         };
         state.bump_mutations();
         Ok(stats)
+    }
+
+    /// Builds worker `id` scattered from a lattice. It borrows nothing of
+    /// `self`, so the Threaded scheduler's threads can build their workers
+    /// while the hub holds `self` mutably.
+    fn worker_builder(
+        &self,
+    ) -> impl Fn(&psr_lattice::Lattice, u32) -> Worker<'m> + Sync + use<'m, 'p> {
+        let (model, partition, compiled) = (self.model, self.partition, self.compiled.clone());
+        let (grid, seed, selection) = (self.grid, self.seed, self.selection);
+        move |lattice, id| {
+            Worker::new(
+                model,
+                partition,
+                compiled.clone(),
+                lattice,
+                grid,
+                id,
+                seed,
+                selection,
+            )
+        }
     }
 
     /// Fold one step's worker reports into the state, stats, and counters.
@@ -420,28 +427,33 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         self.critical_seconds += max;
     }
 
+    /// Each worker is built inside its own thread, from a snapshot of the
+    /// starting lattice: the hub writes gathers into `state.lattice` while
+    /// slower workers may still be scattering.
     fn run_threaded(
         &mut self,
-        workers: Vec<Worker<'m>>,
         state: &mut SimState,
         steps: u64,
         recorder: Option<&mut Recorder>,
     ) -> Result<RunStats, String> {
-        let p = workers.len();
+        let p = self.grid.workers() as usize;
         let start = self.step;
         let m = self.partition.num_chunks();
         let weighted = self.selection == ChunkSelection::WeightedByRates;
         let timeout = self.recv_timeout;
         let (report_tx, report_rx) = mpsc::channel::<Vec<u8>>();
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..p).map(|_| mpsc::channel::<Delivery>()).unzip();
+        let snapshot = state.lattice.clone();
+        let build = &self.worker_builder();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .into_iter()
+            let handles: Vec<_> = (0..p as u32)
                 .zip(rxs)
-                .map(|(worker, rx)| {
+                .map(|(id, rx)| {
                     let txs = txs.clone();
                     let report_tx = report_tx.clone();
+                    let snapshot = &snapshot;
                     scope.spawn(move || {
+                        let worker = build(snapshot, id);
                         worker_thread(
                             worker, rx, txs, report_tx, start, steps, m, weighted, timeout,
                         )

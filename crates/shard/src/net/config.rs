@@ -184,10 +184,13 @@ impl RunConfig {
     /// # Errors
     ///
     /// Reports the structural violation — truncation, bad magic/version,
-    /// unknown tags, a count the blob is too short for, or a grid, model,
-    /// partition or lattice that breaks its constructor's preconditions —
-    /// without panicking and without allocating more than the blob's own
-    /// length: on the wire this is an I/O condition, not a protocol bug.
+    /// unknown tags, a count the blob is too short for, a grid, model,
+    /// partition or lattice that breaks its constructor's preconditions, or
+    /// a partition that conflicts for the model (the hub's
+    /// [`ShardedPndca::new`](crate::ShardedPndca::new) precondition, not
+    /// trusted across the wire) — without panicking and without allocating
+    /// more than the blob's own length: on the wire this is an I/O
+    /// condition, not a protocol bug.
     pub fn decode(bytes: &[u8]) -> Result<RunConfig, String> {
         let mut c = Cursor { bytes, at: 0 };
         if c.u32()? != MAGIC {
@@ -280,6 +283,13 @@ impl RunConfig {
         }
         grid.check(dims, model.interaction_radius())?;
         let partition = Partition::try_new(dims, chunks)?;
+        if let Some((a, b)) = partition.find_conflict(&model) {
+            return Err(format!(
+                "config blob partition conflicts for its model: sites {} and {} share a chunk \
+                 and their neighborhoods overlap",
+                a.0, b.0
+            ));
+        }
         let lattice = Lattice::from_cells(dims, cells);
         Ok(RunConfig {
             grid,
@@ -324,7 +334,7 @@ pub fn decode_peers(bytes: &[u8]) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psr_ca::partition_builder::five_coloring;
+    use psr_ca::partition_builder::{five_coloring, single_chunk};
     use psr_model::library::zgb::zgb_ziff;
 
     #[test]
@@ -382,6 +392,28 @@ mod tests {
         );
         assert!(RunConfig::decode(&blob[..blob.len() - 3]).is_err());
         assert!(RunConfig::decode(&blob[1..]).is_err());
+    }
+
+    #[test]
+    fn conflicting_partition_is_rejected() {
+        // One chunk holds every site: ZGB's pair reactions overlap in it, so
+        // `Worker::new` would race write-backs across domain edges.
+        let dims = Dims::new(10, 10);
+        let blob = encode_config(
+            &zgb_ziff(0.515, 3.0),
+            &single_chunk(dims),
+            &Lattice::filled(dims, 0),
+            ShardGrid::new(2, 1),
+            1,
+            ChunkSelection::InOrder,
+            0,
+            10,
+            1000,
+        );
+        let err = RunConfig::decode(&blob)
+            .err()
+            .expect("a conflicting partition");
+        assert!(err.contains("conflicts"), "{err}");
     }
 
     #[test]

@@ -84,6 +84,85 @@ fn border_rect(bw: u32, bh: u32, r: u32, dir: usize) -> (u32, u32, u32, u32) {
     (x0, y0, w, h)
 }
 
+/// An owned rectangle `(x0, y0, w, h)` in global coordinates.
+type Domain = (u32, u32, u32, u32);
+
+/// Per chunk: owned `(local, global)` sites.
+type SiteLists = Vec<Vec<(Site, Site)>>;
+
+/// The site lists of the owned rectangle `domain`, padded by `radius`:
+/// `.0` holds the sites whose neighborhood stays inside the rectangle, `.1`
+/// the outer `radius` ring. A row-major scan of the rectangle's chunk
+/// labels fills them (after one more that sizes them), so each list is in
+/// ascending global order — a label-built partition's own chunk order. (Any
+/// order would do: same-chunk neighborhoods are disjoint and trial streams
+/// are keyed by global site.)
+fn site_lists(partition: &Partition, domain: Domain, radius: u32) -> (SiteLists, SiteLists) {
+    let (x0, y0, bw, bh) = domain;
+    let (gw, pw) = (partition.dims().width(), bw + 2 * radius);
+    // Per row: its first global site, its labels, and its column segments,
+    // each flagged when it lies on the ring (all of a row in the top and
+    // bottom `radius` rows).
+    let rows = || {
+        (0..bh).map(move |ly| {
+            let start = (y0 + ly) * gw + x0;
+            let labels = &partition.chunk_labels()[start as usize..(start + bw) as usize];
+            let inner = if ly < radius || ly >= bh - radius {
+                0..0
+            } else {
+                radius..bw - radius
+            };
+            let segments = [
+                (0..inner.start, true),
+                (inner.clone(), false),
+                (inner.end..bw, true),
+            ];
+            (ly, start, labels, segments)
+        })
+    };
+    // Counted first: no list reallocates, and none holds spare capacity
+    // for the whole run.
+    let mut sizes = vec![[0; 2]; partition.num_chunks()];
+    for (_, _, labels, segments) in rows() {
+        for (columns, ring) in segments {
+            for lx in columns {
+                sizes[labels[lx as usize] as usize][usize::from(ring)] += 1;
+            }
+        }
+    }
+    let mut lists =
+        [0, 1].map(|k| -> SiteLists { sizes.iter().map(|s| Vec::with_capacity(s[k])).collect() });
+    for (ly, start, labels, segments) in rows() {
+        let local_row = (ly + radius) * pw + radius;
+        for (columns, ring) in segments {
+            let lists = &mut lists[usize::from(ring)];
+            for lx in columns {
+                let c = labels[lx as usize] as usize;
+                lists[c].push((Site(local_row + lx), Site(start + lx)));
+            }
+        }
+    }
+    let [interior, boundary] = lists;
+    (interior, boundary)
+}
+
+/// The weighted-selection group map of the padded sub-lattice: each owned
+/// site's global chunk, [`NO_GROUP`] on the halo ring. Rows of the label
+/// array copied into place.
+fn group_map(partition: &Partition, domain: Domain, radius: u32) -> Vec<u32> {
+    let (x0, y0, bw, bh) = domain;
+    let gw = partition.dims().width() as usize;
+    let (pw, r) = ((bw + 2 * radius) as usize, radius as usize);
+    let (x0, y0, bw) = (x0 as usize, y0 as usize, bw as usize);
+    let mut group_of = vec![NO_GROUP; pw * (bh as usize + 2 * r)];
+    for ly in 0..bh as usize {
+        let row = (y0 + ly) * gw + x0;
+        let local = (ly + r) * pw + r;
+        group_of[local..local + bw].copy_from_slice(&partition.chunk_labels()[row..row + bw]);
+    }
+    group_of
+}
+
 /// One shard worker. The executor (inline or threaded) drives the phase
 /// methods in protocol order; the worker itself never blocks.
 pub(crate) struct Worker<'m> {
@@ -100,11 +179,11 @@ pub(crate) struct Worker<'m> {
     radius: u32,
     bw: u32,
     bh: u32,
-    /// Per chunk: owned `(local, global)` sites whose neighborhood stays
-    /// inside the owned rectangle.
-    chunk_interior: Vec<Vec<(Site, Site)>>,
+    /// Per chunk: owned sites whose neighborhood stays inside the owned
+    /// rectangle.
+    chunk_interior: SiteLists,
     /// Per chunk: owned sites within `radius` of the domain border.
-    chunk_boundary: Vec<Vec<(Site, Site)>>,
+    chunk_boundary: SiteLists,
     // Per-step / per-sweep scratch.
     draw_rng: Option<Pcg32>,
     journal: Vec<Change>,
@@ -128,40 +207,17 @@ impl<'m> Worker<'m> {
     ) -> Self {
         let dims = global.dims();
         let radius = model.interaction_radius();
-        let (x0, y0, bw, bh) = grid.domain_of(dims, id);
+        let domain = grid.domain_of(dims, id);
+        let (x0, y0, bw, bh) = domain;
         let sub = SubLattice::scatter(global, x0, y0, bw, bh, radius);
         let mut kernel = SiteKernel::new(compiled, sub.lattice());
         let m = partition.num_chunks();
-        let mut chunk_interior = vec![Vec::new(); m];
-        let mut chunk_boundary = vec![Vec::new(); m];
-        for c in 0..m {
-            for &g in partition.chunk(c) {
-                if let Some(local) = sub.owned_local(g) {
-                    let pw = sub.padded_w();
-                    let lx = local.0 % pw;
-                    let ly = local.0 / pw;
-                    // Owned coords run [r, r+bw) × [r, r+bh); the boundary
-                    // strip is the outer `radius` ring of that rectangle.
-                    let interior = lx >= 2 * radius && lx < bw && ly >= 2 * radius && ly < bh;
-                    if interior {
-                        chunk_interior[c].push((local, g));
-                    } else {
-                        chunk_boundary[c].push((local, g));
-                    }
-                }
-            }
-        }
+        let (chunk_interior, chunk_boundary) = site_lists(partition, domain, radius);
         let species = model.species().len();
         let reactions = model.num_reactions();
         let mut counts_len = 0;
         if selection == ChunkSelection::WeightedByRates {
-            let group_of = (0..sub.lattice().len() as u32)
-                .map(|i| match Site(i) {
-                    local if sub.is_owned(local) => partition.chunk_of(sub.to_global(local)) as u32,
-                    _ => NO_GROUP,
-                })
-                .collect();
-            kernel.attach_counts(group_of, m);
+            kernel.attach_counts(group_map(partition, domain, radius), m);
             counts_len = m * reactions;
         }
         Worker {
@@ -464,6 +520,94 @@ impl<'m> Worker<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use psr_lattice::Dims;
+
+    /// The site lists as they were built before the label scan: every
+    /// chunk's sites pushed through `owned_local`, split by padded-local
+    /// coordinates.
+    fn filtered_site_lists(partition: &Partition, sub: &SubLattice) -> (SiteLists, SiteLists) {
+        let (r, bw, bh) = (sub.halo(), sub.owned_w(), sub.owned_h());
+        let m = partition.num_chunks();
+        let mut chunk_interior = vec![Vec::new(); m];
+        let mut chunk_boundary = vec![Vec::new(); m];
+        for c in 0..m {
+            for &g in partition.chunk(c) {
+                if let Some(local) = sub.owned_local(g) {
+                    let pw = sub.padded_w();
+                    let lx = local.0 % pw;
+                    let ly = local.0 / pw;
+                    let interior = lx >= 2 * r && lx < bw && ly >= 2 * r && ly < bh;
+                    if interior {
+                        chunk_interior[c].push((local, g));
+                    } else {
+                        chunk_boundary[c].push((local, g));
+                    }
+                }
+            }
+        }
+        (chunk_interior, chunk_boundary)
+    }
+
+    /// The group map as it was built before: one `to_global` per owned
+    /// padded site.
+    fn filtered_group_map(partition: &Partition, sub: &SubLattice) -> Vec<u32> {
+        (0..sub.lattice().len() as u32)
+            .map(|i| match Site(i) {
+                local if sub.is_owned(local) => partition.chunk_of(sub.to_global(local)) as u32,
+                _ => NO_GROUP,
+            })
+            .collect()
+    }
+
+    proptest! {
+        // Random label partitions on every grid from 1×1 to 3×2, halo
+        // radius 1 and 2: the scan yields the filter's sites in its order.
+        #[test]
+        fn label_scan_lists_equal_the_filtered_ones(
+            gx in 1u32..4,
+            gy in 1u32..3,
+            radius in 1u32..3,
+            extra_w in 1u32..6,
+            extra_h in 1u32..6,
+            k in 1u32..12,
+            raw in prop::collection::vec(0u32..1 << 16, 1..400usize),
+        ) {
+            let (bw, bh) = (2 * radius + extra_w, 2 * radius + extra_h);
+            let dims = Dims::new(gx * bw, gy * bh);
+            let mut dense = vec![u32::MAX; k as usize];
+            let mut next = 0;
+            let labels: Vec<u32> = raw
+                .iter()
+                .cycle()
+                .take(dims.sites() as usize)
+                .map(|&l| {
+                    let slot = &mut dense[(l % k) as usize];
+                    if *slot == u32::MAX {
+                        *slot = next;
+                        next += 1;
+                    }
+                    *slot
+                })
+                .collect();
+            let partition = Partition::from_labels(dims, &labels);
+            let global = Lattice::filled(dims, 0);
+            let grid = ShardGrid::new(gx, gy);
+            for id in 0..grid.workers() {
+                let domain = grid.domain_of(dims, id);
+                let (x0, y0, w, h) = domain;
+                let sub = SubLattice::scatter(&global, x0, y0, w, h, radius);
+                prop_assert_eq!(
+                    site_lists(&partition, domain, radius),
+                    filtered_site_lists(&partition, &sub)
+                );
+                prop_assert_eq!(
+                    group_map(&partition, domain, radius),
+                    filtered_group_map(&partition, &sub)
+                );
+            }
+        }
+    }
 
     #[test]
     fn halo_and_border_rects_mirror_each_other() {

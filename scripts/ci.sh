@@ -67,6 +67,9 @@ cargo test -q --release -p psr-kernel --test differential
 echo "==> greedy colouring identity at production sizes (1000², 1024², triangular 128²)"
 cargo test -q --release -p psr-ca --test coloring_identity -- --include-ignored
 
+echo "==> partition conflict check identity at production sizes (1024² ZGB/Kuzovkov, triangular 128²)"
+cargo test -q --release -p psr-ca --test conflict_identity -- --include-ignored
+
 echo "==> benchmark/selftest.sh (the benchmark package builds and runs against the crates)"
 bash benchmark/selftest.sh
 
