@@ -1,43 +1,48 @@
 //! The sharded PNDCA executor: per-worker domains, message-only boundary
-//! state, and two interchangeable schedulers.
+//! state, and three interchangeable schedulers of one worker step machine.
 //!
-//! [`ShardedPndca`] splits the lattice over a [`ShardGrid`] of workers and
-//! drives the worker phase protocol (see the `worker` module) with one of:
+//! [`ShardedPndca`] splits the lattice over a [`ShardGrid`] of workers.
+//! Each worker keeps the protocol order itself (see the `worker` module):
+//! its step machine runs phases until a frame it needs has not arrived.
+//! The schedulers only move bytes:
 //!
-//! - **Inline** — a lockstep loop over the workers inside the calling
-//!   thread. Frames still flow as encoded byte messages, so the protocol
-//!   exercised is exactly the threaded one, but phases are timed per
-//!   worker and the *critical path* (Σ over phases of the slowest worker)
-//!   is accumulated — the honest strong-scaling measure on a machine with
-//!   fewer cores than workers.
+//! - **Inline** — every machine in turn in the calling thread, frames
+//!   routed between them as encoded byte messages, phases charged on the
+//!   wall clock (one worker runs at a time);
 //! - **Threaded** — one OS thread per worker, which also builds that
-//!   worker, mpsc channel inboxes, and a hub (the calling thread) that
-//!   consumes per-step reports and the final gather. Workers demux
-//!   out-of-order frames with a pending map keyed by
-//!   `(kind, step, pos, dir, src)`; adjacent workers may drift by at most
-//!   one sweep, non-adjacent ones further, and the hub re-orders reports
-//!   by step.
+//!   worker, mpsc channel inboxes, phases charged on each thread's on-CPU
+//!   clock; a thread that ends, by error or panic, hangs up on its peers
+//!   and the hub as a closed socket does;
+//! - **Socket** — one OS process per worker over real sockets
+//!   ([`crate::net`]).
 //!
-//! Both schedulers produce bit-identical trajectories — nothing random
-//! depends on scheduling — and both match the shared-lattice
+//! Every report and gather goes to one hub fold in the calling thread. It
+//! re-orders reports by step, checks that all workers swept the same
+//! chunks, and accumulates the *critical path* (Σ over phases of the
+//! slowest worker, plus exchange rounds × measured wire latency) — the
+//! honest strong-scaling measure on a machine with fewer cores than
+//! workers.
+//!
+//! All three produce bit-identical trajectories — nothing random depends
+//! on scheduling — and match the shared-lattice
 //! [`ParallelPndca`](psr_parallel::ParallelPndca) on the same
 //! `(seed, partition)`, which `tests/differential.rs` pins across grids
 //! and all four chunk-selection strategies.
 
 use crate::domain::ShardGrid;
-use crate::frame::{self, StepReport, KIND_GATHER, KIND_REPORT};
-use crate::net::worker_proc::{recv_keyed, Delivery};
+use crate::frame::{self, FrameSink, StepReport, KIND_GATHER, KIND_REPORT};
 use crate::net::{self, Wire};
-use crate::worker::Worker;
+use crate::worker::{Delivery, Worker};
 use psr_ca::partition::Partition;
 use psr_ca::pndca::ChunkSelection;
 use psr_dmc::recorder::Recorder;
 use psr_dmc::rsm::RunStats;
 use psr_dmc::sim::SimState;
 use psr_kernel::CompiledModel;
+use psr_lattice::Lattice;
 use psr_model::Model;
 use psr_parallel::{apply_coverage_deltas, CommStats};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,7 +50,8 @@ use std::time::{Duration, Instant};
 /// How the worker phase machines are driven.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScheduleMode {
-    /// Lockstep in the calling thread, with per-phase critical-path timing.
+    /// Every worker in turn in the calling thread, phases timed on the wall
+    /// clock.
     Inline,
     /// One OS thread per worker over mpsc channels.
     Threaded,
@@ -179,9 +185,9 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
 
     /// Critical path accumulated so far: Σ over phases of the slowest
     /// worker's time — the wall-clock a fully parallel machine would need,
-    /// measurable on any host. Inline mode times phases in the calling
-    /// thread; socket mode sums the workers' shipped on-CPU phase times
-    /// plus the transport's measured per-exchange latency.
+    /// measurable on any host. Inline workers are timed on the wall clock,
+    /// thread and process workers on their own on-CPU clock; socket runs
+    /// add the transport's measured latency per exchange round.
     pub fn critical_path_seconds(&self) -> f64 {
         self.critical_seconds
     }
@@ -213,14 +219,14 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         }
     }
 
-    /// [`run_steps`](Self::run_steps), with worker failures as errors. The
-    /// Inline scheduler cannot fail; the Threaded and Socket ones report
-    /// dead or silent workers here after joining or killing the rest.
+    /// [`run_steps`](Self::run_steps), with worker failures as errors,
+    /// reported after joining or killing the remaining workers.
     ///
     /// # Errors
     ///
     /// The first worker failure observed: a dead thread or process, a
-    /// protocol violation, or a receive deadline expiring.
+    /// protocol violation, a receive deadline expiring, or the
+    /// `PSR_SHARD_FAIL_AT` fault hook.
     pub fn try_run_steps(
         &mut self,
         state: &mut SimState,
@@ -235,29 +241,26 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         if let Some(rec) = recorder.as_deref_mut() {
             rec.record(state.time, &state.coverage);
         }
+        let build = self.worker_builder(steps);
         let stats = match self.mode {
-            ScheduleMode::Inline => {
-                let build = self.worker_builder();
-                let workers = (0..self.grid.workers())
-                    .map(|id| build(&state.lattice, id))
-                    .collect();
-                self.run_inline(workers, state, steps, recorder)
-            }
-            ScheduleMode::Threaded => self.run_threaded(state, steps, recorder)?,
+            ScheduleMode::Inline => self.run_inline(&build, state, steps, recorder)?,
+            ScheduleMode::Threaded => self.run_threaded(&build, state, steps, recorder)?,
             ScheduleMode::Socket(wire) => self.run_socket(wire, state, steps, recorder)?,
         };
         state.bump_mutations();
         Ok(stats)
     }
 
-    /// Builds worker `id` scattered from a lattice. It borrows nothing of
-    /// `self`, so the Threaded scheduler's threads can build their workers
-    /// while the hub holds `self` mutably.
+    /// Builds worker `id`, for the next `steps` steps, scattered from a
+    /// lattice. It borrows nothing of `self`, so the Threaded scheduler's
+    /// threads can build their workers while the hub holds `self` mutably.
     fn worker_builder(
         &self,
-    ) -> impl Fn(&psr_lattice::Lattice, u32) -> Worker<'m> + Sync + use<'m, 'p> {
+        steps: u64,
+    ) -> impl Fn(&Lattice, u32) -> Worker<'m> + Sync + use<'m, 'p> {
         let (model, partition, compiled) = (self.model, self.partition, self.compiled.clone());
         let (grid, seed, selection) = (self.grid, self.seed, self.selection);
+        let window = self.step..self.step + steps;
         move |lattice, id| {
             Worker::new(
                 model,
@@ -268,18 +271,47 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
                 id,
                 seed,
                 selection,
+                window.clone(),
             )
         }
     }
 
-    /// Fold one step's worker reports into the state, stats, and counters.
+    /// Fold one step's reports, one per worker, into the state, stats,
+    /// counters and critical path: per phase slot the slowest worker's
+    /// shipped time, plus one wire `latency` per exchange round when
+    /// workers are apart.
     fn apply_step_reports(
         &mut self,
         state: &mut SimState,
         reports: &[StepReport],
+        latency: f64,
         stats: &mut RunStats,
         recorder: &mut Option<&mut Recorder>,
-    ) {
+    ) -> Result<(), String> {
+        // Every worker summed the same counts and drew from its own copy of
+        // the same stream — any divergence is a determinism bug.
+        if reports.iter().any(|r| r.chunks != reports[0].chunks) {
+            return Err(format!(
+                "step {}: workers swept different chunks (weighted draw diverged)",
+                self.step
+            ));
+        }
+        // Every worker's machine reports the same slots.
+        for s in 0..reports[0].phase_busy.len() {
+            self.critical_seconds += reports
+                .iter()
+                .map(|r| r.phase_busy.get(s).copied().unwrap_or(0.0))
+                .fold(0.0, f64::max);
+        }
+        // Exchange rounds per sweep: write-backs and halos, plus the counts
+        // all-gather when weighted. Flushes to different peers overlap on a
+        // parallel machine, so each round costs one frame latency — none
+        // when every send is local.
+        if reports.len() > 1 {
+            let weighted = self.selection == ChunkSelection::WeightedByRates;
+            let rounds = if weighted { 3.0 } else { 2.0 };
+            self.critical_seconds += rounds * self.partition.num_chunks() as f64 * latency;
+        }
         let mut deltas = vec![0i64; self.model.species().len()];
         for rep in reports {
             stats.trials += rep.trials;
@@ -304,13 +336,20 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         if let Some(rec) = recorder.as_deref_mut() {
             rec.record(state.time, &state.coverage);
         }
+        self.step += 1;
+        Ok(())
     }
 
     /// Write one worker's gathered owned rectangle into the global lattice.
-    fn apply_gather(&self, lattice: &mut psr_lattice::Lattice, src: u32, payload: &[u8]) {
+    fn apply_gather(&self, lattice: &mut Lattice, src: u32, payload: &[u8]) -> Result<(), String> {
         let dims = lattice.dims();
         let (x0, y0, bw, bh) = self.grid.domain_of(dims, src);
-        assert_eq!(payload.len(), (bw * bh) as usize, "torn gather payload");
+        if payload.len() != (bw * bh) as usize {
+            return Err(format!(
+                "worker {src}: torn gather of {} bytes for a {bw}×{bh} domain",
+                payload.len()
+            ));
+        }
         let gw = dims.width() as usize;
         for row in 0..bh as usize {
             let dst = (y0 as usize + row) * gw + x0 as usize;
@@ -318,113 +357,42 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
             lattice.cells_mut()[dst..dst + bw as usize]
                 .copy_from_slice(&payload[src_off..src_off + bw as usize]);
         }
+        Ok(())
     }
 
+    /// Every worker's machine in turn in the calling thread, each frame
+    /// routed straight into its receiver's pending map. One worker runs at
+    /// a time, so the wall clock charges each only for its own phases — a
+    /// `/proc` read per phase would cost more than a small sweep.
     fn run_inline(
         &mut self,
-        mut workers: Vec<Worker<'m>>,
+        build: &impl Fn(&Lattice, u32) -> Worker<'m>,
         state: &mut SimState,
         steps: u64,
-        mut recorder: Option<&mut Recorder>,
-    ) -> RunStats {
-        let mut stats = RunStats::default();
-        let m = self.partition.num_chunks();
-        let weighted = self.selection == ChunkSelection::WeightedByRates;
-        for _ in 0..steps {
-            let step = self.step;
-            for w in workers.iter_mut() {
-                w.begin_step(step);
+        recorder: Option<&mut Recorder>,
+    ) -> Result<RunStats, String> {
+        let mut workers: Vec<Worker<'m>> = (0..self.grid.workers())
+            .map(|id| build(&state.lattice, id))
+            .collect();
+        let epoch = Instant::now();
+        let clock = || epoch.elapsed().as_secs_f64();
+        let mut sink = InlineSink::default();
+        self.consume_reports(state, steps, recorder, 0.0, |_| loop {
+            if let Some(bytes) = sink.hub.pop_front() {
+                return Ok(bytes);
             }
-            let order: Vec<usize> = if weighted {
-                Vec::new()
-            } else {
-                workers[0].chunk_order(step)
-            };
-            for pos in 0..m as u32 {
-                let chunk = if weighted {
-                    self.exchange_inline(&mut workers, |w, sink| w.counts_frames(step, pos, sink));
-                    let mut chunk = None;
-                    let mut max = 0.0f64;
-                    for w in workers.iter_mut() {
-                        let t = Instant::now();
-                        let c = w.weighted_draw();
-                        max = max.max(t.elapsed().as_secs_f64());
-                        // Every worker summed the same counts and drew from
-                        // its own copy of the same stream — any divergence
-                        // is a determinism bug.
-                        assert_eq!(*chunk.get_or_insert(c), c, "weighted draw diverged");
-                    }
-                    self.critical_seconds += max;
-                    chunk.expect("at least one worker")
-                } else {
-                    order[pos as usize]
-                };
-                self.timed_phase(&mut workers, |w| w.sweep(step, pos, chunk));
-                self.exchange_inline(&mut workers, |w, sink| w.wb_frames(step, pos, sink));
-                self.exchange_inline(&mut workers, |w, sink| w.halo_frames(step, pos, sink));
-                self.timed_phase(&mut workers, |w| w.fold());
+            let mut moved = false;
+            for id in 0..workers.len() {
+                workers[id].advance(&mut sink, &clock)?;
+                moved |= !sink.frames.is_empty() || !sink.hub.is_empty();
+                for (dest, bytes) in sink.frames.drain(..) {
+                    workers[dest as usize].deliver((id as u32, Ok(bytes)))?;
+                }
             }
-            let reports: Vec<StepReport> = workers
-                .iter_mut()
-                .map(|w| {
-                    let bytes = w.report_frame(step);
-                    let (_, payload) = frame::decode(&bytes);
-                    StepReport::decode(payload)
-                })
-                .collect();
-            self.apply_step_reports(state, &reports, &mut stats, &mut recorder);
-            self.step += 1;
-        }
-        for w in &workers {
-            let bytes = w.gather_frame(self.step);
-            let (header, payload) = frame::decode(&bytes);
-            self.apply_gather(&mut state.lattice, header.src, payload);
-        }
-        stats
-    }
-
-    /// One timed lockstep phase: run `f` on every worker, add the slowest
-    /// worker's time to the critical path.
-    fn timed_phase(&mut self, workers: &mut [Worker<'m>], mut f: impl FnMut(&mut Worker<'m>)) {
-        let mut max = 0.0f64;
-        for w in workers.iter_mut() {
-            let t = Instant::now();
-            f(w);
-            max = max.max(t.elapsed().as_secs_f64());
-        }
-        self.critical_seconds += max;
-    }
-
-    /// One timed frame exchange: produce every worker's frames, route them
-    /// to per-worker inboxes, then let every worker accept its inbox.
-    fn exchange_inline(
-        &mut self,
-        workers: &mut [Worker<'m>],
-        mut produce: impl FnMut(&mut Worker<'m>, &mut frame::VecSink),
-    ) {
-        let p = workers.len();
-        let mut inboxes: Vec<Vec<Vec<u8>>> = vec![Vec::new(); p];
-        let mut max = 0.0f64;
-        for w in workers.iter_mut() {
-            let mut sink = frame::VecSink::default();
-            let t = Instant::now();
-            produce(w, &mut sink);
-            max = max.max(t.elapsed().as_secs_f64());
-            for (dest, bytes) in sink.0 {
-                inboxes[dest as usize].push(bytes);
+            if !moved {
+                return Err("inline workers stalled: each waits for a frame".into());
             }
-        }
-        self.critical_seconds += max;
-        let mut max = 0.0f64;
-        for w in workers.iter_mut() {
-            let inbox = std::mem::take(&mut inboxes[w.id() as usize]);
-            let t = Instant::now();
-            for bytes in &inbox {
-                w.accept(bytes);
-            }
-            max = max.max(t.elapsed().as_secs_f64());
-        }
-        self.critical_seconds += max;
+        })
     }
 
     /// Each worker is built inside its own thread, from a snapshot of the
@@ -432,44 +400,38 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
     /// slower workers may still be scattering.
     fn run_threaded(
         &mut self,
+        build: &(impl Fn(&Lattice, u32) -> Worker<'m> + Sync),
         state: &mut SimState,
         steps: u64,
         recorder: Option<&mut Recorder>,
     ) -> Result<RunStats, String> {
-        let p = self.grid.workers() as usize;
-        let start = self.step;
-        let m = self.partition.num_chunks();
-        let weighted = self.selection == ChunkSelection::WeightedByRates;
         let timeout = self.recv_timeout;
-        let (report_tx, report_rx) = mpsc::channel::<Vec<u8>>();
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..p).map(|_| mpsc::channel::<Delivery>()).unzip();
+        let (hub_tx, hub_rx) = mpsc::channel::<Delivery>();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..self.grid.workers())
+            .map(|_| mpsc::channel::<Delivery>())
+            .unzip();
         let snapshot = state.lattice.clone();
-        let build = &self.worker_builder();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..p as u32)
+            let handles: Vec<_> = (0..)
                 .zip(rxs)
-                .map(|(id, rx)| {
-                    let txs = txs.clone();
-                    let report_tx = report_tx.clone();
+                .map(|(id, inbox)| {
+                    let mut sink = ChannelSink {
+                        id,
+                        peers: txs.clone(),
+                        hub: hub_tx.clone(),
+                        out: Vec::new(),
+                    };
                     let snapshot = &snapshot;
-                    scope.spawn(move || {
-                        let worker = build(snapshot, id);
-                        worker_thread(
-                            worker, rx, txs, report_tx, start, steps, m, weighted, timeout,
-                        )
-                    })
+                    scope.spawn(move || build(snapshot, id).run(&mut sink, &inbox, timeout))
                 })
                 .collect();
-            drop(report_tx);
-            drop(txs);
-            let hub = self.consume_reports(state, steps, recorder, 0.0, |_| {
-                report_rx
-                    .recv_timeout(timeout)
-                    .map_err(|e| format!("no worker report within {timeout:?}: {e}"))
+            drop((hub_tx, txs));
+            let hub = self.consume_reports(state, steps, recorder, 0.0, |done| {
+                recv_from_workers(&hub_rx, done, timeout)
             });
             // Dropped before the joins so that, after a hub failure, every
             // worker fails at its next report instead of finishing the run.
-            drop(report_rx);
+            drop(hub_rx);
             let mut failed = None;
             for (id, handle) in handles.into_iter().enumerate() {
                 let died = match handle.join() {
@@ -487,9 +449,7 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         })
     }
 
-    /// Drive one socket run: spawn the worker fleet, consume its reports
-    /// and gathers, account the critical path from the workers' shipped
-    /// on-CPU phase times plus the measured per-exchange wire latency.
+    /// Spawn the worker process fleet and fold its reports and gathers.
     fn run_socket(
         &mut self,
         wire: Wire,
@@ -497,8 +457,6 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
         steps: u64,
         recorder: Option<&mut Recorder>,
     ) -> Result<RunStats, String> {
-        let p = self.grid.workers() as usize;
-        let m = self.partition.num_chunks();
         let blob = net::config::encode_config(
             self.model,
             self.partition,
@@ -510,179 +468,289 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
             steps,
             self.recv_timeout.as_millis() as u64,
         );
-        let hub = net::hub::Hub::launch(wire, p as u32, &blob, self.recv_timeout)?;
-        let latency = hub.latency;
-        self.wire_latency = Some(latency);
-        // Exchanges per step on the critical path: write-backs and halos
-        // per sweep position, plus the counts all-gather when weighted.
-        // Flushes to different peers overlap on a parallel machine, so
-        // each exchange phase costs one frame latency — none at all when
-        // the grid has a single worker (every send is local).
-        let weighted = self.selection == ChunkSelection::WeightedByRates;
-        let exchanges_per_step = if p > 1 {
-            m as f64 * if weighted { 3.0 } else { 2.0 }
-        } else {
-            0.0
-        };
-        let stats = self.consume_reports(
-            state,
-            steps,
-            recorder,
-            exchanges_per_step * latency,
-            |done| hub.recv(done),
-        )?;
+        let hub = net::hub::Hub::launch(wire, self.grid.workers(), &blob)?;
+        self.wire_latency = Some(hub.latency);
+        let timeout = self.recv_timeout;
+        let stats = self.consume_reports(state, steps, recorder, hub.latency, |done| {
+            recv_from_workers(&hub.rx, done, timeout)
+        })?;
         hub.finish()?;
         Ok(stats)
     }
 
-    /// The hub side of a threaded or socket run: take frames from `recv`
-    /// until every step's reports (re-ordered by step) and every worker's
-    /// gather have been applied. Each step adds the slowest worker's shipped
-    /// phase times plus `wire_seconds_per_step` to the critical path.
+    /// The hub of every scheduler: take frames from `recv` until every
+    /// step's reports (re-ordered by step) and every worker's gather have
+    /// been folded into the state, stats and counters.
     ///
     /// `recv` is handed the workers whose gather has arrived: such a worker
-    /// may exit and close its connection while slower peers are still
-    /// reporting, and the socket hub treats that EOF as completion rather
-    /// than failure.
+    /// may hang up while slower peers are still reporting, which is its
+    /// end, not a failure. Worker bytes are outside input here: a malformed
+    /// report, a torn gather, an unknown sender, a second report or gather
+    /// from one worker, or a report outside the step window is an `Err`.
     fn consume_reports(
         &mut self,
         state: &mut SimState,
         steps: u64,
         mut recorder: Option<&mut Recorder>,
-        wire_seconds_per_step: f64,
+        latency: f64,
         mut recv: impl FnMut(&[bool]) -> Result<Vec<u8>, String>,
     ) -> Result<RunStats, String> {
         let p = self.grid.workers() as usize;
         let end = self.step + steps;
         let mut stats = RunStats::default();
-        let mut by_step: BTreeMap<u64, Vec<StepReport>> = BTreeMap::new();
-        let mut gathers = 0;
+        let mut by_step: BTreeMap<u64, Vec<Option<StepReport>>> = BTreeMap::new();
         let mut done = vec![false; p];
-        while gathers < p || self.step < end {
+        while done.contains(&false) || self.step < end {
             let bytes = recv(&done)?;
             let (header, payload) = frame::try_decode(&bytes)?;
+            let (src, step) = (header.src as usize, header.step);
+            if src >= p {
+                return Err(format!("frame from worker {src} of a {p}-worker grid"));
+            }
             match header.kind {
-                KIND_REPORT => {
-                    let entry = by_step.entry(header.step).or_default();
-                    entry.push(StepReport::decode(payload));
-                    while by_step.get(&self.step).is_some_and(|r| r.len() == p) {
-                        let reports = by_step.remove(&self.step).expect("just checked");
-                        let slots = reports
-                            .iter()
-                            .map(|r| r.phase_busy.len())
-                            .max()
-                            .unwrap_or(0);
-                        for s in 0..slots {
-                            let worst = reports
-                                .iter()
-                                .map(|r| r.phase_busy.get(s).copied().unwrap_or(0.0))
-                                .fold(0.0, f64::max);
-                            self.critical_seconds += worst;
-                        }
-                        self.critical_seconds += wire_seconds_per_step;
-                        self.apply_step_reports(state, &reports, &mut stats, &mut recorder);
-                        self.step += 1;
+                KIND_REPORT if (self.step..end).contains(&step) => {
+                    let slot = &mut by_step.entry(step).or_insert_with(|| vec![None; p])[src];
+                    if slot.replace(StepReport::try_decode(payload)?).is_some() {
+                        return Err(format!("worker {src} reported step {step} twice"));
+                    }
+                    while let Some(entry) = by_step
+                        .first_entry()
+                        .filter(|e| *e.key() == self.step && e.get().iter().all(Option::is_some))
+                    {
+                        let reports: Vec<StepReport> =
+                            entry.remove().into_iter().flatten().collect();
+                        self.apply_step_reports(
+                            state,
+                            &reports,
+                            latency,
+                            &mut stats,
+                            &mut recorder,
+                        )?;
                     }
                 }
-                KIND_GATHER => {
-                    self.apply_gather(&mut state.lattice, header.src, payload);
-                    done[header.src as usize] = true;
-                    gathers += 1;
+                KIND_REPORT => {
+                    return Err(format!("worker {src} reported step {step} out of turn"))
                 }
-                kind => return Err(format!("hub cannot accept frame kind {kind}")),
+                KIND_GATHER if !done[src] => {
+                    self.apply_gather(&mut state.lattice, header.src, payload)?;
+                    done[src] = true;
+                }
+                kind => return Err(format!("worker {src} sent the hub frame kind {kind}")),
             }
-        }
-        if !by_step.is_empty() {
-            return Err("reports left over past the last step".into());
         }
         Ok(stats)
     }
 }
 
-/// The body of one threaded worker: the same phase order as the inline
-/// scheduler, with channel sends and the socket workers' keyed,
-/// deadline-bearing demux on receive.
-#[allow(clippy::too_many_arguments)]
-fn worker_thread(
-    mut worker: Worker<'_>,
-    rx: mpsc::Receiver<Delivery>,
-    txs: Vec<mpsc::Sender<Delivery>>,
-    report_tx: mpsc::Sender<Vec<u8>>,
-    start: u64,
-    steps: u64,
-    num_chunks: usize,
-    weighted: bool,
+/// The next report or gather from any worker, waiting at most `timeout`.
+/// A worker's hang-up (a socket's EOF, a thread's drop guard) is its end
+/// once its gather is `done`, and a failure before.
+fn recv_from_workers(
+    rx: &mpsc::Receiver<Delivery>,
+    done: &[bool],
     timeout: Duration,
-) -> Result<(), String> {
-    let id = worker.id();
-    let mut pending: HashMap<frame::FrameKey, Vec<u8>> = HashMap::new();
-    let mut closed = vec![false; txs.len()];
-    let mut sink = frame::VecSink::default();
-    let send = |sink: &mut frame::VecSink| {
-        for (dest, bytes) in sink.0.drain(..) {
-            txs[dest as usize]
-                .send((id, Ok(bytes)))
-                .map_err(|_| format!("worker {dest} hung up mid-sweep"))?;
+) -> Result<Vec<u8>, String> {
+    loop {
+        match rx
+            .recv_timeout(timeout)
+            .map_err(|e| format!("no worker frame within {timeout:?}: {e}"))?
+        {
+            (_, Ok(bytes)) => return Ok(bytes),
+            (id, Err(_)) if done.get(id as usize) == Some(&true) => {}
+            (id, Err(e)) => return Err(format!("worker {id} failed: {e}")),
         }
-        Ok::<(), String>(())
-    };
-    let mut recv = |worker: &mut Worker<'_>, key: frame::FrameKey| {
-        let bytes = recv_keyed(&rx, &mut pending, &mut closed, key, timeout)?;
-        worker.accept(&bytes);
-        Ok::<(), String>(())
-    };
-    for step in start..start + steps {
-        worker.begin_step(step);
-        let order: Vec<usize> = if weighted {
-            Vec::new()
-        } else {
-            worker.chunk_order(step)
-        };
-        for pos in 0..num_chunks as u32 {
-            let chunk = if weighted {
-                worker.counts_frames(step, pos, &mut sink);
-                send(&mut sink)?;
-                for src in 0..txs.len() as u32 {
-                    recv(
-                        &mut worker,
-                        (frame::KIND_COUNTS, step, pos, frame::NO_DIR, src),
-                    )?;
-                }
-                worker.weighted_draw()
-            } else {
-                order[pos as usize]
-            };
-            worker.sweep(step, pos, chunk);
-            for kind in [frame::KIND_WRITEBACK, frame::KIND_HALO] {
-                if kind == frame::KIND_WRITEBACK {
-                    worker.wb_frames(step, pos, &mut sink);
-                } else {
-                    worker.halo_frames(step, pos, &mut sink);
-                }
-                send(&mut sink)?;
-                for dir in 0..8u8 {
-                    let src = worker.neighbor(dir as usize);
-                    recv(&mut worker, (kind, step, pos, dir, src))?;
-                }
-            }
-            worker.fold();
-        }
-        report_tx
-            .send(worker.report_frame(step))
-            .map_err(|_| "hub hung up")?;
     }
-    report_tx
-        .send(worker.gather_frame(start + steps))
-        .map_err(|_| "hub hung up")?;
-    Ok(())
+}
+
+/// The Inline transport: peer frames collected for routing, hub frames
+/// queued for the fold.
+#[derive(Default)]
+struct InlineSink {
+    frames: Vec<(u32, Vec<u8>)>,
+    hub: VecDeque<Vec<u8>>,
+}
+
+impl FrameSink for InlineSink {
+    fn frame(&mut self, dest: u32, frame: Vec<u8>) {
+        self.frames.push((dest, frame));
+    }
+
+    fn to_hub(&mut self, frame: Vec<u8>) -> Result<(), String> {
+        self.hub.push_back(frame);
+        Ok(())
+    }
+}
+
+/// The Threaded transport: each phase's frames into their receivers'
+/// inboxes at the flush. Dropped, on return or unwind, it hangs up on the
+/// hub and every peer, as a closed socket does.
+struct ChannelSink {
+    id: u32,
+    peers: Vec<mpsc::Sender<Delivery>>,
+    hub: mpsc::Sender<Delivery>,
+    out: Vec<(u32, Vec<u8>)>,
+}
+
+impl FrameSink for ChannelSink {
+    fn frame(&mut self, dest: u32, frame: Vec<u8>) {
+        self.out.push((dest, frame));
+    }
+
+    fn flush(&mut self, _comm: &mut CommStats) -> Result<(), String> {
+        for (dest, frame) in self.out.drain(..) {
+            // A receiver that is gone has hung up: whoever waits on it fails.
+            let _ = self.peers[dest as usize].send((self.id, Ok(frame)));
+        }
+        Ok(())
+    }
+
+    fn to_hub(&mut self, frame: Vec<u8>) -> Result<(), String> {
+        self.hub
+            .send((self.id, Ok(frame)))
+            .map_err(|_| "hub hung up".to_owned())
+    }
+}
+
+impl Drop for ChannelSink {
+    fn drop(&mut self) {
+        // The hub first: it hears of a failure before any peer it fails.
+        for tx in std::iter::once(&self.hub).chain(&self.peers) {
+            let _ = tx.send((self.id, Err("hung up".to_owned())));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psr_ca::partition_builder::greedy_coloring;
-    use psr_lattice::{Dims, Lattice};
+    use crate::frame::NO_DIR;
+    use psr_ca::partition_builder::{five_coloring, greedy_coloring};
+    use psr_lattice::Dims;
     use psr_model::library::zgb::zgb_ziff;
+
+    /// A report frame of worker `src` for `step`, with its chunk sequence.
+    fn report(src: u32, step: u64, chunks: &[u64]) -> Vec<u8> {
+        let report = StepReport {
+            chunks: chunks.to_vec(),
+            ..StepReport::zeroed(3, 4)
+        };
+        frame::encode(KIND_REPORT, NO_DIR, src, step, 0, &report.encode())
+    }
+
+    /// A gather frame of worker `src` with `cells` cells.
+    fn gather(src: u32, cells: usize) -> Vec<u8> {
+        frame::encode(KIND_GATHER, NO_DIR, src, 1, 0, &vec![0; cells])
+    }
+
+    /// Feed `frames` to the hub fold of a one-step run on a 2×1 grid of
+    /// 10×20 domains.
+    fn fold(frames: Vec<Vec<u8>>) -> Result<RunStats, String> {
+        let model = zgb_ziff(0.5, 2.0);
+        let dims = Dims::square(20);
+        let partition = five_coloring(dims);
+        let mut exec = ShardedPndca::new(&model, &partition, ShardGrid::new(2, 1), 7);
+        let mut state = SimState::new(Lattice::filled(dims, 0), &model);
+        let mut frames = frames.into_iter();
+        exec.consume_reports(&mut state, 1, None, 0.0, |_| {
+            frames.next().ok_or_else(|| "out of frames".to_owned())
+        })
+    }
+
+    #[test]
+    fn hub_fold_takes_one_report_and_one_gather_per_worker() {
+        let frames = vec![
+            report(1, 0, &[2, 0]),
+            gather(1, 200),
+            report(0, 0, &[2, 0]),
+            gather(0, 200),
+        ];
+        fold(frames).expect("a well-formed step folds");
+    }
+
+    #[test]
+    fn hub_fold_refuses_an_unknown_sender() {
+        let err = fold(vec![report(0, 0, &[1]), report(5, 0, &[1])]).unwrap_err();
+        assert!(err.contains("worker 5"), "{err}");
+        let err = fold(vec![gather(2, 200)]).unwrap_err();
+        assert!(err.contains("worker 2"), "{err}");
+    }
+
+    #[test]
+    fn hub_fold_refuses_a_second_report_for_one_step() {
+        let err = fold(vec![report(0, 0, &[1]), report(0, 0, &[1])]).unwrap_err();
+        assert!(err.contains("worker 0 reported step 0 twice"), "{err}");
+    }
+
+    #[test]
+    fn hub_fold_refuses_a_torn_gather() {
+        let err = fold(vec![gather(1, 199)]).unwrap_err();
+        assert!(err.contains("worker 1: torn gather"), "{err}");
+    }
+
+    #[test]
+    fn hub_fold_refuses_a_malformed_report() {
+        // Zero lengths, then one comm word of the eight even an empty
+        // report carries.
+        let bytes = frame::encode(KIND_REPORT, NO_DIR, 0, 0, 0, &[0; 56]);
+        let err = fold(vec![bytes]).unwrap_err();
+        assert!(err.contains("length mismatch"), "{err}");
+    }
+
+    /// Every scheduler's reports go through this fold, so this is the check
+    /// for Socket runs too.
+    #[test]
+    fn hub_fold_refuses_workers_that_swept_different_chunks() {
+        let err = fold(vec![report(0, 0, &[1, 2]), report(1, 0, &[2, 1])]).unwrap_err();
+        assert!(err.contains("step 0"), "{err}");
+    }
+
+    /// The in-process schedulers on a real divergence: worker 1 keyed by
+    /// another seed shuffles another chunk order.
+    #[test]
+    fn workers_that_swept_different_chunks_fail_inline_and_threaded_runs() {
+        let model = zgb_ziff(0.5, 2.0);
+        let dims = Dims::square(20);
+        let partition = five_coloring(dims);
+        let exec = |seed| {
+            ShardedPndca::new(&model, &partition, ShardGrid::new(2, 1), seed)
+                .with_selection(ChunkSelection::RandomOrder)
+        };
+        let (honest, skewed) = (exec(7).worker_builder(3), exec(8).worker_builder(3));
+        let build = |lattice: &Lattice, id| match id {
+            1 => skewed(lattice, id),
+            _ => honest(lattice, id),
+        };
+        for mode in [ScheduleMode::Inline, ScheduleMode::Threaded] {
+            let mut state = SimState::new(Lattice::filled(dims, 0), &model);
+            let mut exec = exec(7);
+            let err = match mode {
+                ScheduleMode::Inline => exec.run_inline(&build, &mut state, 3, None),
+                _ => exec.run_threaded(&build, &mut state, 3, None),
+            }
+            .expect_err("diverged workers must fail the run");
+            assert!(
+                err.contains("step 0: workers swept different chunks"),
+                "{mode}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn threaded_critical_path_is_measured_within_the_wall_time() {
+        let model = zgb_ziff(0.5, 2.0);
+        let dims = Dims::square(40);
+        let partition = five_coloring(dims);
+        let mut exec = ShardedPndca::new(&model, &partition, ShardGrid::new(2, 2), 7)
+            .with_mode(ScheduleMode::Threaded);
+        let mut state = SimState::new(Lattice::filled(dims, 0), &model);
+        let started = Instant::now();
+        exec.run_steps(&mut state, 40, None);
+        let (cp, wall) = (
+            exec.critical_path_seconds(),
+            started.elapsed().as_secs_f64(),
+        );
+        assert!(cp > 0.0 && cp <= wall, "critical path {cp} s in {wall} s");
+    }
 
     #[test]
     fn threaded_run_past_its_receive_deadline_is_an_error() {

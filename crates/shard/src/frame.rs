@@ -172,49 +172,28 @@ pub fn decode(bytes: &[u8]) -> (FrameHeader, &[u8]) {
     }
 }
 
-/// Where a worker's outgoing frames go: the inline scheduler and the
-/// threaded workers collect `(dest, bytes)` pairs ([`VecSink`]), the socket
-/// worker appends straight into coalesced per-peer send buffers.
+/// Where a worker's outgoing frames go — the transport a scheduler hands the
+/// worker's step machine, which calls [`flush`](Self::flush) once per
+/// protocol phase.
 pub trait FrameSink {
-    /// Deliver one frame addressed to worker `dest`.
-    #[allow(clippy::too_many_arguments)]
-    fn frame(
-        &mut self,
-        dest: u32,
-        kind: u8,
-        dir: u8,
-        src: u32,
-        step: u64,
-        pos: u32,
-        payload: &[u8],
-    );
-}
+    /// Deliver, or buffer until the flush, one encoded frame for peer
+    /// worker `dest`.
+    fn frame(&mut self, dest: u32, frame: Vec<u8>);
 
-/// A [`FrameSink`] that encodes each frame into its own owned buffer —
-/// the shape the in-process transports route.
-#[derive(Default)]
-pub struct VecSink(pub Vec<(u32, Vec<u8>)>);
-
-impl FrameSink for VecSink {
-    fn frame(
-        &mut self,
-        dest: u32,
-        kind: u8,
-        dir: u8,
-        src: u32,
-        step: u64,
-        pos: u32,
-        payload: &[u8],
-    ) {
-        self.0
-            .push((dest, encode(kind, dir, src, step, pos, payload)));
+    /// Push out every buffered frame, adding the wire traffic it paid to
+    /// `comm`.
+    fn flush(&mut self, _comm: &mut CommStats) -> Result<(), String> {
+        Ok(())
     }
+
+    /// Send one report or gather frame to the hub.
+    fn to_hub(&mut self, frame: Vec<u8>) -> Result<(), String>;
 }
 
 /// What one worker tells the hub after finishing a step: its share of the
 /// step's trials, the coverage it changed on cells *it owns*, per-reaction
-/// execution counts (observable rates), the communication it paid, and —
-/// on the socket transport — its measured per-phase busy time.
+/// execution counts (observable rates), the communication it paid, its
+/// measured per-phase busy time and the chunk it swept at each position.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepReport {
     /// Trials this worker ran (its owned sites, every sweep of the step).
@@ -229,11 +208,15 @@ pub struct StepReport {
     pub reaction_executed: Vec<u64>,
     /// Measured communication of the step.
     pub comm: CommStats,
-    /// Per-phase busy seconds of the step (socket workers only; empty on
-    /// the in-process transports). Every worker of a run reports the same
-    /// number of slots, so the hub can take the per-slot maximum — the
-    /// lockstep critical path — without any clock shared across processes.
+    /// Busy seconds per (sweep position, protocol phase) of the step, on
+    /// the clock its scheduler chose. Every worker of a run reports the same
+    /// slots, so the hub can take the per-slot maximum — the lockstep
+    /// critical path — without any clock shared across processes.
     pub phase_busy: Vec<f64>,
+    /// The chunk swept at each position. Every worker must report the same
+    /// sequence: weighted draws are replicated, the other schedules are
+    /// pure functions of `(seed, step)`.
+    pub chunks: Vec<u64>,
 }
 
 impl StepReport {
@@ -241,94 +224,97 @@ impl StepReport {
     /// `reactions` reaction types.
     pub fn zeroed(species: usize, reactions: usize) -> Self {
         StepReport {
-            trials: 0,
-            executed: 0,
             deltas: vec![0; species],
             reaction_executed: vec![0; reactions],
-            comm: CommStats::default(),
-            phase_busy: Vec::new(),
+            ..StepReport::default()
         }
     }
 
-    /// Encode as a frame payload (self-describing lengths).
+    /// Encode as a frame payload: little-endian 8-byte words, the four
+    /// vector lengths first.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            28 + 8 * (self.deltas.len() + self.reaction_executed.len() + 8 + self.phase_busy.len()),
-        );
-        out.extend_from_slice(&self.trials.to_le_bytes());
-        out.extend_from_slice(&self.executed.to_le_bytes());
-        out.extend_from_slice(&(self.deltas.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.reaction_executed.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.phase_busy.len() as u32).to_le_bytes());
-        for d in &self.deltas {
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        for r in &self.reaction_executed {
-            out.extend_from_slice(&r.to_le_bytes());
-        }
-        for v in [
-            self.comm.local_trials,
-            self.comm.boundary_trials,
-            self.comm.halo_messages,
-            self.comm.halo_bytes,
-            self.comm.wire_frames,
-            self.comm.wire_bytes,
-            self.comm.wire_batches,
-            self.comm.wire_flushes,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for b in &self.phase_busy {
-            out.extend_from_slice(&b.to_bits().to_le_bytes());
-        }
-        out
+        let c = &self.comm;
+        let lens = [
+            self.deltas.len(),
+            self.reaction_executed.len(),
+            self.phase_busy.len(),
+            self.chunks.len(),
+        ];
+        [self.trials, self.executed]
+            .into_iter()
+            .chain(lens.map(|n| n as u64))
+            .chain(self.deltas.iter().map(|&d| d as u64))
+            .chain(self.reaction_executed.iter().copied())
+            .chain([
+                c.local_trials,
+                c.boundary_trials,
+                c.halo_messages,
+                c.halo_bytes,
+                c.wire_frames,
+                c.wire_bytes,
+                c.wire_batches,
+                c.wire_flushes,
+            ])
+            .chain(self.phase_busy.iter().map(|b| b.to_bits()))
+            .chain(self.chunks.iter().copied())
+            .flat_map(u64::to_le_bytes)
+            .collect()
     }
 
-    /// Decode a payload produced by [`encode`](Self::encode).
+    /// Decode a payload produced by [`encode`](Self::encode) — total on
+    /// any bytes, since socket reports come from other processes.
+    ///
+    /// # Errors
+    ///
+    /// The payload is not whole words, or its declared lengths disagree
+    /// with its size.
+    pub fn try_decode(payload: &[u8]) -> Result<Self, String> {
+        let mut words = payload
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        let head: Vec<u64> = words.by_ref().take(6).collect();
+        let mismatch = || format!("report payload length mismatch: {} bytes", payload.len());
+        let [trials, executed, species, reactions, slots, chunks] = head[..] else {
+            return Err(mismatch());
+        };
+        let body = [species, reactions, slots, chunks]
+            .iter()
+            .try_fold(8u64, |n, &len| n.checked_add(len));
+        if !payload.len().is_multiple_of(8) || body != Some(words.len() as u64) {
+            return Err(mismatch());
+        }
+        let mut take = |n: u64| -> Vec<u64> { words.by_ref().take(n as usize).collect() };
+        let deltas = take(species).into_iter().map(|d| d as i64).collect();
+        let reaction_executed = take(reactions);
+        let c = take(8);
+        Ok(StepReport {
+            trials,
+            executed,
+            deltas,
+            reaction_executed,
+            comm: CommStats {
+                local_trials: c[0],
+                boundary_trials: c[1],
+                halo_messages: c[2],
+                halo_bytes: c[3],
+                wire_frames: c[4],
+                wire_bytes: c[5],
+                wire_batches: c[6],
+                wire_flushes: c[7],
+            },
+            phase_busy: take(slots).into_iter().map(f64::from_bits).collect(),
+            chunks: take(chunks),
+        })
+    }
+
+    /// [`try_decode`](Self::try_decode) for a payload known to be
+    /// well-formed.
     ///
     /// # Panics
     ///
     /// Panics on a malformed payload.
     pub fn decode(payload: &[u8]) -> Self {
-        let trials = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-        let executed = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-        let species = u32::from_le_bytes(payload[16..20].try_into().unwrap()) as usize;
-        let reactions = u32::from_le_bytes(payload[20..24].try_into().unwrap()) as usize;
-        let slots = u32::from_le_bytes(payload[24..28].try_into().unwrap()) as usize;
-        assert_eq!(
-            payload.len(),
-            28 + 8 * (species + reactions + 8 + slots),
-            "report payload length mismatch"
-        );
-        let mut at = 28;
-        let mut read_u64 = |payload: &[u8]| {
-            let v = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-            at += 8;
-            v
-        };
-        let deltas = (0..species).map(|_| read_u64(payload) as i64).collect();
-        let reaction_executed = (0..reactions).map(|_| read_u64(payload)).collect();
-        let comm = CommStats {
-            local_trials: read_u64(payload),
-            boundary_trials: read_u64(payload),
-            halo_messages: read_u64(payload),
-            halo_bytes: read_u64(payload),
-            wire_frames: read_u64(payload),
-            wire_bytes: read_u64(payload),
-            wire_batches: read_u64(payload),
-            wire_flushes: read_u64(payload),
-        };
-        let phase_busy = (0..slots)
-            .map(|_| f64::from_bits(read_u64(payload)))
-            .collect();
-        StepReport {
-            trials,
-            executed,
-            deltas,
-            reaction_executed,
-            comm,
-            phase_busy,
-        }
+        Self::try_decode(payload).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -382,6 +368,7 @@ mod tests {
                 wire_flushes: 8,
             },
             phase_busy: vec![0.25, 1e-9, 0.0],
+            chunks: vec![4, 0, 2],
         };
         let decoded = StepReport::decode(&report.encode());
         assert_eq!(decoded, report);

@@ -24,10 +24,10 @@
 //! - [`domain`] — the worker grid and direction algebra;
 //! - [`frame`] — the wire format (halo strips, write-backs, counts,
 //!   reports, gathers, socket handshake);
-//! - [`executor`] — [`ShardedPndca`] with the lockstep inline scheduler
-//!   (critical-path timed), the threaded channel scheduler, and the
-//!   multi-process socket scheduler;
-//! - [`net`] — the socket transport: hub, worker-process loop, coalesced
+//! - [`executor`] — [`ShardedPndca`]: the inline, threaded and
+//!   multi-process socket schedulers of the one worker step machine, and the
+//!   hub fold that applies reports and accounts the critical path;
+//! - [`net`] — the socket transport: hub, worker-process body, coalesced
 //!   per-peer frame batching, and the CONFIG/PEERS handshake codec.
 
 #![warn(missing_docs)]

@@ -8,14 +8,15 @@
 //! 3. accept one control connection per worker, read its HELLO (worker
 //!    id and data address), ping-pong it to measure the transport's
 //!    round-trip time, then send CONFIG and the PEERS table;
-//! 4. relay step reports and gathers to the executor through reader
-//!    threads, each receive carrying a deadline;
+//! 4. relay step reports and gathers to the executor's hub fold through
+//!    reader threads;
 //! 5. tear down: on success, wait for every child to exit cleanly (with a
 //!    deadline); on any error, kill whatever is still alive. Either way no
 //!    orphan processes and no indefinite blocking survive this struct.
 
-use super::{read_frame, write_frame, Conn, Listener, Wire};
+use super::{read_frame, spawn_reader, write_frame, Conn, Listener, Wire};
 use crate::frame::{self, KIND_HELLO, KIND_PING, NO_DIR};
+use crate::worker::Delivery;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,23 +59,18 @@ fn worker_binary() -> Result<PathBuf, String> {
 pub(crate) struct Hub {
     children: Vec<Option<Child>>,
     conns: Vec<Conn>,
-    rx: mpsc::Receiver<(u32, Result<Vec<u8>, String>)>,
+    /// Every worker's reports and gathers, then its hang-up.
+    pub(crate) rx: mpsc::Receiver<Delivery>,
     /// Measured one-way frame latency of this transport, seconds (the
     /// minimum handshake ping-pong round trip, halved).
     pub(crate) latency: f64,
     dir: Option<PathBuf>,
-    recv_timeout: Duration,
 }
 
 impl Hub {
     /// Spawn and handshake `workers` processes over `wire`. `config` is
     /// the CONFIG blob every worker receives verbatim.
-    pub(crate) fn launch(
-        wire: Wire,
-        workers: u32,
-        config: &[u8],
-        recv_timeout: Duration,
-    ) -> Result<Hub, String> {
+    pub(crate) fn launch(wire: Wire, workers: u32, config: &[u8]) -> Result<Hub, String> {
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         let seq = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("psr-net-{}-{seq}", std::process::id()));
@@ -85,7 +81,6 @@ impl Hub {
             rx: mpsc::channel().1,
             latency: 0.0,
             dir: Some(dir.clone()),
-            recv_timeout,
         };
         let (listener, hub_addr) = Listener::bind(wire, &dir, "hub")?;
         let bin = worker_binary()?;
@@ -166,48 +161,11 @@ impl Hub {
         let (tx, rx) = mpsc::channel();
         for (id, conn) in conns.iter().enumerate() {
             conn.set_read_timeout(None)?;
-            let mut reader = conn.try_clone()?;
-            let tx = tx.clone();
-            std::thread::spawn(move || loop {
-                match read_frame(&mut reader) {
-                    Ok(bytes) => {
-                        if tx.send((id as u32, Ok(bytes))).is_err() {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send((id as u32, Err(e)));
-                        return;
-                    }
-                }
-            });
+            spawn_reader(conn.try_clone()?, id as u32, tx.clone());
         }
         hub.conns = conns;
         hub.rx = rx;
         Ok(hub)
-    }
-
-    /// Receive the next frame from any worker, with the run's deadline.
-    /// `done[id]` marks workers whose final gather already arrived: their
-    /// EOF is the *expected* clean exit and is skipped, not an error —
-    /// fast workers finish and close while slow ones are still reporting.
-    ///
-    /// # Errors
-    ///
-    /// A dead or stuck worker: the error names it. The caller is expected
-    /// to drop the hub, which kills the remaining fleet.
-    pub(crate) fn recv(&self, done: &[bool]) -> Result<Vec<u8>, String> {
-        loop {
-            let (id, item) = self
-                .rx
-                .recv_timeout(self.recv_timeout)
-                .map_err(|_| "timed out waiting for worker frames".to_string())?;
-            match item {
-                Ok(bytes) => return Ok(bytes),
-                Err(_) if done.get(id as usize).copied().unwrap_or(false) => continue,
-                Err(e) => return Err(format!("worker {id} failed: {e}")),
-            }
-        }
     }
 
     /// Graceful end of a completed run: every child must exit cleanly

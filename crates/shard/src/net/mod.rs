@@ -10,13 +10,12 @@
 //!   handshakes (HELLO → PING×N → CONFIG → PEERS), measures the transport's
 //!   round-trip latency, and reaps the children with deadlines so a dead
 //!   peer fails the run instead of hanging it;
-//! - a worker loop ([`worker_proc`]) that rebuilds the model, partition,
+//! - a worker body ([`worker_proc`]) that rebuilds the model, partition,
 //!   and lattice from the CONFIG blob, dials a full peer mesh (counts
-//!   frames are an all-gather), and drives the existing phase protocol
-//!   with per-peer *coalesced* send buffers: every frame bound for one
-//!   peer within one phase is appended to a single buffer
-//!   ([`frame::encode_into`]) and flushed with a single write — no
-//!   per-frame syscalls, no re-copy, `TCP_NODELAY` on.
+//!   frames are an all-gather), and runs the worker step machine over
+//!   per-peer *coalesced* send buffers: every frame bound for one
+//!   peer within one phase is appended to a single buffer and flushed
+//!   with a single write — no per-frame syscalls, `TCP_NODELAY` on.
 //!
 //! Failure model: any worker error or death closes its sockets; peers see
 //! EOF immediately, abort their own run, and the hub tears the remaining
@@ -28,10 +27,12 @@ pub mod hub;
 pub mod worker_proc;
 
 use crate::frame::{self, HEADER_LEN, MAX_PAYLOAD};
+use crate::worker::Delivery;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Which socket family carries the frames.
@@ -264,10 +265,24 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, String> {
     Ok(buf)
 }
 
-/// Per-thread busy clock for the socket workers' phase timing.
+/// Read frames off `conn` into `tx`, tagged with `id`, on a thread of its
+/// own until the stream ends; the end (EOF or a read error) is sent last,
+/// as the peer's hang-up.
+pub(crate) fn spawn_reader(mut conn: Conn, id: u32, tx: mpsc::Sender<Delivery>) {
+    std::thread::spawn(move || loop {
+        let item = read_frame(&mut conn);
+        let end = item.is_err();
+        if tx.send((id, item)).is_err() || end {
+            return;
+        }
+    });
+}
+
+/// Per-thread busy clock for the phase timing of worker threads and
+/// processes.
 ///
 /// This host may have fewer cores than workers, so wall-clock phase times
-/// would count time spent preempted by sibling worker processes —
+/// would count time spent preempted by sibling workers —
 /// inflating every phase by roughly the oversubscription factor. The
 /// scheduler's own on-CPU accounting (`/proc/thread-self/schedstat`, first
 /// field, nanoseconds) charges each thread only for cycles it actually

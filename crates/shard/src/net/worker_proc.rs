@@ -1,8 +1,6 @@
-//! The body of one `psr-shard-worker` process.
-//!
-//! Mirrors the threaded worker loop in [`crate::executor`] phase for
-//! phase — same schedule, same keyed demux (`recv_keyed`, shared with
-//! it), same determinism contract — but with sockets in place of channels:
+//! The body of one `psr-shard-worker` process: the socket transport of the
+//! worker step machine (`Worker::run`, the same loop a worker thread
+//! runs), with sockets in place of channels:
 //!
 //! - outgoing frames are appended to *per-peer coalesced send buffers*
 //!   (`SocketSink`): every frame bound for one peer within one phase
@@ -10,8 +8,8 @@
 //!   and is flushed with a single `write`, so an 8-direction exchange
 //!   costs at most one syscall per adjacent peer, not one per frame;
 //! - incoming frames are read by one reader thread per peer connection
-//!   feeding a shared channel, demuxed by the same `(kind, step, pos,
-//!   dir, src)` key with a pending map;
+//!   feeding a shared channel, which the machine demuxes by `(kind, step,
+//!   pos, dir, src)` key;
 //! - phase busy-times are measured with the scheduler's on-CPU clock
 //!   (`BusyClock`) and shipped to the hub in each step report,
 //!   so the critical path stays honest on hosts with fewer cores than
@@ -21,49 +19,40 @@
 //!   orphan workers.
 
 use super::config::{decode_peers, RunConfig};
-use super::{read_frame, write_frame, BusyClock, Conn, Listener, Wire};
-use crate::frame::{
-    self, FrameKey, FrameSink, KIND_CONFIG, KIND_COUNTS, KIND_HALO, KIND_HELLO, KIND_PEERS,
-    KIND_PING, KIND_WRITEBACK, NO_DIR,
-};
-use crate::worker::Worker;
-use psr_ca::pndca::ChunkSelection;
+use super::{read_frame, spawn_reader, write_frame, Conn, Listener, Wire};
+use crate::frame::{self, FrameSink, KIND_CONFIG, KIND_HELLO, KIND_PEERS, KIND_PING, NO_DIR};
+use crate::worker::{Delivery, Worker};
 use psr_kernel::CompiledModel;
 use psr_parallel::CommStats;
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// A [`FrameSink`] that coalesces frames into per-peer send buffers.
-/// Frames addressed to the worker itself bypass the wire entirely and are
-/// delivered straight into the local pending map.
+/// A [`FrameSink`] that coalesces frames into per-peer send buffers,
+/// flushed over the peer mesh, with reports and gathers written to the
+/// hub's control connection.
 struct SocketSink {
-    id: u32,
+    conns: Vec<Option<Conn>>,
+    control: Conn,
     bufs: Vec<Vec<u8>>,
     frames_in_buf: Vec<u64>,
-    local: Vec<Vec<u8>>,
 }
 
-impl SocketSink {
-    fn new(id: u32, peers: usize) -> Self {
-        SocketSink {
-            id,
-            bufs: vec![Vec::new(); peers],
-            frames_in_buf: vec![0; peers],
-            local: Vec::new(),
-        }
+impl FrameSink for SocketSink {
+    fn frame(&mut self, dest: u32, frame: Vec<u8>) {
+        self.bufs[dest as usize].extend_from_slice(&frame);
+        self.frames_in_buf[dest as usize] += 1;
     }
 
-    /// Flush every non-empty peer buffer with one write each, recording
-    /// the wire-level comm stats (frames, bytes, batches, flushes).
-    fn flush(&mut self, conns: &mut [Option<Conn>], comm: &mut CommStats) -> Result<(), String> {
+    /// One write per non-empty peer buffer, recording the wire-level comm
+    /// stats (frames, bytes, batches, flushes).
+    fn flush(&mut self, comm: &mut CommStats) -> Result<(), String> {
         for (peer, buf) in self.bufs.iter_mut().enumerate() {
             if buf.is_empty() {
                 continue;
             }
-            let conn = conns[peer]
+            let conn = self.conns[peer]
                 .as_mut()
                 .ok_or_else(|| format!("no connection to peer {peer}"))?;
             conn.write_all(buf)
@@ -79,112 +68,12 @@ impl SocketSink {
         }
         Ok(())
     }
-}
 
-impl FrameSink for SocketSink {
-    fn frame(
-        &mut self,
-        dest: u32,
-        kind: u8,
-        dir: u8,
-        src: u32,
-        step: u64,
-        pos: u32,
-        payload: &[u8],
-    ) {
-        if dest == self.id {
-            self.local
-                .push(frame::encode(kind, dir, src, step, pos, payload));
-        } else {
-            frame::encode_into(
-                &mut self.bufs[dest as usize],
-                kind,
-                dir,
-                src,
-                step,
-                pos,
-                payload,
-            );
-            self.frames_in_buf[dest as usize] += 1;
-        }
+    fn to_hub(&mut self, frame: Vec<u8>) -> Result<(), String> {
+        self.control
+            .write_all(&frame)
+            .map_err(|e| format!("send to hub: {e}"))
     }
-}
-
-/// What a worker's inbox carries: the sending worker with a frame, or with
-/// the reason it will send no more (a socket reader's EOF; threaded workers
-/// never send it).
-pub(crate) type Delivery = (u32, Result<Vec<u8>, String>);
-
-/// Blocking receive of the frame with exactly `key`, buffering every other
-/// frame, with a deadline per receive.
-///
-/// A peer's EOF is not immediately fatal: a fast peer legitimately
-/// finishes its last step and exits while its already-sent frames are
-/// still queued here (the socket delivers buffered bytes before EOF, and
-/// the channel preserves per-peer order). `closed` records such peers;
-/// the receive fails only when the frame it needs would have to come from
-/// a peer that has already closed — which is prompt for a genuinely dead
-/// peer, since its EOF arrives the moment its sockets close.
-pub(crate) fn recv_keyed(
-    rx: &mpsc::Receiver<Delivery>,
-    pending: &mut HashMap<FrameKey, Vec<u8>>,
-    closed: &mut [bool],
-    key: FrameKey,
-    timeout: Duration,
-) -> Result<Vec<u8>, String> {
-    loop {
-        if let Some(bytes) = pending.remove(&key) {
-            return Ok(bytes);
-        }
-        let src = key.4 as usize;
-        if closed[src] {
-            return Err(format!("peer {src} closed before sending frame {key:?}"));
-        }
-        let (from, item) = rx
-            .recv_timeout(timeout)
-            .map_err(|_| format!("timed out waiting for frame {key:?}"))?;
-        match item {
-            Ok(bytes) => {
-                let (header, _) = frame::try_decode(&bytes)?;
-                if header.key() == key {
-                    return Ok(bytes);
-                }
-                if pending.insert(header.key(), bytes).is_some() {
-                    return Err(format!("duplicate frame for {:?}", header.key()));
-                }
-            }
-            Err(e) => {
-                // Order within one peer's stream is preserved, so at this
-                // point every frame that peer ever sent is in `pending`.
-                closed[from as usize] = true;
-                if from as usize == key.4 as usize {
-                    return Err(format!("peer {from}: {e}"));
-                }
-            }
-        }
-    }
-}
-
-/// Drain locally-addressed frames into the pending map.
-fn deliver_local(
-    sink: &mut SocketSink,
-    pending: &mut HashMap<FrameKey, Vec<u8>>,
-) -> Result<(), String> {
-    for bytes in sink.local.drain(..) {
-        let (header, _) = frame::try_decode(&bytes)?;
-        if pending.insert(header.key(), bytes).is_some() {
-            return Err(format!("duplicate local frame for {:?}", header.key()));
-        }
-    }
-    Ok(())
-}
-
-/// Parse `PSR_SHARD_FAIL_AT="id:step"` — the deterministic fault hook the
-/// kill tests use to make one worker die mid-step.
-fn fail_at_from_env() -> Option<(u32, u64)> {
-    let v = std::env::var("PSR_SHARD_FAIL_AT").ok()?;
-    let (id, step) = v.split_once(':')?;
-    Some((id.parse().ok()?, step.parse().ok()?))
 }
 
 /// Run the worker process to completion. Returns the process exit code.
@@ -271,26 +160,12 @@ fn run(wire: Wire, hub_addr: &str, id: u32) -> Result<(), String> {
     }
 
     // One reader thread per peer connection feeding a shared channel; the
-    // demux below re-orders by key. A dead peer surfaces as an Err here
+    // step machine re-orders by key. A dead peer surfaces as an Err here
     // the moment its socket closes.
     let (tx, rx) = mpsc::channel::<Delivery>();
     for (j, conn) in conns.iter().enumerate() {
         if let Some(conn) = conn {
-            let mut reader = conn.try_clone()?;
-            let tx = tx.clone();
-            std::thread::spawn(move || loop {
-                match read_frame(&mut reader) {
-                    Ok(bytes) => {
-                        if tx.send((j as u32, Ok(bytes))).is_err() {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send((j as u32, Err(e)));
-                        return;
-                    }
-                }
-            });
+            spawn_reader(conn.try_clone()?, j as u32, tx.clone());
         }
     }
     drop(tx);
@@ -310,7 +185,7 @@ fn run(wire: Wire, hub_addr: &str, id: u32) -> Result<(), String> {
     // Rebuild the run exactly as the in-process executors do.
     psr_kernel::require_masks(cfg.model.num_reactions())?;
     let compiled = Arc::new(CompiledModel::compile(&cfg.model));
-    let mut worker = Worker::new(
+    let worker = Worker::new(
         &cfg.model,
         &cfg.partition,
         compiled,
@@ -319,96 +194,17 @@ fn run(wire: Wire, hub_addr: &str, id: u32) -> Result<(), String> {
         id,
         cfg.seed,
         cfg.selection,
+        cfg.start_step..cfg.start_step + cfg.steps,
     );
-    let m = cfg.partition.num_chunks();
-    let weighted = cfg.selection == ChunkSelection::WeightedByRates;
-    let recv_timeout = Duration::from_millis(cfg.recv_timeout_ms.max(1));
-    let fail_at = fail_at_from_env();
-
-    let clock = BusyClock::new();
-    let mut pending: HashMap<FrameKey, Vec<u8>> = HashMap::new();
-    let mut closed = vec![false; p as usize];
-    let mut sink = SocketSink::new(id, p as usize);
-    for step in cfg.start_step..cfg.start_step + cfg.steps {
-        worker.begin_step(step);
-        let mut wire_comm = CommStats::default();
-        let mut phase_busy: Vec<f64> = Vec::with_capacity(m * if weighted { 5 } else { 4 });
-        let order: Vec<usize> = if weighted {
-            Vec::new()
-        } else {
-            worker.chunk_order(step)
-        };
-        for pos in 0..m as u32 {
-            let chunk = if weighted {
-                let t0 = clock.now();
-                worker.counts_frames(step, pos, &mut sink);
-                deliver_local(&mut sink, &mut pending)?;
-                sink.flush(&mut conns, &mut wire_comm)?;
-                for src in 0..p {
-                    let bytes = recv_keyed(
-                        &rx,
-                        &mut pending,
-                        &mut closed,
-                        (KIND_COUNTS, step, pos, NO_DIR, src),
-                        recv_timeout,
-                    )?;
-                    worker.accept(&bytes);
-                }
-                let chunk = worker.weighted_draw();
-                phase_busy.push(clock.now() - t0);
-                chunk
-            } else {
-                order[pos as usize]
-            };
-            let t0 = clock.now();
-            worker.sweep(step, pos, chunk);
-            let t1 = clock.now();
-            phase_busy.push(t1 - t0);
-            if fail_at == Some((id, step)) && pos == 0 {
-                // Fault hook: die mid-step, after sweeping but before the
-                // write-back exchange — peers block on this worker's
-                // frames and must unblock via EOF, not a timeout.
-                std::process::exit(43);
-            }
-            for kind in [KIND_WRITEBACK, KIND_HALO] {
-                let t0 = clock.now();
-                if kind == KIND_WRITEBACK {
-                    worker.wb_frames(step, pos, &mut sink);
-                } else {
-                    worker.halo_frames(step, pos, &mut sink);
-                }
-                deliver_local(&mut sink, &mut pending)?;
-                sink.flush(&mut conns, &mut wire_comm)?;
-                for dir in 0..8u8 {
-                    let src = worker.neighbor(dir as usize);
-                    let bytes = recv_keyed(
-                        &rx,
-                        &mut pending,
-                        &mut closed,
-                        (kind, step, pos, dir, src),
-                        recv_timeout,
-                    )?;
-                    worker.accept(&bytes);
-                }
-                phase_busy.push(clock.now() - t0);
-            }
-            let t0 = clock.now();
-            worker.fold();
-            phase_busy.push(clock.now() - t0);
-        }
-        {
-            let report = worker.report_mut();
-            report.comm += wire_comm;
-            report.phase_busy = phase_busy;
-        }
-        let bytes = worker.report_frame(step);
-        control
-            .write_all(&bytes)
-            .map_err(|e| format!("send report: {e}"))?;
-    }
-    let bytes = worker.gather_frame(cfg.start_step + cfg.steps);
-    control
-        .write_all(&bytes)
-        .map_err(|e| format!("send gather: {e}"))?;
-    Ok(())
+    let mut sink = SocketSink {
+        conns,
+        control,
+        bufs: vec![Vec::new(); p as usize],
+        frames_in_buf: vec![0; p as usize],
+    };
+    worker.run(
+        &mut sink,
+        &rx,
+        Duration::from_millis(cfg.recv_timeout_ms.max(1)),
+    )
 }

@@ -33,12 +33,16 @@
 //! shared-lattice executor's counts, and evaluate the *same*
 //! [`group_weights`], so every worker draws the identical chunk from its
 //! private copy of the per-step draw stream.
+//!
+//! The protocol order is written here once, as a step machine that never
+//! blocks ([`Worker::advance`]); the schedulers only move bytes.
 
 use crate::domain::{dir_index, opposite, ShardGrid, DIRS};
 use crate::frame::{
-    self, FrameSink, StepReport, KIND_COUNTS, KIND_GATHER, KIND_HALO, KIND_REPORT, KIND_WRITEBACK,
-    NO_DIR,
+    self, FrameKey, FrameSink, StepReport, KIND_COUNTS, KIND_GATHER, KIND_HALO, KIND_REPORT,
+    KIND_WRITEBACK, NO_DIR,
 };
+use crate::net::BusyClock;
 use psr_ca::partition::Partition;
 use psr_ca::pndca::ChunkSelection;
 use psr_ca::propensity::draw_weighted;
@@ -47,7 +51,10 @@ use psr_lattice::{Change, Lattice, Site, SubLattice};
 use psr_model::Model;
 use psr_parallel::{draw_stream_id, shuffle_stream_id, trial_stream_base};
 use psr_rng::{AliasTable, Pcg32, StreamFactory};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// The `(x0, y0, w, h)` rectangle, in padded-local coordinates, that the
 /// halo ring occupies toward direction `dir` — where the strip from the
@@ -163,8 +170,35 @@ fn group_map(partition: &Partition, domain: Domain, radius: u32) -> Vec<u32> {
     group_of
 }
 
-/// One shard worker. The executor (inline or threaded) drives the phase
-/// methods in protocol order; the worker itself never blocks.
+/// What a worker's inbox carries: the sending worker with a frame, or with
+/// the reason it will send no more (a socket reader's EOF, a worker
+/// thread's drop guard).
+pub(crate) type Delivery = (u32, Result<Vec<u8>, String>);
+
+/// Phase slots per sweep position in a step report's `phase_busy`: the
+/// three exchanges at their frame kind's index (halo, write-back, counts —
+/// the last weighted selection only), then sweep and fold.
+const PHASES: usize = 5;
+const SWEEP: usize = 3;
+const FOLD: usize = 4;
+
+/// Where a worker's step machine stands.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Start the current position (a fresh report and chunk order at
+    /// position 0, the counts all-gather when weighted), or send the
+    /// gather once the step window is done.
+    Enter,
+    /// Draw or look up the chunk, sweep it, send the write-backs.
+    Sweep,
+    /// Accept the current position's frames of one kind, in key order.
+    Await(u8),
+    /// The gather has gone to the hub.
+    Done,
+}
+
+/// One shard worker: its sub-lattice and kernel, the phase methods, and
+/// the step machine that runs them in protocol order over its step window.
 pub(crate) struct Worker<'m> {
     id: u32,
     model: &'m Model,
@@ -186,14 +220,42 @@ pub(crate) struct Worker<'m> {
     chunk_boundary: SiteLists,
     // Per-step / per-sweep scratch.
     draw_rng: Option<Pcg32>,
+    order: Vec<usize>,
     journal: Vec<Change>,
     wb_out: Vec<Vec<u8>>,
     counts_total: Vec<u32>,
     weights: Vec<f64>,
     report: StepReport,
+    // The step machine.
+    steps: Range<u64>,
+    step: u64,
+    pos: u32,
+    stage: Stage,
+    /// Frames of the awaited kind accepted so far at this position.
+    awaited: u32,
+    /// Frames that arrived before the phase that takes them.
+    pending: HashMap<FrameKey, Vec<u8>>,
+    /// Per peer: why it will send no more, once it said so. Not fatal by
+    /// itself — a fast peer finishes and exits while its last frames are
+    /// still pending here — only a frame that must come from it is.
+    closed: Vec<Option<String>>,
+    /// The clock reading the current phase is charged from.
+    since: f64,
+    /// The step at which the `PSR_SHARD_FAIL_AT` hook fails this worker.
+    fail_at: Option<u64>,
+}
+
+/// Parse `PSR_SHARD_FAIL_AT="id:step"` — the deterministic fault hook the
+/// kill tests use to make one worker die mid-step.
+fn fail_at_from_env() -> Option<(u32, u64)> {
+    let v = std::env::var("PSR_SHARD_FAIL_AT").ok()?;
+    let (id, step) = v.split_once(':')?;
+    Some((id.parse().ok()?, step.parse().ok()?))
 }
 
 impl<'m> Worker<'m> {
+    /// Worker `id`, scattered from `global`, to run the absolute steps
+    /// `steps`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         model: &'m Model,
@@ -204,6 +266,7 @@ impl<'m> Worker<'m> {
         id: u32,
         seed: u64,
         selection: ChunkSelection,
+        steps: Range<u64>,
     ) -> Self {
         let dims = global.dims();
         let radius = model.interaction_radius();
@@ -237,44 +300,192 @@ impl<'m> Worker<'m> {
             chunk_interior,
             chunk_boundary,
             draw_rng: None,
+            order: Vec::new(),
             journal: Vec::new(),
             wb_out: vec![Vec::new(); 8],
             counts_total: vec![0; counts_len],
             weights: Vec::new(),
             report: StepReport::zeroed(species, reactions),
+            step: steps.start,
+            steps,
+            pos: 0,
+            stage: Stage::Enter,
+            awaited: 0,
+            pending: HashMap::new(),
+            closed: vec![None; grid.workers() as usize],
+            since: 0.0,
+            fail_at: fail_at_from_env().and_then(|(w, step)| (w == id).then_some(step)),
         }
     }
 
-    pub(crate) fn id(&self) -> u32 {
-        self.id
+    /// Run phases until the next frame this worker needs has not arrived,
+    /// and return its key; `None` once the gather has gone to the hub.
+    /// Each phase's time on `clock` (seconds) goes into its slot of the
+    /// step report; time between calls is charged to nothing. Fails when a
+    /// peer hung up before sending a frame this worker needs, when `sink`
+    /// fails, or at the `PSR_SHARD_FAIL_AT` fault hook.
+    pub(crate) fn advance(
+        &mut self,
+        sink: &mut impl FrameSink,
+        clock: &impl Fn() -> f64,
+    ) -> Result<Option<FrameKey>, String> {
+        self.since = clock();
+        loop {
+            match self.stage {
+                Stage::Enter if self.step == self.steps.end => {
+                    sink.to_hub(self.gather_frame())?;
+                    self.stage = Stage::Done;
+                }
+                Stage::Enter => {
+                    if self.pos == 0 {
+                        self.begin_step();
+                    }
+                    self.stage = Stage::Sweep;
+                    if self.selection == ChunkSelection::WeightedByRates {
+                        self.counts_frames(sink);
+                        self.stage = Stage::Await(KIND_COUNTS);
+                        sink.flush(&mut self.report.comm)?;
+                    }
+                }
+                Stage::Sweep => {
+                    let chunk = match self.selection {
+                        ChunkSelection::WeightedByRates => self.weighted_draw(),
+                        _ => self.order[self.pos as usize],
+                    };
+                    self.sweep(chunk);
+                    self.charge(SWEEP, clock);
+                    if self.fail_at == Some(self.step) && self.pos == 0 {
+                        // Fault hook: die after sweeping, before the
+                        // write-back exchange — peers blocked on this
+                        // worker's frames must fail on its hang-up, not on
+                        // a timeout.
+                        return Err(format!("PSR_SHARD_FAIL_AT fault at step {}", self.step));
+                    }
+                    self.wb_frames(sink);
+                    self.stage = Stage::Await(KIND_WRITEBACK);
+                    sink.flush(&mut self.report.comm)?;
+                }
+                Stage::Await(kind) => {
+                    let missing = self.take_frames(kind)?;
+                    self.charge(kind as usize, clock);
+                    if missing.is_some() {
+                        return Ok(missing);
+                    }
+                    self.stage = match kind {
+                        KIND_COUNTS => Stage::Sweep,
+                        KIND_WRITEBACK => {
+                            self.halo_frames(sink);
+                            sink.flush(&mut self.report.comm)?;
+                            Stage::Await(KIND_HALO)
+                        }
+                        _ => {
+                            self.fold();
+                            self.charge(FOLD, clock);
+                            self.pos += 1;
+                            if self.pos as usize == self.num_chunks {
+                                sink.to_hub(self.report_frame())?;
+                                (self.step, self.pos) = (self.step + 1, 0);
+                            }
+                            Stage::Enter
+                        }
+                    };
+                }
+                Stage::Done => return Ok(None),
+            }
+        }
     }
 
-    pub(crate) fn neighbor(&self, dir: usize) -> u32 {
+    /// Drive [`advance`](Self::advance) to the end of the step window from
+    /// a blocking inbox, on this thread's on-CPU clock: the loop of a
+    /// worker thread or process.
+    pub(crate) fn run(
+        mut self,
+        sink: &mut impl FrameSink,
+        inbox: &mpsc::Receiver<Delivery>,
+        timeout: Duration,
+    ) -> Result<(), String> {
+        let busy = BusyClock::new();
+        while let Some(key) = self.advance(sink, &|| busy.now())? {
+            let first = inbox.recv_timeout(timeout);
+            let first = first.map_err(|_| format!("timed out waiting for frame {key:?}"))?;
+            // Everything else already queued goes in before the next
+            // advance: a phase's frames mostly arrive together.
+            for delivery in std::iter::once(first).chain(inbox.try_iter()) {
+                self.deliver(delivery)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Take one delivery: a frame for the pending map, or its sender's
+    /// notice that it will send no more. Frames from one peer arrive in
+    /// order, so at that notice everything it sent is already pending.
+    pub(crate) fn deliver(&mut self, (from, item): Delivery) -> Result<(), String> {
+        match item {
+            Ok(bytes) => {
+                let key = frame::try_decode(&bytes)?.0.key();
+                if self.pending.insert(key, bytes).is_some() {
+                    return Err(format!("duplicate frame for {key:?}"));
+                }
+            }
+            Err(why) => self.closed[from as usize] = Some(why),
+        }
+        Ok(())
+    }
+
+    /// Accept the current position's frames of `kind` — one from every
+    /// worker for counts, one per direction otherwise — and return the key
+    /// of the first that has not arrived.
+    fn take_frames(&mut self, kind: u8) -> Result<Option<FrameKey>, String> {
+        let n = match kind {
+            KIND_COUNTS => self.grid.workers(),
+            _ => 8,
+        };
+        while self.awaited < n {
+            let (dir, src) = match kind {
+                KIND_COUNTS => (NO_DIR, self.awaited),
+                _ => (self.awaited as u8, self.neighbor(self.awaited as usize)),
+            };
+            let key = (kind, self.step, self.pos, dir, src);
+            let Some(bytes) = self.pending.remove(&key) else {
+                return match &self.closed[src as usize] {
+                    Some(why) => Err(format!(
+                        "peer {src} closed before sending frame {key:?}: {why}"
+                    )),
+                    None => Ok(Some(key)),
+                };
+            };
+            self.accept(&bytes);
+            self.awaited += 1;
+        }
+        self.awaited = 0;
+        Ok(None)
+    }
+
+    /// Charge the clock since the last reading to `phase` at the current
+    /// position.
+    fn charge(&mut self, phase: usize, clock: &impl Fn() -> f64) {
+        let now = clock();
+        self.report.phase_busy[self.pos as usize * PHASES + phase] += now - self.since;
+        self.since = now;
+    }
+
+    fn neighbor(&self, dir: usize) -> u32 {
         self.grid.neighbor(self.id, dir)
     }
 
-    /// The step report under construction — the socket worker stamps its
-    /// measured per-phase busy times and wire-level comm stats into it
-    /// before shipping the report frame.
-    pub(crate) fn report_mut(&mut self) -> &mut StepReport {
-        &mut self.report
-    }
-
-    pub(crate) fn begin_step(&mut self, step: u64) {
-        self.report = StepReport::zeroed(self.model.species().len(), self.model.num_reactions());
-        self.draw_rng = (self.selection == ChunkSelection::WeightedByRates)
-            .then(|| self.factory.stream(draw_stream_id(step)));
-    }
-
-    /// The step's chunk schedule for the stateless selections — a pure
-    /// function of `(seed, step)`, so every worker computes it locally.
-    ///
-    /// # Panics
-    ///
-    /// Panics for `WeightedByRates`, whose draws interleave with sweeps.
-    pub(crate) fn chunk_order(&self, step: u64) -> Vec<usize> {
-        let m = self.num_chunks;
-        match self.selection {
+    /// A fresh report, and the step's chunk schedule: a pure function of
+    /// `(seed, step)` for the stateless selections, so every worker
+    /// computes it locally; weighted selection draws per position instead,
+    /// after the counts all-gather.
+    fn begin_step(&mut self) {
+        let (m, step) = (self.num_chunks, self.step);
+        self.report = StepReport {
+            phase_busy: vec![0.0; PHASES * m],
+            ..StepReport::zeroed(self.model.species().len(), self.model.num_reactions())
+        };
+        self.draw_rng = None;
+        self.order = match self.selection {
             ChunkSelection::InOrder => (0..m).collect(),
             ChunkSelection::RandomOrder => {
                 let mut order: Vec<usize> = (0..m).collect();
@@ -287,14 +498,32 @@ impl<'m> Worker<'m> {
                 (0..m).map(|_| rng.index(m)).collect()
             }
             ChunkSelection::WeightedByRates => {
-                panic!("weighted selection draws per position, not per step")
+                self.draw_rng = Some(self.factory.stream(draw_stream_id(step)));
+                Vec::new()
             }
+        };
+    }
+
+    /// Send one frame of the current position: straight into this worker's
+    /// own pending map when addressed to itself (torus wraps, 1×N grids),
+    /// else counted as halo traffic and handed to `sink`.
+    fn send(&mut self, sink: &mut impl FrameSink, dest: u32, kind: u8, dir: u8, payload: &[u8]) {
+        let (src, step, pos) = (self.id, self.step, self.pos);
+        let bytes = frame::encode(kind, dir, src, step, pos, payload);
+        if dest == src {
+            let key = (kind, step, pos, dir, src);
+            let twice = self.pending.insert(key, bytes).is_some();
+            assert!(!twice, "two local frames for {key:?}");
+        } else {
+            self.report.comm.halo_messages += 1;
+            self.report.comm.halo_bytes += bytes.len() as u64;
+            sink.frame(dest, bytes);
         }
     }
 
     /// Counts frames for the pre-sweep all-gather (weighted selection):
     /// one to every worker, own id included for a uniform receive loop.
-    pub(crate) fn counts_frames(&mut self, step: u64, pos: u32, sink: &mut impl FrameSink) {
+    fn counts_frames(&mut self, sink: &mut impl FrameSink) {
         let payload: Vec<u8> = self
             .kernel
             .counts(0)
@@ -302,13 +531,12 @@ impl<'m> Worker<'m> {
             .flat_map(|c| c.to_le_bytes())
             .collect();
         for dest in 0..self.grid.workers() {
-            self.note_sent(dest, frame::HEADER_LEN + payload.len());
-            sink.frame(dest, KIND_COUNTS, NO_DIR, self.id, step, pos, &payload);
+            self.send(sink, dest, KIND_COUNTS, NO_DIR, &payload);
         }
     }
 
     /// Draw the next chunk after all counts frames were accepted.
-    pub(crate) fn weighted_draw(&mut self) -> usize {
+    fn weighted_draw(&mut self) -> usize {
         let rates = self.kernel.compiled().rates();
         group_weights(&self.counts_total, rates, 0..rates.len(), &mut self.weights);
         for t in &mut self.counts_total {
@@ -320,11 +548,12 @@ impl<'m> Worker<'m> {
 
     /// Phase 1: one trial per owned site of `chunk_idx`, interior first,
     /// then the boundary strip.
-    pub(crate) fn sweep(&mut self, step: u64, position: u32, chunk_idx: usize) {
+    fn sweep(&mut self, chunk_idx: usize) {
+        self.report.chunks.push(chunk_idx as u64);
         let base = trial_stream_base(
-            step,
+            self.step,
             self.num_chunks,
-            position as usize,
+            self.pos as usize,
             self.num_sites_global,
         );
         let mut writes: Vec<(Site, u8)> = Vec::with_capacity(4);
@@ -408,58 +637,33 @@ impl<'m> Worker<'m> {
     }
 
     /// Phase 2a: the write-back frames, one per direction (possibly empty).
-    pub(crate) fn wb_frames(&mut self, step: u64, pos: u32, sink: &mut impl FrameSink) {
+    fn wb_frames(&mut self, sink: &mut impl FrameSink) {
         for d in 0..8 {
             let payload = std::mem::take(&mut self.wb_out[d]);
-            let dest = self.neighbor(d);
-            self.note_sent(dest, frame::HEADER_LEN + payload.len());
-            sink.frame(
-                dest,
-                KIND_WRITEBACK,
-                opposite(d) as u8,
-                self.id,
-                step,
-                pos,
-                &payload,
-            );
+            let (dest, dir) = (self.neighbor(d), opposite(d) as u8);
+            self.send(sink, dest, KIND_WRITEBACK, dir, &payload);
         }
     }
 
     /// Phase 3a: the halo-strip frames — the owned border after all
     /// write-backs of the sweep were applied, so receivers see a fully
     /// consistent image of this worker's cells.
-    pub(crate) fn halo_frames(&mut self, step: u64, pos: u32, sink: &mut impl FrameSink) {
+    fn halo_frames(&mut self, sink: &mut impl FrameSink) {
         let mut payload = Vec::new();
         for d in 0..8 {
             let (x0, y0, w, h) = border_rect(self.bw, self.bh, self.radius, d);
             payload.clear();
             self.sub.pack_rect(x0, y0, w, h, &mut payload);
-            let dest = self.neighbor(d);
-            self.note_sent(dest, frame::HEADER_LEN + payload.len());
-            sink.frame(
-                dest,
-                KIND_HALO,
-                opposite(d) as u8,
-                self.id,
-                step,
-                pos,
-                &payload,
-            );
-        }
-    }
-
-    fn note_sent(&mut self, dest: u32, bytes: usize) {
-        if dest != self.id {
-            self.report.comm.halo_messages += 1;
-            self.report.comm.halo_bytes += bytes as u64;
+            let (dest, dir) = (self.neighbor(d), opposite(d) as u8);
+            self.send(sink, dest, KIND_HALO, dir, &payload);
         }
     }
 
     /// Accept one frame (phases 2b, 3b, and the counts all-gather). The
-    /// scheduler is responsible for delivering, per phase, exactly the
-    /// frames of that phase — in any order, since write sets are disjoint,
-    /// strip rectangles are disjoint, and count sums commute.
-    pub(crate) fn accept(&mut self, bytes: &[u8]) {
+    /// machine takes, per phase, exactly the frames of that phase — any
+    /// order would do, since write sets are disjoint, strip rectangles are
+    /// disjoint, and count sums commute.
+    fn accept(&mut self, bytes: &[u8]) {
         let (header, payload) = frame::decode(bytes);
         match header.kind {
             KIND_WRITEBACK => {
@@ -498,22 +702,23 @@ impl<'m> Worker<'m> {
     /// Phase 4: fold the sweep's change journal into the kernel's codes,
     /// masks and owned enabled-site counts. After this the worker is ready
     /// for the next draw/sweep.
-    pub(crate) fn fold(&mut self) {
+    fn fold(&mut self) {
         self.kernel.apply_changes(self.sub.lattice(), &self.journal);
         self.journal.clear();
     }
 
     /// The step's report frame for the hub.
-    pub(crate) fn report_frame(&mut self, step: u64) -> Vec<u8> {
-        frame::encode(KIND_REPORT, NO_DIR, self.id, step, 0, &self.report.encode())
+    fn report_frame(&self) -> Vec<u8> {
+        let payload = self.report.encode();
+        frame::encode(KIND_REPORT, NO_DIR, self.id, self.step, 0, &payload)
     }
 
     /// The final owned-rectangle frame for the hub's gather.
-    pub(crate) fn gather_frame(&self, step: u64) -> Vec<u8> {
+    fn gather_frame(&self) -> Vec<u8> {
         let r = self.radius;
         let mut payload = Vec::with_capacity((self.bw * self.bh) as usize);
         self.sub.pack_rect(r, r, self.bw, self.bh, &mut payload);
-        frame::encode(KIND_GATHER, NO_DIR, self.id, step, 0, &payload)
+        frame::encode(KIND_GATHER, NO_DIR, self.id, self.step, 0, &payload)
     }
 }
 

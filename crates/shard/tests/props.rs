@@ -5,10 +5,11 @@
 //! any truncation or suffix garbage is an `Err` (never a mis-framed `Ok`),
 //! `decode ∘ encode` is the identity over every frame kind, coalesced
 //! batches re-split into exactly the frames that went in, and the step
-//! report payload survives its own round trip bit-for-bit. The handshake
-//! payloads a worker process decodes (`net::config`) are held to the same
-//! standard: total on hostile bytes, no allocation sized by an unchecked
-//! count, `encode ∘ decode` the identity on what the hub sends.
+//! report payload survives its own round trip bit-for-bit. The payloads
+//! decoded from another process — the step reports the hub folds, the
+//! handshake a worker process decodes (`net::config`) — are held to the
+//! same standard: total on hostile bytes, no allocation sized by an
+//! unchecked count, `encode ∘ decode` the identity on what the hub sends.
 
 use proptest::prelude::*;
 use psr_ca::partition_builder::{five_coloring, greedy_coloring};
@@ -137,6 +138,7 @@ proptest! {
         reaction_executed in prop::collection::vec(0u64..u64::MAX, 0..8usize),
         comm_fields in prop::collection::vec(0u64..u64::MAX, 8usize..9),
         phase_busy in prop::collection::vec(0.0f64..1e6, 0..6usize),
+        chunks in prop::collection::vec(0u64..u64::MAX, 0..6usize),
     ) {
         let report = StepReport {
             trials,
@@ -154,9 +156,26 @@ proptest! {
                 wire_flushes: comm_fields[7],
             },
             phase_busy,
+            chunks,
         };
         let payload = report.encode();
         prop_assert_eq!(StepReport::decode(&payload), report);
+    }
+
+    // The hub decodes reports other processes sent: byte soup is an `Err`,
+    // never a panic, and so is a valid report cut short or extended.
+    #[test]
+    fn step_report_decoder_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(0u8..=255, 0..512usize),
+        cut in 1usize..64,
+        garbage in prop::collection::vec(0u8..=255, 1..16usize),
+    ) {
+        let _ = StepReport::try_decode(&bytes);
+        let valid = StepReport { chunks: vec![3, 1], ..StepReport::zeroed(3, 4) }.encode();
+        prop_assert!(StepReport::try_decode(&valid[..valid.len() - cut]).is_err());
+        let mut extended = valid.clone();
+        extended.extend_from_slice(&garbage);
+        prop_assert!(StepReport::try_decode(&extended).is_err());
     }
 }
 

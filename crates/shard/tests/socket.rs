@@ -335,3 +335,35 @@ fn killed_worker_fails_the_run_cleanly() {
     );
     assert_identical(&reference, &retry, "clean run after a failed one");
 }
+
+/// The same fault point in a Threaded run: threads and processes run one
+/// worker loop, so worker 1 fails after its sweep at step 5, and its
+/// thread's hang-up fails its peers and the hub at once — not after the
+/// 60 s receive deadline. (Under the lock: the hook is process-wide.)
+#[test]
+fn killed_threaded_worker_fails_the_run_promptly() {
+    let _guard = SOCKET_LOCK.lock().unwrap();
+    let model = zgb_ziff(0.5, 2.0);
+    let d = Dims::square(20);
+    let partition = five_coloring(d);
+    std::env::set_var("PSR_SHARD_FAIL_AT", "1:5");
+    let started = std::time::Instant::now();
+    let result = {
+        let mut exec = ShardedPndca::new(&model, &partition, ShardGrid::new(2, 2), 5)
+            .with_mode(ScheduleMode::Threaded)
+            .with_recv_timeout(Duration::from_secs(60));
+        let mut state = SimState::new(Lattice::filled(d, 0), &model);
+        exec.try_run_steps(&mut state, 50, None)
+    };
+    std::env::remove_var("PSR_SHARD_FAIL_AT");
+    let err = result.expect_err("run must fail when a worker thread fails");
+    assert!(
+        err.contains("worker 1"),
+        "error does not name the failed worker: {err}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "failure took {:?} — peers waited out the receive deadline",
+        started.elapsed()
+    );
+}

@@ -40,7 +40,7 @@ for job in zgb rsm_ref fskmc; do
 done
 echo "engine smoke: resumed run is bit-identical to the clean run"
 
-echo "==> engine socket smoke: shards=4 over unix sockets, kill, resume, compare vs inline"
+echo "==> engine socket smoke: shards=4 over unix sockets, kill, resume, compare vs inline and threaded"
 set +e
 "$ENGINE" run scripts/engine_socket_smoke.spec --ckpt-dir "$SMOKE_DIR/sock-faulty" --quiet
 rc=$?
@@ -56,7 +56,12 @@ sed 's/^transport = unix/transport = inline/' scripts/engine_socket_smoke.spec \
     > "$SMOKE_DIR/sock_inline.spec"
 "$ENGINE" run "$SMOKE_DIR/sock_inline.spec" --ckpt-dir "$SMOKE_DIR/sock-clean" --ignore-faults --quiet
 cmp "$SMOKE_DIR/sock-faulty/sock.done" "$SMOKE_DIR/sock-clean/sock.done"
-echo "engine socket smoke: socket resume is bit-identical to the inline run"
+# The third transport: the same job on worker threads.
+sed 's/^transport = unix/transport = threaded/' scripts/engine_socket_smoke.spec \
+    > "$SMOKE_DIR/sock_threaded.spec"
+"$ENGINE" run "$SMOKE_DIR/sock_threaded.spec" --ckpt-dir "$SMOKE_DIR/sock-threaded" --ignore-faults --quiet
+cmp "$SMOKE_DIR/sock-clean/sock.done" "$SMOKE_DIR/sock-threaded/sock.done"
+echo "engine socket smoke: socket resume, inline and threaded runs are bit-identical"
 
 echo "==> socket transport suite (bit-identity over 1000 steps + worker-kill fault)"
 cargo test -q --release -p psr-shard --test socket
