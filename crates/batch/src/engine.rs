@@ -1,19 +1,25 @@
 //! The lockstep core: packed SoA replica state over one shared model.
 //!
 //! Layout. With `G = ceil(replicas / LANES)` lane groups, per-site state is
-//! stored site-major: `cells/codes/masks[(site·G + g)·LANES + lane]`. One
-//! `(site, group)` row of masks is 64 contiguous bytes — a single register
-//! load in the SIMD sweep — and a row-major sweep streams memory
-//! sequentially. Per-slot state (`slot = g·LANES + lane`) is slot-major:
-//! RNG words, clocks, trial/executed counters, coverage counts.
+//! stored group-major: `cells/codes/masks[(g·n + site)·LANES + lane]` (see
+//! `soa_index`). One `(group, site)` row of masks is 64 contiguous bytes:
+//! a single register load when every lane visits the same site (row-major
+//! NDCA), eight gathered qwords of one group's block otherwise. Per-slot
+//! state (`slot = g·LANES + lane`) is slot-major: RNG words, clocks,
+//! trial/executed counters, coverage counts, sweep site windows.
+//!
+//! Sweeps. Every kind runs one position loop over per-slot site windows:
+//! the lattice, the slot's shuffled order, or its chunk of a PNDCA round.
 //!
 //! RNG. Each slot carries the state/increment words of the `psr-rng` Pcg32
 //! seeded exactly like a single replica (`rng_from_seed(seed_r)`). The hot
 //! loop advances the packed words with an inlined copy of the generator
-//! (pinned to the real one by a test); cold per-step draws (sweep shuffles,
-//! chunk selections) round-trip through a reconstructed [`SimRng`] and the
-//! *same library functions* the single-replica algorithms call, so every
-//! slot consumes its stream in the identical order.
+//! (pinned to the real one by a test); cold per-step draws (chunk
+//! selections, and sweep shuffles off the SIMD path) round-trip through a
+//! reconstructed [`SimRng`] and the *same library functions* the
+//! single-replica algorithms call, so every slot consumes its stream in the
+//! identical order. The SIMD shuffle draws eight lanes' Fisher–Yates
+//! indices at once, pinned to [`shuffle`] by a test.
 
 use std::sync::Arc;
 
@@ -190,7 +196,7 @@ pub struct BatchSim {
     chunk_of: Vec<u32>,
     /// Maintain per-chunk enabled counts (WeightedByRates only).
     weighted: bool,
-    // --- per-replica SoA state, site-major ---
+    // --- per-replica SoA state, group-major (`soa_index`) ---
     pub(crate) cells: Vec<u8>,
     pub(crate) codes: Vec<u32>,
     pub(crate) masks: Vec<u64>,
@@ -207,10 +213,13 @@ pub struct BatchSim {
     /// `m` enabled: per slot, the counts a single replica's kernel keeps
     /// (`SiteKernel::attach_counts`), moved by the same [`count_diff`].
     prop_counts: Vec<u32>,
+    /// `(base, len)` site window of each slot's current sweep: into
+    /// `orders`/`chunk_sites`, or `(0, n)` for row-major NDCA.
+    pub(crate) windows: Vec<(u32, u32)>,
     // --- scratch ---
-    orders: Vec<u32>,
+    /// Per-slot shuffled site or chunk orders, `orders[slot·len + i]`.
+    pub(crate) orders: Vec<u32>,
     weights_scratch: Vec<f64>,
-    chunk_pick: Vec<u32>,
     pub(crate) use_simd: bool,
 }
 
@@ -404,7 +413,10 @@ impl BatchSim {
             rng_inc[slot] = words[1];
         }
 
-        let use_simd = kind == StepKind::NdcaRowMajor && Self::simd_available(alias.len(), groups);
+        // PNDCA sets its windows per chunk round; slot s of shuffled NDCA
+        // sweeps its own order, `orders[s·n..]`.
+        let shuffled = u32::from(kind == StepKind::NdcaShuffled);
+        let windows = (0..slots as u32).map(|s| (s * n as u32 * shuffled, n as u32));
 
         BatchSim {
             dims,
@@ -440,32 +452,31 @@ impl BatchSim {
             active: vec![true; slots],
             coverage,
             prop_counts,
+            windows: windows.collect(),
             orders: Vec::new(),
             weights_scratch: Vec::new(),
-            chunk_pick: Vec::new(),
-            use_simd,
+            use_simd: Self::simd_available(alias.len()),
         }
     }
 
+    /// The AVX-512 sweep serves every kind and width; it keeps the alias
+    /// table in one register, so it needs `alias_len <= LANES`.
     #[cfg(target_arch = "x86_64")]
-    fn simd_available(alias_len: usize, groups: usize) -> bool {
+    fn simd_available(alias_len: usize) -> bool {
         alias_len <= LANES
-            && groups <= crate::simd::MAX_GROUPS
             && std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512dq")
     }
 
     #[cfg(not(target_arch = "x86_64"))]
-    fn simd_available(_alias_len: usize, _groups: usize) -> bool {
+    fn simd_available(_alias_len: usize) -> bool {
         false
     }
 
-    /// Force the scalar lockstep path even where AVX-512 is available
-    /// (benchmark arms and scalar-vs-SIMD equality tests).
+    /// Enable (where available) or force off the AVX-512 sweep for every
+    /// kind (benchmark arms and scalar-vs-SIMD equality tests).
     pub fn set_simd(&mut self, enable: bool) {
-        self.use_simd = enable
-            && self.kind == StepKind::NdcaRowMajor
-            && Self::simd_available(self.alias_entries.len(), self.groups);
+        self.use_simd = enable && Self::simd_available(self.alias_entries.len());
     }
 
     /// Whether the SIMD sweep is in use.
@@ -551,69 +562,16 @@ impl BatchSim {
     pub fn run_steps(&mut self, steps: u64, hook: &mut dyn BatchHook) {
         for _ in 0..steps {
             match self.kind {
-                StepKind::NdcaRowMajor => {
-                    #[cfg(target_arch = "x86_64")]
-                    if self.use_simd {
-                        // SAFETY: `use_simd` is only set after runtime
-                        // detection of avx512f + avx512dq.
-                        unsafe { crate::simd::step_ndca_rowmajor(self, hook) };
-                        continue;
-                    }
-                    self.step_ndca_rowmajor(hook);
+                StepKind::NdcaRowMajor => self.sweep(None, hook),
+                StepKind::NdcaShuffled => {
+                    self.shuffle_orders(self.n_sites);
+                    let orders = std::mem::take(&mut self.orders);
+                    self.sweep(Some(&orders), hook);
+                    self.orders = orders;
                 }
-                StepKind::NdcaShuffled => self.step_ndca_shuffled(hook),
                 StepKind::Pndca(selection) => self.step_pndca(selection, hook),
             }
         }
-    }
-
-    /// One row-major NDCA sweep, scalar lockstep.
-    fn step_ndca_rowmajor(&mut self, hook: &mut dyn BatchHook) {
-        let n = self.n_sites;
-        for site in 0..n {
-            for g in 0..self.groups {
-                for l in 0..LANES {
-                    if self.active[g * LANES + l] {
-                        self.trial(g, l, site, hook);
-                    }
-                }
-            }
-        }
-        self.bump_trials(n as u64);
-    }
-
-    /// One shuffled-order NDCA sweep: each lane shuffles its own identity
-    /// permutation from its own stream, exactly like `SweepOrder::Shuffled`.
-    fn step_ndca_shuffled(&mut self, hook: &mut dyn BatchHook) {
-        let n = self.n_sites;
-        let slots = self.slots();
-        if self.orders.len() != slots * n {
-            self.orders = vec![0u32; slots * n];
-        }
-        for slot in 0..slots {
-            if !self.active[slot] {
-                continue;
-            }
-            let mut rng = unpack_rng(self.rng_state[slot], self.rng_inc[slot]);
-            let order = &mut self.orders[slot * n..(slot + 1) * n];
-            for (i, v) in order.iter_mut().enumerate() {
-                *v = i as u32;
-            }
-            shuffle(&mut rng, order);
-            self.rng_state[slot] = rng.state()[0];
-        }
-        for pos in 0..n {
-            for g in 0..self.groups {
-                for l in 0..LANES {
-                    let slot = g * LANES + l;
-                    if self.active[slot] {
-                        let site = self.orders[slot * n + pos] as usize;
-                        self.trial(g, l, site, hook);
-                    }
-                }
-            }
-        }
-        self.bump_trials(n as u64);
     }
 
     /// One PNDCA step: `m` chunk sweeps per slot, chunk choice per the
@@ -621,29 +579,12 @@ impl BatchSim {
     /// exact order `Pndca::step` draws them.
     fn step_pndca(&mut self, selection: ChunkSelection, hook: &mut dyn BatchHook) {
         let m = self.chunk_range.len();
-        let slots = self.slots();
         if selection == ChunkSelection::RandomOrder {
-            if self.orders.len() != slots * m {
-                self.orders = vec![0u32; slots * m];
-            }
-            for slot in 0..slots {
-                if !self.active[slot] {
-                    continue;
-                }
-                let mut rng = unpack_rng(self.rng_state[slot], self.rng_inc[slot]);
-                let order = &mut self.orders[slot * m..(slot + 1) * m];
-                for (i, v) in order.iter_mut().enumerate() {
-                    *v = i as u32;
-                }
-                shuffle(&mut rng, order);
-                self.rng_state[slot] = rng.state()[0];
-            }
+            self.shuffle_orders(m);
         }
-        if self.chunk_pick.len() != slots {
-            self.chunk_pick = vec![0u32; slots];
-        }
+        let chunk_sites = std::mem::take(&mut self.chunk_sites);
         for round in 0..m {
-            for slot in 0..slots {
+            for slot in 0..self.slots() {
                 if !self.active[slot] {
                     continue;
                 }
@@ -664,35 +605,67 @@ impl BatchSim {
                         c
                     }
                 };
-                self.chunk_pick[slot] = chunk as u32;
+                let (cs, ce) = self.chunk_range[chunk];
+                self.windows[slot] = (cs, ce - cs);
             }
-            let max_len = (0..slots)
-                .filter(|&s| self.active[s])
-                .map(|s| {
-                    let (cs, ce) = self.chunk_range[self.chunk_pick[s] as usize];
-                    (ce - cs) as usize
-                })
-                .max()
-                .unwrap_or(0);
-            for k in 0..max_len {
-                for g in 0..self.groups {
-                    for l in 0..LANES {
-                        let slot = g * LANES + l;
-                        if !self.active[slot] {
-                            continue;
-                        }
-                        let (cs, ce) = self.chunk_range[self.chunk_pick[slot] as usize];
-                        if k < (ce - cs) as usize {
-                            let site = self.chunk_sites[cs as usize + k] as usize;
-                            self.trial(g, l, site, hook);
-                        }
-                    }
-                }
+            self.sweep(Some(&chunk_sites), hook);
+        }
+        self.chunk_sites = chunk_sites;
+    }
+
+    /// Reset each active slot's `orders` row to the identity on `0..len`
+    /// and shuffle it from the slot's own stream, exactly as [`shuffle`].
+    pub(crate) fn shuffle_orders(&mut self, len: usize) {
+        let slots = self.slots();
+        if self.orders.len() != slots * len {
+            self.orders = vec![0u32; slots * len];
+        }
+        for slot in (0..slots).filter(|&s| self.active[s]) {
+            let order = self.orders[slot * len..].iter_mut().take(len);
+            order.zip(0..).for_each(|(v, i)| *v = i);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if self.use_simd {
+            // SAFETY: `use_simd` is only set after avx512f + avx512dq detection.
+            return unsafe { crate::simd::shuffle_orders(self, len) };
+        }
+        for slot in (0..slots).filter(|&s| self.active[s]) {
+            let mut rng = unpack_rng(self.rng_state[slot], self.rng_inc[slot]);
+            shuffle(&mut rng, &mut self.orders[slot * len..(slot + 1) * len]);
+            self.rng_state[slot] = rng.state()[0];
+        }
+    }
+
+    /// One lockstep pass over every active slot's site window: at position
+    /// `k`, a slot with window `(base, len)` tries site `table[base + k]`
+    /// (site `k` without a table) while `k < len`, and is credited `len`
+    /// trials. `table` entries are sites (`< n`).
+    fn sweep(&mut self, table: Option<&[u32]>, hook: &mut dyn BatchHook) {
+        // Credited up front: nothing reads the counters mid-sweep.
+        let slots = self.slots();
+        for slot in (0..slots).filter(|&s| self.active[s]) {
+            self.trials[slot] += u64::from(self.windows[slot].1);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if self.use_simd {
+            debug_assert!(table.is_none_or(|t| t.iter().all(|&s| (s as usize) < self.n_sites)));
+            for g0 in (0..self.groups).step_by(crate::simd::MAX_GROUPS) {
+                let block = g0..self.groups.min(g0 + crate::simd::MAX_GROUPS);
+                // SAFETY: `use_simd` is only set after avx512f + avx512dq
+                // detection and with `alias_entries.len() <= LANES`; `table`
+                // holds sites; `simd::sweep` checks the windows against it.
+                unsafe { crate::simd::sweep(self, block, table, hook) };
             }
+            return;
+        }
+        let active = (0..slots).filter(|&s| self.active[s]);
+        let longest = active.map(|s| self.windows[s].1).max().unwrap_or(0);
+        for k in 0..longest as usize {
             for slot in 0..slots {
-                if self.active[slot] {
-                    let (cs, ce) = self.chunk_range[self.chunk_pick[slot] as usize];
-                    self.trials[slot] += u64::from(ce - cs);
+                let (base, len) = self.windows[slot];
+                if self.active[slot] && k < len as usize {
+                    let site = table.map_or(k, |t| t[base as usize + k] as usize);
+                    self.trial(slot / LANES, slot % LANES, site, hook);
                 }
             }
         }
@@ -780,16 +753,6 @@ impl BatchSim {
                     let counts = &mut self.prop_counts[slot * counts_row..][..counts_row];
                     count_diff(counts, reactions, self.chunk_of[anchor], old_mask, new_mask);
                 }
-            }
-        }
-    }
-
-    /// Credit one sweep's trials to every active slot (NDCA counts trials
-    /// per sweep, not per trial; the totals are identical).
-    pub(crate) fn bump_trials(&mut self, per_slot: u64) {
-        for slot in 0..self.slots() {
-            if self.active[slot] {
-                self.trials[slot] += per_slot;
             }
         }
     }

@@ -22,8 +22,9 @@
 //! The per-trial recurrence of every replica is independent of its
 //! neighbors in the batch, so interleaving eight of them turns the serial
 //! latency chain into throughput — and on AVX-512 hardware the whole
-//! trial (PCG advance, alias sample, mask test, clock tick) runs eight
-//! replicas per instruction sequence ([`simd`]).
+//! trial (PCG advance, alias sample, mask test, clock tick) of every kind
+//! — row-major and shuffled NDCA, PNDCA — runs eight replicas per
+//! instruction sequence ([`simd`]) for models of up to eight reactions.
 //!
 //! **Correctness bar:** slot `r` of a batch seeded `(seed, r)` is
 //! bit-identical — lattice, clock bits, RNG state, observables — to a

@@ -8,7 +8,7 @@ use psr_batch::engine::NoBatchHook;
 use psr_batch::{BatchAlgorithm, BatchSim};
 use psr_ca::ndca::SweepOrder;
 use psr_ca::pndca::ChunkSelection;
-use psr_ca::{five_coloring, Ndca, Pndca};
+use psr_ca::{five_coloring, greedy_coloring, Ndca, Pndca};
 use psr_dmc::events::NoHook;
 use psr_dmc::sim::SimState;
 use psr_lattice::{Dims, Lattice};
@@ -230,41 +230,115 @@ fn batch_width_does_not_change_trajectories() {
     }
 }
 
+/// Every kind of batch step, over lattices whose PNDCA chunks are equal
+/// (the five-colouring) and unequal (the greedy colouring of a 10×10 ZGB
+/// lattice: chunks of 1 to 16 sites, so lanes run out of window mid-round).
+fn every_kind(dims: Dims, model: &Model) -> Vec<BatchAlgorithm> {
+    let mut kinds = vec![
+        BatchAlgorithm::Ndca { shuffled: false },
+        BatchAlgorithm::Ndca { shuffled: true },
+    ];
+    for partition in [five_coloring(dims), greedy_coloring(dims, model)] {
+        for selection in [
+            ChunkSelection::InOrder,
+            ChunkSelection::RandomOrder,
+            ChunkSelection::RandomWithReplacement,
+            ChunkSelection::WeightedByRates,
+        ] {
+            kinds.push(BatchAlgorithm::Pndca {
+                partition: partition.clone(),
+                selection,
+            });
+        }
+    }
+    kinds
+}
+
 /// The AVX-512 sweep must be bit-identical to the scalar lockstep path,
-/// including frozen-lane handling.
+/// including frozen-lane handling, for every kind and batch width.
 #[test]
 fn simd_sweep_matches_scalar_sweep() {
     let model = zgb_ziff(0.5, 10.0);
-    let dims = Dims::square(20);
-    let seeds: Vec<u64> = (0..16).collect();
-    let algorithm = BatchAlgorithm::Ndca { shuffled: false };
-    let mut simd = BatchSim::new(&model, dims, algorithm.clone(), &seeds);
-    if !simd.simd_active() {
-        eprintln!("avx512 not available; simd arm not exercised");
+    let mut cases = vec![(
+        Dims::square(20),
+        BatchAlgorithm::Ndca { shuffled: false },
+        16usize,
+        [120u64, 80, 40],
+    )];
+    let dims = Dims::square(10);
+    for algorithm in every_kind(dims, &model) {
+        for width in [1usize, 9, 64] {
+            cases.push((dims, algorithm.clone(), width, [30, 20, 10]));
+        }
+    }
+    for (dims, algorithm, width, [before, frozen, after]) in cases {
+        let seeds: Vec<u64> = (0..width as u64).collect();
+        let mut simd = BatchSim::new(&model, dims, algorithm.clone(), &seeds);
+        if !simd.simd_active() {
+            eprintln!("avx512 not available; simd arm not exercised");
+            return;
+        }
+        let mut scalar = BatchSim::new(&model, dims, algorithm.clone(), &seeds);
+        scalar.set_simd(false);
+        assert!(!scalar.simd_active());
+        let ragged: Vec<usize> = [0usize, 3, 8, 15]
+            .into_iter()
+            .filter(|&s| s < simd.slots())
+            .collect();
+        for sim in [&mut simd, &mut scalar] {
+            sim.run_steps(before, &mut NoBatchHook);
+            // Freeze a ragged subset mid-run: frozen lanes must hold their
+            // clock and RNG words bit-still through masked updates.
+            for &slot in &ragged {
+                sim.set_active(slot, false);
+            }
+            sim.run_steps(frozen, &mut NoBatchHook);
+            for &slot in &ragged {
+                sim.set_active(slot, true);
+            }
+            sim.run_steps(after, &mut NoBatchHook);
+        }
+        for slot in 0..seeds.len() {
+            assert_eq!(
+                batch_snapshot(&simd, slot),
+                batch_snapshot(&scalar, slot),
+                "slot {slot} of {width} diverged between SIMD and scalar sweeps ({algorithm:?})"
+            );
+        }
+    }
+}
+
+/// A host with AVX-512 sweeps every kind of ZGB batch with SIMD, however
+/// wide: no kind may fall back to the scalar loop unnoticed.
+#[test]
+#[cfg(target_arch = "x86_64")]
+fn every_kind_takes_the_simd_sweep_where_avx512_is_detected() {
+    if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")) {
         return;
     }
-    let mut scalar = BatchSim::new(&model, dims, algorithm, &seeds);
-    scalar.set_simd(false);
-    assert!(!scalar.simd_active());
-    for sim in [&mut simd, &mut scalar] {
-        sim.run_steps(120, &mut NoBatchHook);
-        // Freeze a ragged subset mid-run: frozen lanes must hold their
-        // clock and RNG words bit-still through masked updates.
-        for slot in [0usize, 3, 8, 15] {
-            sim.set_active(slot, false);
+    let model = zgb_ziff(0.5, 10.0);
+    let dims = Dims::square(10);
+    for algorithm in every_kind(dims, &model) {
+        for width in [1u64, 9, 64, 72] {
+            let seeds: Vec<u64> = (0..width).collect();
+            let sim = BatchSim::new(&model, dims, algorithm.clone(), &seeds);
+            assert!(
+                sim.simd_active(),
+                "{width} replicas of {algorithm:?} run scalar"
+            );
         }
-        sim.run_steps(80, &mut NoBatchHook);
-        for slot in [0usize, 3, 8, 15] {
-            sim.set_active(slot, true);
-        }
-        sim.run_steps(40, &mut NoBatchHook);
     }
-    for slot in 0..seeds.len() {
-        assert_eq!(
-            batch_snapshot(&simd, slot),
-            batch_snapshot(&scalar, slot),
-            "slot {slot} diverged between SIMD and scalar sweeps"
-        );
+}
+
+/// Past 64 replicas the sweep takes its lane groups in blocks; slot r of a
+/// 72-replica batch still equals its lone run, for every kind.
+#[test]
+fn slots_of_a_72_replica_batch_match_single() {
+    let model = zgb_ziff(0.5, 10.0);
+    let dims = Dims::square(10);
+    let seeds: Vec<u64> = (300..372).collect();
+    for algorithm in every_kind(dims, &model) {
+        assert_batch_matches_single(&model, dims, algorithm, &seeds, 40);
     }
 }
 

@@ -69,6 +69,9 @@ cargo test -q --release -p psr-shard --test socket
 echo "==> kernel differential suite (proptest: masks and fire vs the model's matcher)"
 cargo test -q --release -p psr-kernel --test differential
 
+echo "==> batch identity suite (the AVX-512 sweep under release codegen vs scalar and lone runs)"
+cargo test -q --release -p psr-batch --test identity
+
 echo "==> greedy colouring identity at production sizes (1000², 1024², triangular 128²)"
 cargo test -q --release -p psr-ca --test coloring_identity -- --include-ignored
 
