@@ -11,6 +11,7 @@
 
 use surface_reactions::crates::ca::ndca::SweepOrder;
 use surface_reactions::crates::dmc::events::{Event, EventHook};
+use surface_reactions::crates::dmc::Frm;
 use surface_reactions::prelude::*;
 
 /// FNV-1a over little-endian words: stable, dependency-free, and a one-bit
@@ -253,6 +254,35 @@ fn computed() -> Vec<(String, u64)> {
             .run_steps(state, rng, 1000, None, events);
     });
     out.push(("lpndca/zgb/size-weighted/L16/Stochastic".into(), d));
+
+    // The event-driven executors: FRM's queue and tree-VSSM's index, 1000
+    // events each, every event digested.
+    for (name, model) in [("zgb", &zgb), ("kuzovkov", &kuzovkov)] {
+        let d = serial(model, Dims::square(12), 0xFACE, |state, rng, events| {
+            let mut frm = Frm::new(model, &state.lattice, state.time, rng);
+            let mut changes = Vec::new();
+            for _ in 0..1000 {
+                match frm.step_until(state, rng, &mut changes, f64::INFINITY) {
+                    Some(e) => events.on_event(e),
+                    None => break,
+                }
+            }
+        });
+        out.push((format!("frm/{name}"), d));
+    }
+    for (name, model) in [("zgb", &zgb), ("kuzovkov", &kuzovkov)] {
+        let d = serial(model, Dims::square(12), 0xFACE, |state, rng, events| {
+            let mut tree = VssmTree::new(model, &state.lattice);
+            let mut changes = Vec::new();
+            for _ in 0..1000 {
+                match tree.step_until(state, rng, &mut changes, f64::INFINITY) {
+                    Some(e) => events.on_event(e),
+                    None => break,
+                }
+            }
+        });
+        out.push((format!("vssm-tree/{name}"), d));
+    }
     out
 }
 
@@ -298,6 +328,12 @@ const PINS: &[(&str, u64)] = &[
         "lpndca/zgb/size-weighted/L16/Stochastic",
         0x2d050476546c19c2,
     ),
+    // Recorded before psr-rng exported its word-level PCG step and alias
+    // draw (the generator both event-driven executors draw from).
+    ("frm/zgb", 0x4789989f99f6bf44),
+    ("frm/kuzovkov", 0xaea66b6ffdaf8578),
+    ("vssm-tree/zgb", 0x84f1a724e69fc344),
+    ("vssm-tree/kuzovkov", 0x38360ed6039bfff0),
 ];
 
 #[test]
