@@ -13,83 +13,35 @@
 //!
 //! RNG. Each slot carries the state/increment words of the `psr-rng` Pcg32
 //! seeded exactly like a single replica (`rng_from_seed(seed_r)`). The hot
-//! loop advances the packed words with an inlined copy of the generator
-//! (pinned to the real one by a test); cold per-step draws (chunk
-//! selections, and sweep shuffles off the SIMD path) round-trip through a
-//! reconstructed [`SimRng`] and the *same library functions* the
-//! single-replica algorithms call, so every slot consumes its stream in the
-//! identical order. The SIMD shuffle draws eight lanes' Fisher–Yates
-//! indices at once, pinned to [`shuffle`] by a test.
+//! loop advances the packed words through `psr-rng`'s own word-level step
+//! and alias draw ([`psr_rng::draw_u64`], [`draw_alias`] — what
+//! `Pcg32::next_u64` and `AliasTable::sample` are); cold per-step draws (chunk selections, and
+//! sweep shuffles off the SIMD path) round-trip through a reconstructed
+//! [`SimRng`] and the *same library functions* the single-replica
+//! algorithms call, so every slot consumes its stream in the identical
+//! order. The SIMD shuffle draws eight lanes' Fisher–Yates indices at once,
+//! pinned to [`shuffle`] by a test.
+//!
+//! Kernel. The shared tables are one [`CompiledModel`] and one [`Stencil`]
+//! on the lattice's geometry, the addressing [`SiteKernel`] uses; the
+//! initial codes, masks and weighted-selection counts are a `SiteKernel`'s,
+//! broadcast to every lane. An executed trial writes the reaction's
+//! requirements at `stencil.at(site, cell)` and folds every changed cell
+//! through [`fold_anchor`], the kernel's own fold step.
 
 use std::sync::Arc;
 
 use psr_ca::pndca::ChunkSelection;
 use psr_ca::propensity::draw_weighted;
 use psr_ca::Partition;
-use psr_kernel::{count_diff, group_weights, CompiledModel};
-use psr_lattice::{Dims, Lattice, Offset, Site};
+use psr_kernel::{count_diff, fold_anchor, group_weights, CompiledModel, SiteKernel};
+use psr_lattice::{Dims, Lattice, Site, Stencil};
 use psr_model::Model;
 use psr_rng::sample::shuffle;
-use psr_rng::{rng_from_seed, AliasTable, SimRng};
+use psr_rng::{draw_alias, rng_from_seed, AliasTable, SimRng};
 
 /// Replica lanes per group: one AVX-512 register of 64-bit lanes.
 pub const LANES: usize = 8;
-
-/// PCG-XSH-RR 64/32 multiplier (O'Neill, public domain), replicated from
-/// `psr-rng` so the lockstep loop can advance packed states without
-/// round-tripping through `Pcg32` structs. `pcg_inline_matches_pcg32`
-/// pins this replica to the real generator.
-pub(crate) const PCG_MULT: u64 = 6364136223846793005;
-/// Two-LCG-step multiplier: one 64-bit draw consumes two 32-bit outputs.
-pub(crate) const PCG_MULT_SQ: u64 = PCG_MULT.wrapping_mul(PCG_MULT);
-
-/// XSH-RR output permutation of one LCG state word.
-#[inline(always)]
-pub(crate) fn pcg_permute(state: u64) -> u32 {
-    let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
-    let rot = (state >> 59) as u32;
-    xorshifted.rotate_right(rot)
-}
-
-/// One 64-bit draw: two consecutive 32-bit outputs, low word first,
-/// advancing the LCG by two steps in one fused update — bit-identical to
-/// `Pcg32::next_u64`.
-#[inline(always)]
-pub(crate) fn pcg_next_u64(state: &mut u64, inc: u64) -> u64 {
-    let s0 = *state;
-    let s1 = s0.wrapping_mul(PCG_MULT).wrapping_add(inc);
-    *state = s0
-        .wrapping_mul(PCG_MULT_SQ)
-        .wrapping_add(PCG_MULT.wrapping_add(1).wrapping_mul(inc));
-    let lo = pcg_permute(s0) as u64;
-    let hi = pcg_permute(s1) as u64;
-    (hi << 32) | lo
-}
-
-/// Alias-table draw on packed RNG words — bit-identical to
-/// [`AliasTable::sample`]: low 32 bits pick the bucket (Lemire reduction
-/// with exact rejection), the *first* draw's high 32 bits decide accept vs
-/// alias even when the bucket is redrawn.
-#[inline(always)]
-pub(crate) fn alias_sample_raw(entries: &[u64], state: &mut u64, inc: u64) -> usize {
-    let n = entries.len() as u64;
-    let x = pcg_next_u64(state, inc);
-    let accept_bits = x >> 32;
-    let mut m = (x & 0xFFFF_FFFF) * n;
-    let mut lo = m & 0xFFFF_FFFF;
-    if lo < n {
-        let t = ((1u64 << 32) - n) % n;
-        while lo < t {
-            m = (pcg_next_u64(state, inc) & 0xFFFF_FFFF) * n;
-            lo = m & 0xFFFF_FFFF;
-        }
-    }
-    let i = (m >> 32) as usize;
-    let e = entries[i];
-    let a = (e >> 32) as usize;
-    let accept = (accept_bits < (e & 0xFFFF_FFFF)) as usize;
-    a ^ ((i ^ a) & accept.wrapping_neg())
-}
 
 /// Flat index of `(site, group, lane)` in the group-major SoA arrays: one
 /// `(group, site)` row is `LANES` contiguous entries (the masks row is one
@@ -156,37 +108,22 @@ enum StepKind {
 /// padding slots simulate normally (re-running the last seeds) but are
 /// excluded from [`replicas`](Self::replicas)-indexed reporting.
 pub struct BatchSim {
-    dims: Dims,
     kind: StepKind,
     pub(crate) n_sites: usize,
     num_states: usize,
-    num_cells: usize,
-    num_reactions: usize,
     pub(crate) groups: usize,
     replicas: usize,
     /// Time per trial, `1/(N·K)` — the discretized NDCA/PNDCA clock.
     pub(crate) dt: f64,
     // --- shared read-only tables (one copy across all replicas) ---
-    /// Packed alias buckets, copied from [`AliasTable::entries`].
-    pub(crate) alias_entries: Vec<u64>,
-    /// `anchors[site·C + j]` = flat index of `site − cells[j]`.
-    anchors: Vec<u32>,
-    /// Base-S digit weight of each stencil cell.
-    cell_weights: Vec<u32>,
-    /// code → enabled-reaction mask.
-    pub(crate) lut_mask: Vec<u64>,
-    /// Rate constant per reaction (weighted chunk selection).
-    rates: Vec<f64>,
-    /// Flattened transforms `(offset id, target species)` of all reactions;
-    /// offset ids index the deduplicated transform-offset list.
-    exec_tf: Vec<(u32, u8)>,
-    /// Transform range of each reaction within `exec_tf`.
-    exec_range: Vec<(u32, u32)>,
-    /// `exec_targets[site·O + oid]` = flat index of `site + offsets[oid]`,
-    /// precomputed so `execute` never pays `Dims::translate`'s div/mod.
-    exec_targets: Vec<u32>,
-    /// Number of distinct transform offsets `O`.
-    num_exec_offsets: usize,
+    /// Stencil cells, requirements, digit weights and rates.
+    compiled: Arc<CompiledModel>,
+    /// `site + cells[j]` on the shared geometry, as `SiteKernel` addresses.
+    stencil: Stencil,
+    /// code → enabled-reaction mask (a flat copy of the compiled LUT).
+    lut_mask: Vec<u64>,
+    /// The reaction-type sampler.
+    pub(crate) alias: AliasTable,
     // --- partition tables (PNDCA only) ---
     /// Chunk site lists, concatenated in chunk order.
     chunk_sites: Vec<u32>,
@@ -223,6 +160,13 @@ pub struct BatchSim {
     pub(crate) use_simd: bool,
 }
 
+/// `per_site` in the group-major SoA layout, every lane of every one of
+/// `groups` groups starting from the same value.
+fn broadcast<T: Copy>(per_site: &[T], groups: usize) -> Vec<T> {
+    let row: Vec<T> = per_site.iter().flat_map(|&v| [v; LANES]).collect();
+    row.repeat(groups)
+}
+
 impl BatchSim {
     /// Batch over the all-vacant initial lattice (what
     /// `Simulator::into_session` starts from), one replica per seed.
@@ -251,69 +195,7 @@ impl BatchSim {
         );
         let dims = lattice.dims();
         let n = lattice.len();
-        let c = compiled.cells().len();
-
-        // Neighbor/anchor tables through the lattice's wrap tables (the
-        // batch's own SoA layout; `SiteKernel` computes neighbors instead).
-        let mut neighbors = vec![0u32; n * c];
-        let mut anchors = vec![0u32; n * c];
-        let wrap = lattice.wrap_tables();
-        for (j, &offset) in compiled.cells().iter().enumerate() {
-            let back = offset.negated();
-            if wrap.covers(offset) && wrap.covers(back) {
-                let mut site = 0usize;
-                for y in 0..dims.height() {
-                    for x in 0..dims.width() {
-                        neighbors[site * c + j] = wrap.translate_xy(x, y, offset).0;
-                        anchors[site * c + j] = wrap.translate_xy(x, y, back).0;
-                        site += 1;
-                    }
-                }
-            } else {
-                for site in dims.iter_sites() {
-                    neighbors[site.0 as usize * c + j] = dims.translate(site, offset).0;
-                    anchors[site.0 as usize * c + j] = dims.translate(site, back).0;
-                }
-            }
-        }
-        let cell_weights: Vec<u32> = (0..c).map(|j| compiled.weight(j)).collect();
-        let lut_mask = compiled
-            .lut_masks()
-            .expect("has_lut checked above")
-            .to_vec();
-
-        let alias = AliasTable::new(&model.rate_weights());
-        let num_reactions = model.num_reactions();
-        let rates: Vec<f64> = (0..num_reactions)
-            .map(|r| model.reaction(r).rate())
-            .collect();
-        let mut exec_offsets: Vec<Offset> = Vec::new();
-        let mut exec_tf = Vec::new();
-        let mut exec_range = Vec::with_capacity(num_reactions);
-        for r in 0..num_reactions {
-            let start = exec_tf.len() as u32;
-            for t in model.reaction(r).transforms() {
-                let oid = exec_offsets
-                    .iter()
-                    .position(|&o| o == t.offset)
-                    .unwrap_or_else(|| {
-                        exec_offsets.push(t.offset);
-                        exec_offsets.len() - 1
-                    }) as u32;
-                exec_tf.push((oid, t.tgt.id()));
-            }
-            exec_range.push((start, exec_tf.len() as u32));
-        }
-        // Per-site transform targets, via the same `Dims::translate` that
-        // `ReactionType::execute` calls — identical wrapping by definition.
-        let num_exec_offsets = exec_offsets.len();
-        let mut exec_targets = vec![0u32; n * num_exec_offsets];
-        for site in dims.iter_sites() {
-            for (oid, &offset) in exec_offsets.iter().enumerate() {
-                exec_targets[site.0 as usize * num_exec_offsets + oid] =
-                    dims.translate(site, offset).0;
-            }
-        }
+        let mut kernel = SiteKernel::new(Arc::clone(&compiled), lattice);
 
         let (kind, chunk_sites, chunk_range, chunk_of, weighted) = match &algorithm {
             BatchAlgorithm::Ndca { shuffled: false } => (
@@ -353,54 +235,17 @@ impl BatchSim {
         let slots = groups * LANES;
         let num_states = (compiled.num_states() as usize).max(1);
 
-        // Per-site shared seed values: one scan, broadcast to every lane.
-        let mut base_codes = vec![0u32; n];
-        let mut base_masks = vec![0u64; n];
-        let lattice_cells = lattice.cells();
-        for site in 0..n {
-            let mut code = 0u32;
-            for (j, &w) in cell_weights.iter().enumerate() {
-                code += w * u32::from(lattice_cells[neighbors[site * c + j] as usize]);
-            }
-            base_codes[site] = code;
-            base_masks[site] = lut_mask[code as usize];
-        }
-        let mut cells = vec![0u8; n * slots];
-        let mut codes = vec![0u32; n * slots];
-        let mut masks = vec![0u64; n * slots];
-        for g in 0..groups {
-            for site in 0..n {
-                let row = soa_index(site, n, g, 0);
-                cells[row..row + LANES].fill(lattice_cells[site]);
-                codes[row..row + LANES].fill(base_codes[site]);
-                masks[row..row + LANES].fill(base_masks[site]);
-            }
-        }
-
-        let mut base_cov = vec![0u64; num_states];
-        for &v in lattice_cells {
-            base_cov[v as usize] += 1;
-        }
-        let mut coverage = vec![0u64; slots * num_states];
-        for slot in 0..slots {
-            coverage[slot * num_states..(slot + 1) * num_states].copy_from_slice(&base_cov);
-        }
-
+        // The single-replica kernel's initial state, broadcast to every slot.
         let prop_counts = if weighted {
-            let chunks = chunk_range.len();
-            let mut base = vec![0u32; chunks * num_reactions];
-            for (&chunk, &mask) in chunk_of.iter().zip(&base_masks) {
-                count_diff(&mut base, num_reactions, chunk, 0, mask);
-            }
-            let mut counts = vec![0u32; slots * chunks * num_reactions];
-            for slot in 0..slots {
-                let at = slot * chunks * num_reactions;
-                counts[at..at + chunks * num_reactions].copy_from_slice(&base);
-            }
-            counts
+            kernel.attach_counts(chunk_of.clone(), chunk_range.len());
+            kernel.counts(0).repeat(slots)
         } else {
             Vec::new()
         };
+        let mut coverage = vec![0u64; num_states];
+        for &v in lattice.cells() {
+            coverage[v as usize] += 1;
+        }
 
         let mut rng_state = vec![0u64; slots];
         let mut rng_inc = vec![0u64; slots];
@@ -408,54 +253,48 @@ impl BatchSim {
             // Padding slots re-run the tail seeds; they are simulated but
             // never reported.
             let seed = seeds[slot.min(replicas - 1)];
-            let words = rng_from_seed(seed).state();
-            rng_state[slot] = words[0];
-            rng_inc[slot] = words[1];
+            [rng_state[slot], rng_inc[slot]] = rng_from_seed(seed).state();
         }
 
         // PNDCA sets its windows per chunk round; slot s of shuffled NDCA
         // sweeps its own order, `orders[s·n..]`.
         let shuffled = u32::from(kind == StepKind::NdcaShuffled);
         let windows = (0..slots as u32).map(|s| (s * n as u32 * shuffled, n as u32));
+        let alias = AliasTable::new(&model.rate_weights());
 
         BatchSim {
-            dims,
             kind,
             n_sites: n,
             num_states,
-            num_cells: c,
-            num_reactions,
             groups,
             replicas,
             dt: 1.0 / (n as f64 * model.total_rate()),
-            alias_entries: alias.entries().to_vec(),
-            anchors,
-            cell_weights,
-            lut_mask,
-            rates,
-            exec_tf,
-            exec_range,
-            exec_targets,
-            num_exec_offsets,
+            stencil: Stencil::new(dims, compiled.cells()),
+            lut_mask: compiled
+                .lut_masks()
+                .expect("has_lut checked above")
+                .to_vec(),
+            compiled,
+            use_simd: Self::simd_available(alias.len()),
+            alias,
             chunk_sites,
             chunk_range,
             chunk_of,
             weighted,
-            cells,
-            codes,
-            masks,
+            cells: broadcast(lattice.cells(), groups),
+            codes: broadcast(kernel.codes(), groups),
+            masks: broadcast(kernel.enabled_masks(), groups),
             rng_state,
             rng_inc,
             time: vec![0.0; slots],
             trials: vec![0; slots],
             executed: vec![0; slots],
             active: vec![true; slots],
-            coverage,
+            coverage: coverage.repeat(slots),
             prop_counts,
             windows: windows.collect(),
             orders: Vec::new(),
             weights_scratch: Vec::new(),
-            use_simd: Self::simd_available(alias.len()),
         }
     }
 
@@ -476,7 +315,7 @@ impl BatchSim {
     /// Enable (where available) or force off the AVX-512 sweep for every
     /// kind (benchmark arms and scalar-vs-SIMD equality tests).
     pub fn set_simd(&mut self, enable: bool) {
-        self.use_simd = enable && Self::simd_available(self.alias_entries.len());
+        self.use_simd = enable && Self::simd_available(self.alias.len());
     }
 
     /// Whether the SIMD sweep is in use.
@@ -496,7 +335,7 @@ impl BatchSim {
 
     /// Lattice geometry shared by every replica.
     pub fn dims(&self) -> Dims {
-        self.dims
+        self.stencil.dims()
     }
 
     /// Simulated clock of one slot.
@@ -546,7 +385,7 @@ impl BatchSim {
     pub fn lattice_of(&self, slot: usize) -> Lattice {
         let g = slot / LANES;
         let l = slot % LANES;
-        let mut lattice = Lattice::filled(self.dims, 0);
+        let mut lattice = Lattice::filled(self.dims(), 0);
         for site in 0..self.n_sites {
             lattice.set(
                 Site(site as u32),
@@ -652,7 +491,7 @@ impl BatchSim {
             for g0 in (0..self.groups).step_by(crate::simd::MAX_GROUPS) {
                 let block = g0..self.groups.min(g0 + crate::simd::MAX_GROUPS);
                 // SAFETY: `use_simd` is only set after avx512f + avx512dq
-                // detection and with `alias_entries.len() <= LANES`; `table`
+                // detection and with `alias.len() <= LANES`; `table`
                 // holds sites; `simd::sweep` checks the windows against it.
                 unsafe { crate::simd::sweep(self, block, table, hook) };
             }
@@ -674,14 +513,10 @@ impl BatchSim {
     /// The chunk weights of one slot, by the single-replica executors'
     /// [`group_weights`] (bit-identical totals).
     fn fill_slot_weights(&mut self, slot: usize) {
-        let row = self.chunk_range.len() * self.num_reactions;
+        let (rates, out) = (self.compiled.rates(), &mut self.weights_scratch);
+        let row = self.chunk_range.len() * rates.len();
         let counts = &self.prop_counts[slot * row..(slot + 1) * row];
-        group_weights(
-            counts,
-            &self.rates,
-            0..self.num_reactions,
-            &mut self.weights_scratch,
-        );
+        group_weights(counts, rates, 0..rates.len(), out);
     }
 
     /// One trial of one slot at `site`: sample → mask test → (execute) →
@@ -691,7 +526,7 @@ impl BatchSim {
         let slot = g * LANES + l;
         let inc = self.rng_inc[slot];
         let mut st = self.rng_state[slot];
-        let reaction = alias_sample_raw(&self.alias_entries, &mut st, inc);
+        let reaction = draw_alias(self.alias.entries(), &mut st, inc);
         self.rng_state[slot] = st;
         // The enabled check consumes no randomness (same invariant the
         // compiled single-replica kernel relies on).
@@ -707,52 +542,59 @@ impl BatchSim {
         }
     }
 
-    /// Apply one executed reaction in one slot: transforms in declaration
-    /// order, each folding its coverage transition and kernel update as it
-    /// lands. The single-replica path journals first and folds after
-    /// (`SimState::fire` → `SimState::apply_changes` →
+    /// Apply one executed reaction in one slot: `SiteKernel::fire`'s writes
+    /// in requirement order, each folding its coverage transition and
+    /// kernel update as it lands. The single-replica path journals first
+    /// and folds after (`SimState::fire` → `SimState::apply_changes` →
     /// `SiteKernel::apply_changes`, whose fold also moves the chunk
     /// counts), but the folds are commuting increments keyed only on each
-    /// change's `(old, new)` pair, so fusing them per transform is
+    /// change's `(old, new)` pair, so fusing them per write is
     /// bit-identical — and skips the journal allocation.
     pub(crate) fn execute(&mut self, g: usize, l: usize, site: usize, reaction: usize) {
-        let ns = self.n_sites;
-        let c = self.num_cells;
-        let slot = g * LANES + l;
-        let lane = g * ns * LANES + l;
-        let cov = slot * self.num_states;
-        let reactions = self.num_reactions;
-        let counts_row = self.chunk_range.len() * reactions;
-        let tgt_row = site * self.num_exec_offsets;
-        let (start, end) = self.exec_range[reaction];
-        for k in start as usize..end as usize {
-            let (oid, new) = self.exec_tf[k];
-            let target = self.exec_targets[tgt_row + oid as usize] as usize;
-            let idx = lane + target * LANES;
-            let old = self.cells[idx];
-            self.cells[idx] = new;
+        // One fold loop per flag: the unweighted one never tests it.
+        match self.weighted {
+            true => self.apply::<true>(g, l, site, reaction),
+            false => self.apply::<false>(g, l, site, reaction),
+        }
+    }
+
+    #[inline(always)]
+    fn apply<const WEIGHTED: bool>(&mut self, g: usize, l: usize, site: usize, reaction: usize) {
+        let (slot, n) = (g * LANES + l, self.n_sites);
+        // This slot's lane of the group's rows: site `s` is at `s·LANES`.
+        let lane = g * n * LANES + l;
+        let cells = &mut self.cells[lane..];
+        let (codes, masks) = (&mut self.codes[lane..], &mut self.masks[lane..]);
+        let coverage = &mut self.coverage[slot * self.num_states..][..self.num_states];
+        let (compiled, stencil, lut_mask) = (&*self.compiled, &self.stencil, &self.lut_mask[..]);
+        let reactions = compiled.num_reactions();
+        let row = usize::from(WEIGHTED) * self.chunk_range.len() * reactions;
+        let counts = &mut self.prop_counts[slot * row..][..row];
+        let c = compiled.cells().len();
+        let at = stencil.locate(Site(site as u32));
+        for r in compiled.requirements(reaction) {
+            let target = stencil.locate(stencil.at(at, r.cell as usize));
+            let new = r.tgt;
+            let old = std::mem::replace(&mut cells[target.site().0 as usize * LANES], new);
             if old == new {
                 continue;
             }
-            self.coverage[cov + old as usize] -= 1;
-            self.coverage[cov + new as usize] += 1;
-            let nb = target * c;
-            for j in 0..c {
-                let anchor = self.anchors[nb + j] as usize;
-                let w = self.cell_weights[j];
-                let delta = w
-                    .wrapping_mul(u32::from(new))
-                    .wrapping_sub(w.wrapping_mul(u32::from(old)));
-                let aidx = lane + anchor * LANES;
-                let code = self.codes[aidx].wrapping_add(delta);
-                self.codes[aidx] = code;
-                let new_mask = self.lut_mask[code as usize];
-                let old_mask = self.masks[aidx];
-                self.masks[aidx] = new_mask;
-                if self.weighted && old_mask != new_mask {
-                    let counts = &mut self.prop_counts[slot * counts_row..][..counts_row];
-                    count_diff(counts, reactions, self.chunk_of[anchor], old_mask, new_mask);
-                }
+            coverage[old as usize] -= 1;
+            coverage[new as usize] += 1;
+            // `target + cells[c − 1 − j]` is the anchor that reads `target`
+            // as its cell `j`.
+            for &j in compiled.read_cells() {
+                let anchor = stencil.at(target, c - 1 - j as usize).0 as usize;
+                let a = anchor * LANES;
+                fold_anchor(
+                    lut_mask,
+                    (&mut codes[a], &mut masks[a]),
+                    compiled.weight(j as usize),
+                    (old, new),
+                    WEIGHTED.then_some(|was, now| {
+                        count_diff(counts, reactions, self.chunk_of[anchor], was, now)
+                    }),
+                );
             }
         }
     }
@@ -761,42 +603,6 @@ impl BatchSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pcg_inline_matches_pcg32() {
-        for seed in [0u64, 1, 42, 0xDEAD_BEEF, u64::MAX] {
-            let mut reference = rng_from_seed(seed);
-            let words = reference.state();
-            let mut state = words[0];
-            let inc = words[1];
-            for _ in 0..64 {
-                assert_eq!(pcg_next_u64(&mut state, inc), reference.next_u64());
-            }
-            assert_eq!(state, reference.state()[0]);
-        }
-    }
-
-    #[test]
-    fn alias_inline_matches_alias_table() {
-        for weights in [
-            vec![1.0, 2.0, 7.0],
-            vec![0.5; 7],
-            vec![1.0],
-            (1..=52).map(f64::from).collect::<Vec<_>>(),
-        ] {
-            let table = AliasTable::new(&weights);
-            let mut reference = rng_from_seed(9);
-            let words = reference.state();
-            let mut state = words[0];
-            let inc = words[1];
-            for _ in 0..4096 {
-                let want = table.sample(&mut reference);
-                let got = alias_sample_raw(table.entries(), &mut state, inc);
-                assert_eq!(got, want);
-                assert_eq!(state, reference.state()[0]);
-            }
-        }
-    }
 
     #[test]
     #[should_panic(expected = "MAX_KERNEL_REACTIONS = 64")]

@@ -4,16 +4,18 @@
 //! Replica ensembles — dozens of small independent runs of one model — are
 //! how the validate statistical tier estimates coverages and turnover
 //! frequencies. Run one at a time, each replica re-derives everything the
-//! others already computed: the compiled LUT, the alias table, the neighbor
-//! tables, and (worst) a serially dependent RNG→sample→mask chain whose
+//! others already computed: the compiled LUT, the alias table, the initial
+//! codes and masks, and (worst) a serially dependent RNG→sample→mask chain whose
 //! latency the CPU cannot hide because there is only one chain.
 //!
 //! This crate steps `LANES`-wide groups of replicas in lockstep over a
 //! structure-of-arrays state:
 //!
-//! - **Shared, read-only:** one [`CompiledModel`](psr_kernel::CompiledModel)
-//!   worth of tables — neighbor/anchor indices, the code→mask LUT, the
-//!   packed alias table — serves every replica.
+//! - **Shared, read-only:** the kernel's own tables — one
+//!   [`CompiledModel`](psr_kernel::CompiledModel) (requirements, digit
+//!   weights, the code→mask LUT), one [`Stencil`](psr_lattice::Stencil)
+//!   addressing its cells, and the packed alias table — serve every
+//!   replica; the generator is `psr-rng`'s.
 //! - **Per-replica, packed:** lattice cells, neighborhood codes, enabled
 //!   masks, one Pcg32 stream, a clock, and coverage counters live in flat
 //!   arrays indexed `(group · n_sites + site) · LANES + lane`, so one

@@ -33,8 +33,10 @@ use std::arch::x86_64::*;
 use std::mem::transmute;
 use std::ops::Range;
 
-use crate::engine::{pcg_next_u64, soa_index, BatchHook, BatchSim, LANES, PCG_MULT, PCG_MULT_SQ};
+use crate::engine::{soa_index, BatchHook, BatchSim, LANES};
 use psr_lattice::Site;
+use psr_rng::draw_u64;
+use psr_rng::pcg::{MULTIPLIER, MULTIPLIER_SQ};
 
 /// Lane groups one register-array block holds (64 replicas). Wider batches
 /// are swept block after block; groups are independent, so the blocking
@@ -66,7 +68,7 @@ unsafe fn spill(v: __m512i) -> [u64; LANES] {
 /// increments, and the fused two-step constants `(M+1)·inc`.
 #[inline(always)]
 unsafe fn load_rng(state: &[u64], inc: &[u64]) -> [__m512i; 3] {
-    let inc2: [u64; LANES] = std::array::from_fn(|l| (PCG_MULT + 1).wrapping_mul(inc[l]));
+    let inc2: [u64; LANES] = std::array::from_fn(|l| (MULTIPLIER + 1).wrapping_mul(inc[l]));
     [fill(state), fill(inc), fill(&inc2)]
 }
 
@@ -75,8 +77,8 @@ unsafe fn load_rng(state: &[u64], inc: &[u64]) -> [__m512i; 3] {
 /// second output; the next state s0·M² + (M+1)·inc skips it in one step.
 #[inline(always)]
 unsafe fn draw8(s0: __m512i, inc: __m512i, inc2: __m512i) -> [__m512i; 3] {
-    let s1 = _mm512_mullo_epi64(s0, _mm512_set1_epi64(PCG_MULT as i64));
-    let s2 = _mm512_mullo_epi64(s0, _mm512_set1_epi64(PCG_MULT_SQ as i64));
+    let s1 = _mm512_mullo_epi64(s0, _mm512_set1_epi64(MULTIPLIER as i64));
+    let s2 = _mm512_mullo_epi64(s0, _mm512_set1_epi64(MULTIPLIER_SQ as i64));
     let s1 = _mm512_add_epi64(s1, inc);
     [_mm512_add_epi64(s2, inc2), permute8(s0), permute8(s1)]
 }
@@ -122,12 +124,13 @@ pub(crate) unsafe fn sweep(
 ) {
     assert!(groups.len() <= MAX_GROUPS);
     let n = sim.n_sites;
-    let n_react = sim.alias_entries.len() as u64;
+    let alias = sim.alias.entries();
+    let n_react = alias.len() as u64;
 
     // Register-resident alias table: bucket indices are < n_react <= 8, so
     // the padding entries are never selected.
-    let mut entries = [sim.alias_entries[0]; LANES];
-    entries[..sim.alias_entries.len()].copy_from_slice(&sim.alias_entries);
+    let mut entries = [alias[0]; LANES];
+    entries[..alias.len()].copy_from_slice(alias);
     let ventries = _mm512_loadu_si512(entries.as_ptr().cast());
     let vn = _mm512_set1_epi64(n_react as i64);
     let vlow32 = _mm512_set1_epi64(0xFFFF_FFFF);
@@ -192,7 +195,7 @@ pub(crate) unsafe fn sweep(
                 for l in lanes(k_rej) {
                     let inc = sim.rng_inc[g * LANES + l];
                     while ms[l] & 0xFFFF_FFFF < t {
-                        ms[l] = (pcg_next_u64(&mut stw[l], inc) & 0xFFFF_FFFF) * n_react;
+                        ms[l] = (draw_u64(&mut stw[l], inc) & 0xFFFF_FFFF) * n_react;
                     }
                 }
                 (st, m) = (fill(&stw), fill(&ms));
@@ -269,7 +272,7 @@ unsafe fn below8(rng: [__m512i; 3], bound: u64, act: u8, inc: &[u64]) -> (__m512
     let t = bound.wrapping_neg() % bound;
     for l in lanes(k_rej) {
         while lows[l] < t {
-            let m = u128::from(pcg_next_u64(&mut sts[l], inc[l])) * u128::from(bound);
+            let m = u128::from(draw_u64(&mut sts[l], inc[l])) * u128::from(bound);
             (lows[l], js[l]) = (m as u64, (m >> 64) as u64);
         }
     }

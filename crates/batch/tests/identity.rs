@@ -14,6 +14,9 @@ use psr_dmc::sim::SimState;
 use psr_lattice::{Dims, Lattice};
 use psr_model::library::kuzovkov::{kuzovkov_model, KuzovkovParams};
 use psr_model::library::zgb::zgb_ziff;
+use psr_model::library::{
+    ab_annihilation, diffusion_model, ising_glauber, single_file_model, triangular_diffusion_model,
+};
 use psr_model::Model;
 use psr_rng::rng_from_seed;
 
@@ -34,7 +37,18 @@ fn single_snapshot(
     seed: u64,
     steps: u64,
 ) -> Snapshot {
-    let mut state = SimState::new(Lattice::filled(dims, 0), model);
+    single_snapshot_from(model, &Lattice::filled(dims, 0), algorithm, seed, steps)
+}
+
+/// [`single_snapshot`] from an explicit initial lattice.
+fn single_snapshot_from(
+    model: &Model,
+    lattice: &Lattice,
+    algorithm: &BatchAlgorithm,
+    seed: u64,
+    steps: u64,
+) -> Snapshot {
+    let mut state = SimState::new(lattice.clone(), model);
     let mut rng = rng_from_seed(seed);
     let stats = match algorithm {
         BatchAlgorithm::Ndca { shuffled } => {
@@ -339,6 +353,71 @@ fn slots_of_a_72_replica_batch_match_single() {
     let seeds: Vec<u64> = (300..372).collect();
     for algorithm in every_kind(dims, &model) {
         assert_batch_matches_single(&model, dims, algorithm, &seeds, 40);
+    }
+}
+
+/// Every library model the batch takes, on lattices that lie (almost)
+/// entirely in the stencil's edge band, where `Stencil::at` goes through
+/// the wrap tables: at reach 1 no site of a 2×2 lattice is interior, one of
+/// a 3×3 and five of a 3×7. Every kind, SIMD (where the host and the
+/// model's alias table allow it) and scalar, from a seeded random fill so
+/// that the hop, annihilation and spin models have something to move.
+#[test]
+fn library_models_on_edge_band_lattices_match_single() {
+    let models = [
+        ("zgb", zgb_ziff(0.5, 10.0)),
+        ("kuzovkov", kuzovkov_model(KuzovkovParams::default())),
+        ("diffusion", diffusion_model(1.0)),
+        ("triangular-diffusion", triangular_diffusion_model(1.0)),
+        ("single-file", single_file_model(1.0)),
+        ("ab-annihilation", ab_annihilation(1.0, 2.0)),
+        ("ising", ising_glauber(2.0)),
+    ];
+    // Nine replicas: a full lane group and a padded one.
+    let seeds: Vec<u64> = (70..79).collect();
+    let steps = 40;
+    for (name, model) in &models {
+        for dims in [Dims::square(2), Dims::square(3), Dims::new(3, 7)] {
+            let mut rng = rng_from_seed(u64::from(dims.sites()));
+            let species = model.species().len();
+            let cells = (0..dims.sites()).map(|_| rng.index(species) as u8);
+            let lattice = Lattice::from_cells(dims, cells.collect());
+            let mut kinds = vec![
+                BatchAlgorithm::Ndca { shuffled: false },
+                BatchAlgorithm::Ndca { shuffled: true },
+            ];
+            for selection in [
+                ChunkSelection::InOrder,
+                ChunkSelection::RandomOrder,
+                ChunkSelection::RandomWithReplacement,
+                ChunkSelection::WeightedByRates,
+            ] {
+                kinds.push(BatchAlgorithm::Pndca {
+                    partition: greedy_coloring(dims, model),
+                    selection,
+                });
+            }
+            for algorithm in kinds {
+                let want: Vec<Snapshot> = seeds
+                    .iter()
+                    .map(|&seed| single_snapshot_from(model, &lattice, &algorithm, seed, steps))
+                    .collect();
+                for simd in [true, false] {
+                    let mut sim =
+                        BatchSim::with_initial(model, &lattice, algorithm.clone(), &seeds);
+                    sim.set_simd(simd);
+                    sim.run_steps(steps, &mut NoBatchHook);
+                    for (slot, want) in want.iter().enumerate() {
+                        assert_eq!(
+                            &batch_snapshot(&sim, slot),
+                            want,
+                            "{name} on {dims:?}, {algorithm:?}, simd {}: slot {slot}",
+                            sim.simd_active()
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

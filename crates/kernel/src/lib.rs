@@ -44,4 +44,4 @@ pub use compiled::{
     require_masks, CompiledModel, Requirement, DEFAULT_LUT_CAP, MAX_KERNEL_REACTIONS,
 };
 pub use counts::{count_diff, group_weights, NO_GROUP};
-pub use site::{AnchorRange, RangeTail, SiteKernel};
+pub use site::{fold_anchor, AnchorRange, RangeTail, SiteKernel};

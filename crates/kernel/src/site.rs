@@ -213,17 +213,14 @@ impl Anchors<'_> {
                     if !keep(anchor) {
                         continue;
                     }
-                    let w = self.compiled.weight(j as usize);
-                    let delta = w
-                        .wrapping_mul(u32::from(new))
-                        .wrapping_sub(w.wrapping_mul(u32::from(old)));
-                    let code = &mut self.codes[(anchor - self.lo) as usize];
-                    *code = code.wrapping_add(delta);
-                    let mask = self.lut_mask[*code as usize];
-                    let was = std::mem::replace(&mut self.masks[(anchor - self.lo) as usize], mask);
-                    if was != mask {
-                        tally(anchor, was, mask);
-                    }
+                    let i = (anchor - self.lo) as usize;
+                    fold_anchor(
+                        self.lut_mask,
+                        (&mut self.codes[i], &mut self.masks[i]),
+                        self.compiled.weight(j as usize),
+                        (old, new),
+                        Some(|was, mask| tally(anchor, was, mask)),
+                    );
                 }
             }
         } else {
@@ -246,6 +243,30 @@ impl Anchors<'_> {
                 }
             }
         }
+    }
+}
+
+/// One anchor's step of a LUT-mode fold: its cell of digit weight `weight`
+/// went `old → new`, so add the digit change to its `code` (wrapping: exact
+/// when cells alias), reload its `mask` from `lut_mask`, and hand `tally`
+/// the old and new masks when they differ.
+#[inline(always)]
+pub fn fold_anchor(
+    lut_mask: &[u64],
+    (code, mask): (&mut u32, &mut u64),
+    weight: u32,
+    (old, new): (u8, u8),
+    tally: Option<impl FnOnce(u64, u64)>,
+) {
+    let delta = weight
+        .wrapping_mul(u32::from(new))
+        .wrapping_sub(weight.wrapping_mul(u32::from(old)));
+    *code = code.wrapping_add(delta);
+    let now = lut_mask[*code as usize];
+    let was = std::mem::replace(mask, now);
+    // Without a tally, no branch on the (unpredictable) mask change.
+    if let Some(tally) = tally.filter(|_| was != now) {
+        tally(was, now);
     }
 }
 
@@ -547,6 +568,11 @@ impl SiteKernel {
             .requirements(reaction)
             .iter()
             .all(|r| read(self.stencil.at(at, r.cell as usize)) == r.src)
+    }
+
+    /// The per-site LUT codes by flat site id (empty without a LUT).
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
     }
 
     /// Enabled-reaction bitmask at `site` (bit `i` ↔ reaction `i`).

@@ -6,7 +6,7 @@
 //! phase-dependent rates) benefit from the alias method: after O(n) setup,
 //! each sample costs one random index + one random comparison.
 
-use crate::pcg::Pcg32;
+use crate::pcg::{draw_u64, Pcg32};
 
 /// Precomputed alias table over weights `w_0..w_{n-1}`.
 ///
@@ -111,48 +111,56 @@ impl AliasTable {
 
     /// The packed `alias << 32 | threshold` word per bucket.
     ///
-    /// Exposed for samplers that replicate [`sample`](Self::sample) outside
-    /// this struct (the batched lockstep engine keeps the table in a vector
+    /// What [`draw_alias`] draws from; exposed for samplers that keep the
+    /// table elsewhere (the batched lockstep engine holds it in a vector
     /// register): bucket `i` accepts iff the high 32 draw bits are below
     /// `entries()[i] & 0xFFFF_FFFF`, else yields `entries()[i] >> 32`.
     pub fn entries(&self) -> &[u64] {
         &self.entries
     }
 
-    /// Draw a category index with probability proportional to its weight.
-    ///
-    /// One 64-bit draw per sample: the low 32 bits pick the bucket (Lemire
-    /// reduction with exact rejection), the high 32 bits decide accept vs
-    /// alias against the packed integer threshold — the two halves are
-    /// consecutive independent 32-bit outputs of the generator. Alias and
-    /// threshold share one table word, so the whole decision costs a single
-    /// dependent load, and the accept/alias choice is computed branchlessly:
-    /// it is a coin flip the branch predictor cannot learn, and in
-    /// trial-loop callers (NDCA/RSM) mispredictions would dominate the
-    /// whole sample cost.
+    /// Draw a category index with probability proportional to its weight
+    /// ([`draw_alias`] on this table's entries and `rng`'s words).
     #[inline(always)]
     pub fn sample(&self, rng: &mut Pcg32) -> usize {
-        let n = self.entries.len() as u64;
-        let x = rng.next_u64();
-        let accept_bits = x >> 32;
-        let mut m = (x & 0xFFFF_FFFF) * n;
-        let mut lo = m & 0xFFFF_FFFF;
-        if lo < n {
-            // Short interval: fall back to the exact rejection bound. The
-            // redraw consumes a fresh 64-bit word (probability ~n/2³²).
-            let t = ((1u64 << 32) - n) % n;
-            while lo < t {
-                m = (rng.next_u64() & 0xFFFF_FFFF) * n;
-                lo = m & 0xFFFF_FFFF;
-            }
-        }
-        let i = (m >> 32) as usize;
-        let e = self.entries[i];
-        let a = (e >> 32) as usize;
-        let accept = (accept_bits < (e & 0xFFFF_FFFF)) as usize;
-        // accept ? i : a, as arithmetic so it compiles to a select.
-        a ^ ((i ^ a) & accept.wrapping_neg())
+        draw_alias(&self.entries, &mut rng.state, rng.inc)
     }
+}
+
+/// [`AliasTable::sample`] on bare words: the packed `entries` of a table
+/// and the state and increment of the generator it draws from.
+///
+/// One 64-bit draw per sample: the low 32 bits pick the bucket (Lemire
+/// reduction with exact rejection), the high 32 bits decide accept vs
+/// alias against the packed integer threshold — the two halves are
+/// consecutive independent 32-bit outputs of the generator. Alias and
+/// threshold share one table word, so the whole decision costs a single
+/// dependent load, and the accept/alias choice is computed branchlessly:
+/// it is a coin flip the branch predictor cannot learn, and in trial-loop
+/// callers (NDCA/RSM) mispredictions would dominate the whole sample cost.
+#[inline(always)]
+pub fn draw_alias(entries: &[u64], state: &mut u64, inc: u64) -> usize {
+    let n = entries.len() as u64;
+    let x = draw_u64(state, inc);
+    let accept_bits = x >> 32;
+    let mut m = (x & 0xFFFF_FFFF) * n;
+    let mut lo = m & 0xFFFF_FFFF;
+    if lo < n {
+        // Short interval: fall back to the exact rejection bound. The
+        // redraw consumes a fresh 64-bit word (probability ~n/2³²), and
+        // the first draw's high half still decides accept vs alias.
+        let t = ((1u64 << 32) - n) % n;
+        while lo < t {
+            m = (draw_u64(state, inc) & 0xFFFF_FFFF) * n;
+            lo = m & 0xFFFF_FFFF;
+        }
+    }
+    let i = (m >> 32) as usize;
+    let e = entries[i];
+    let a = (e >> 32) as usize;
+    let accept = (accept_bits < (e & 0xFFFF_FFFF)) as usize;
+    // accept ? i : a, as arithmetic so it compiles to a select.
+    a ^ ((i ^ a) & accept.wrapping_neg())
 }
 
 #[cfg(test)]

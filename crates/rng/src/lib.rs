@@ -23,8 +23,8 @@ pub mod pcg;
 pub mod sample;
 pub mod split;
 
-pub use alias::AliasTable;
-pub use pcg::Pcg32;
+pub use alias::{draw_alias, AliasTable};
+pub use pcg::{draw_u64, Pcg32};
 pub use sample::{exponential, CumulativeTable};
 pub use split::{SplitMix64, StreamFactory};
 

@@ -6,16 +6,41 @@
 //! and supports 2^63 independent *streams* selected by the increment — the
 //! property the parallel executor relies on.
 
-const MULTIPLIER: u64 = 6364136223846793005;
+/// The LCG multiplier (O'Neill's default for 64-bit state).
+pub const MULTIPLIER: u64 = 6364136223846793005;
 /// `MULTIPLIER²` (wrapping): the LCG multiplier for a fused double step.
-const MULTIPLIER_SQ: u64 = MULTIPLIER.wrapping_mul(MULTIPLIER);
+pub const MULTIPLIER_SQ: u64 = MULTIPLIER.wrapping_mul(MULTIPLIER);
 
 /// PCG-XSH-RR 64/32: 64-bit state, 32-bit output, selectable stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pcg32 {
-    state: u64,
+    pub(crate) state: u64,
     /// Odd increment; (increment >> 1) is the stream id.
-    inc: u64,
+    pub(crate) inc: u64,
+}
+
+/// The XSH-RR output permutation of a state word.
+#[inline(always)]
+fn permute(state: u64) -> u32 {
+    let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
+    let rot = (state >> 59) as u32;
+    xorshifted.rotate_right(rot)
+}
+
+/// [`Pcg32::next_u64`] on bare words `(state, inc)`, for callers that keep
+/// generators packed rather than as `Pcg32` structs (the batched engine).
+#[inline(always)]
+pub fn draw_u64(state: &mut u64, inc: u64) -> u64 {
+    // Fused double step: s₂ = M·(M·s₀ + inc) + inc = M²·s₀ + (M+1)·inc
+    // (wrapping), so the cross-call dependency is one multiply-add
+    // instead of two — the trial loops of NDCA/RSM are serialized on
+    // this chain. Outputs are bit-identical to two `next_output` calls.
+    let s0 = *state;
+    let s1 = s0.wrapping_mul(MULTIPLIER).wrapping_add(inc);
+    *state = s0
+        .wrapping_mul(MULTIPLIER_SQ)
+        .wrapping_add(MULTIPLIER.wrapping_add(1).wrapping_mul(inc));
+    (u64::from(permute(s1)) << 32) | u64::from(permute(s0))
 }
 
 impl Pcg32 {
@@ -74,38 +99,19 @@ impl Pcg32 {
         self.state = self.state.wrapping_mul(MULTIPLIER).wrapping_add(self.inc);
     }
 
-    /// The XSH-RR output permutation of a state word.
-    #[inline]
-    fn permute(state: u64) -> u32 {
-        let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
-        let rot = (state >> 59) as u32;
-        xorshifted.rotate_right(rot)
-    }
-
     /// Produce the next 32-bit output.
     #[inline]
     pub fn next_output(&mut self) -> u32 {
         let old = self.state;
         self.step();
-        Self::permute(old)
+        permute(old)
     }
 
     /// Produce the next 64-bit output: two 32-bit outputs, the first in
-    /// the low half.
+    /// the low half ([`draw_u64`] on this generator's words).
     #[inline(always)]
     pub fn next_u64(&mut self) -> u64 {
-        // Fused double step: s₂ = M·(M·s₀ + inc) + inc = M²·s₀ + (M+1)·inc
-        // (wrapping), so the cross-call dependency is one multiply-add
-        // instead of two — the trial loops of NDCA/RSM are serialized on
-        // this chain. Outputs are bit-identical to two `next_output` calls.
-        let s0 = self.state;
-        let s1 = s0.wrapping_mul(MULTIPLIER).wrapping_add(self.inc);
-        self.state = s0
-            .wrapping_mul(MULTIPLIER_SQ)
-            .wrapping_add(MULTIPLIER.wrapping_add(1).wrapping_mul(self.inc));
-        let lo = Self::permute(s0) as u64;
-        let hi = Self::permute(s1) as u64;
-        (hi << 32) | lo
+        draw_u64(&mut self.state, self.inc)
     }
 
     /// Uniform `u64` in `[0, bound)` without modulo bias (Lemire reduction

@@ -455,7 +455,7 @@ impl<'m> Worker<'m> {
                     None => Ok(Some(key)),
                 };
             };
-            self.accept(&bytes);
+            self.accept(&bytes)?;
             self.awaited += 1;
         }
         self.awaited = 0;
@@ -663,18 +663,30 @@ impl<'m> Worker<'m> {
     /// machine takes, per phase, exactly the frames of that phase — any
     /// order would do, since write sets are disjoint, strip rectangles are
     /// disjoint, and count sums commute.
-    fn accept(&mut self, bytes: &[u8]) {
+    ///
+    /// # Errors
+    ///
+    /// A payload of the wrong length, a write-back into a cell this worker
+    /// does not own, or a state outside the model's species: the peer's
+    /// bytes are corrupt, and the worker can go no further.
+    fn accept(&mut self, bytes: &[u8]) -> Result<(), String> {
         let (header, payload) = frame::decode(bytes);
+        let species = self.model.species().len();
+        let fault = |what: String| format!("worker {}: {what} from peer {}", self.id, header.src);
         match header.kind {
             KIND_WRITEBACK => {
-                assert_eq!(payload.len() % 5, 0, "torn write-back payload");
+                if payload.len() % 5 != 0 {
+                    return Err(fault(format!("torn write-back of {} bytes", payload.len())));
+                }
                 for entry in payload.chunks_exact(5) {
                     let g = Site(u32::from_le_bytes(entry[0..4].try_into().unwrap()));
                     let new = entry[4];
-                    let local = self
-                        .sub
-                        .owned_local(g)
-                        .expect("write-back for a cell this worker does not own");
+                    let Some(local) = self.sub.owned_local(g) else {
+                        return Err(fault(format!("write-back into unowned site {}", g.0)));
+                    };
+                    if usize::from(new) >= species {
+                        return Err(fault(format!("write-back of state {new} ≥ {species}")));
+                    }
                     let old = self.sub.lattice().get(local);
                     self.report.deltas[old as usize] -= 1;
                     self.report.deltas[new as usize] += 1;
@@ -686,17 +698,30 @@ impl<'m> Worker<'m> {
             }
             KIND_HALO => {
                 let (x0, y0, w, h) = halo_rect(self.bw, self.bh, self.radius, header.dir as usize);
+                if payload.len() != (w * h) as usize {
+                    let len = payload.len();
+                    return Err(fault(format!(
+                        "halo strip of {len} bytes for a {w}×{h} rectangle"
+                    )));
+                }
+                if let Some(state) = payload.iter().find(|&&s| usize::from(s) >= species) {
+                    return Err(fault(format!("halo strip with state {state} ≥ {species}")));
+                }
                 self.sub
                     .unpack_rect_diff(x0, y0, w, h, payload, &mut self.journal);
             }
             KIND_COUNTS => {
-                assert_eq!(payload.len(), 4 * self.counts_total.len());
+                if payload.len() != 4 * self.counts_total.len() {
+                    let (len, want) = (payload.len(), 4 * self.counts_total.len());
+                    return Err(fault(format!("counts of {len} bytes, not {want}")));
+                }
                 for (t, chunk) in self.counts_total.iter_mut().zip(payload.chunks_exact(4)) {
                     *t += u32::from_le_bytes(chunk.try_into().unwrap());
                 }
             }
-            kind => panic!("worker cannot accept frame kind {kind}"),
+            kind => return Err(fault(format!("frame of kind {kind}"))),
         }
+        Ok(())
     }
 
     /// Phase 4: fold the sweep's change journal into the kernel's codes,
@@ -812,6 +837,92 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Worker 0 of a 2×1 grid over a 10×10 ZGB lattice (owning columns
+    /// 0–4), counting enabled sites for weighted selection.
+    fn zgb_worker(model: &Model) -> Worker<'_> {
+        let dims = Dims::square(10);
+        let partition = psr_ca::five_coloring(dims);
+        let compiled = Arc::new(CompiledModel::compile(model));
+        let global = Lattice::filled(dims, 0);
+        let grid = ShardGrid::new(2, 1);
+        let selection = ChunkSelection::WeightedByRates;
+        Worker::new(
+            model,
+            &partition,
+            compiled,
+            &global,
+            grid,
+            0,
+            7,
+            selection,
+            0..1,
+        )
+    }
+
+    /// Deliver one frame of `kind` from peer 1 to worker 0: it must be an
+    /// `Err` naming the peer and containing `expect`, never a panic, and
+    /// leave the lattice untouched.
+    fn assert_rejected(kind: u8, payload: &[u8], expect: &str) {
+        let model = psr_model::library::zgb::zgb_ziff(0.5, 10.0);
+        let mut worker = zgb_worker(&model);
+        let before = worker.sub.lattice().cells().to_vec();
+        let bytes = frame::encode(kind, EAST, 1, 0, 0, payload);
+        let err = worker.accept(&bytes).expect_err(expect);
+        assert!(err.contains(expect) && err.contains("from peer 1"), "{err}");
+        assert_eq!(worker.sub.lattice().cells(), before, "{expect}");
+    }
+
+    /// `dir_index(1, 0)`.
+    const EAST: u8 = 4;
+    /// ZGB's species count: the first state id outside the model.
+    const SPECIES: u8 = 3;
+
+    fn writeback(site: u32, state: u8) -> Vec<u8> {
+        [&site.to_le_bytes()[..], &[state]].concat()
+    }
+
+    /// The east halo strip's size on worker 0 (a 5×10 domain, radius 1).
+    fn east_strip() -> usize {
+        assert_eq!(dir_index(1, 0), EAST as usize);
+        let (_, _, w, h) = halo_rect(5, 10, 1, EAST as usize);
+        (w * h) as usize
+    }
+
+    #[test]
+    fn torn_write_back_is_an_error() {
+        assert_rejected(KIND_WRITEBACK, &[0; 7], "torn write-back");
+    }
+
+    #[test]
+    fn write_back_into_an_unowned_cell_is_an_error() {
+        // Site 37 is (7, 3): worker 1's.
+        assert_rejected(KIND_WRITEBACK, &writeback(37, 1), "unowned site 37");
+    }
+
+    #[test]
+    fn write_back_of_an_unknown_state_is_an_error() {
+        // Site 32 is (2, 3): worker 0's own.
+        let expect = "write-back of state 3";
+        assert_rejected(KIND_WRITEBACK, &writeback(32, SPECIES), expect);
+    }
+
+    #[test]
+    fn halo_strip_of_the_wrong_length_is_an_error() {
+        assert_rejected(KIND_HALO, &vec![0; east_strip() - 1], "halo strip of");
+    }
+
+    #[test]
+    fn halo_strip_with_an_unknown_state_is_an_error() {
+        let mut strip = vec![0; east_strip()];
+        strip[1] = SPECIES;
+        assert_rejected(KIND_HALO, &strip, "halo strip with state 3");
+    }
+
+    #[test]
+    fn counts_of_the_wrong_length_are_an_error() {
+        assert_rejected(KIND_COUNTS, &[0; 3], "counts of 3 bytes");
     }
 
     #[test]

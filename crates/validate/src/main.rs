@@ -10,7 +10,8 @@
 //!   --out FILE          override the JSON output path
 //!   --seed N            harness master seed (default 1)
 //!   --workers N         replica worker threads (default: available cores)
-//!   --quiet             suppress the per-check summary
+//!   --quiet             suppress the per-check summary and the wall
+//!                       times of each tier and statistical-tier arm
 //! ```
 //!
 //! Exit codes: `0` all checks passed, `1` usage error, `2` at least one
@@ -101,6 +102,7 @@ fn run(cli: &Cli) -> Result<Report, String> {
         if !cli.quiet {
             eprintln!("validate: running tier {tier}...");
         }
+        let start = std::time::Instant::now();
         let checks = match tier.as_str() {
             "exact" => {
                 let cfg = if cli.smoke {
@@ -119,11 +121,12 @@ fn run(cli: &Cli) -> Result<Report, String> {
                 segers_checks(&cfg)
             }
             "statistical" => {
-                let cfg = if cli.smoke {
+                let mut cfg = if cli.smoke {
                     StatisticalConfig::smoke(cli.seed, cli.workers)
                 } else {
                     StatisticalConfig::full(cli.seed, cli.workers)
                 };
+                cfg.log_times = !cli.quiet;
                 statistical_checks(&cfg)
             }
             "kink" => {
@@ -136,6 +139,13 @@ fn run(cli: &Cli) -> Result<Report, String> {
             }
             other => return Err(format!("unknown tier {other:?}")),
         };
+        if !cli.quiet {
+            let seconds = start.elapsed().as_secs_f64();
+            eprintln!(
+                "validate: tier {tier}: {} checks, {seconds:.1} s",
+                checks.len()
+            );
+        }
         report.extend(checks);
     }
     Ok(report)

@@ -72,6 +72,8 @@ pub struct StatisticalConfig {
     pub margins: Margins,
     /// TOST significance level (per one-sided test).
     pub alpha: f64,
+    /// Print each ensemble arm's replica count and wall time to stderr.
+    pub log_times: bool,
 }
 
 impl StatisticalConfig {
@@ -83,6 +85,7 @@ impl StatisticalConfig {
             seq: SequentialConfig::full(base_seed, workers),
             margins: Margins::default(),
             alpha: 0.05,
+            log_times: false,
         }
     }
 
@@ -99,6 +102,7 @@ impl StatisticalConfig {
                 ..Margins::default()
             },
             alpha: 0.05,
+            log_times: false,
         }
     }
 }
@@ -111,6 +115,25 @@ fn zgb_targets(margins: &Margins) -> Vec<(&'static str, f64)> {
         ("theta_o", margins.coverage / 3.0),
         ("co2_rate", margins.co2_rate / 3.0),
     ]
+}
+
+/// Run one ensemble arm, and report its replicas and wall time on stderr
+/// when `cfg.log_times` is set.
+fn timed(
+    cfg: &StatisticalConfig,
+    arm: &str,
+    run: impl FnOnce() -> EnsembleOutcome,
+) -> EnsembleOutcome {
+    let start = std::time::Instant::now();
+    let outcome = run();
+    if cfg.log_times {
+        let seconds = start.elapsed().as_secs_f64();
+        eprintln!(
+            "validate:   arm {arm}: {} replicas, {seconds:.1} s",
+            outcome.replicas
+        );
+    }
+    outcome
 }
 
 fn run_zgb_ensemble(cfg: &StatisticalConfig, algorithm: &Algorithm, salt: u64) -> EnsembleOutcome {
@@ -203,7 +226,9 @@ fn ks_check(
 pub fn statistical_checks(cfg: &StatisticalConfig) -> Vec<Check> {
     let mut checks = Vec::new();
     let (ref_name, ref_algorithm) = reference_algorithm();
-    let reference = run_zgb_ensemble(cfg, &ref_algorithm, 0);
+    let reference = timed(cfg, &format!("zgb-{ref_name}"), || {
+        run_zgb_ensemble(cfg, &ref_algorithm, 0)
+    });
     checks.push(
         Check::new(
             TIER,
@@ -219,7 +244,9 @@ pub fn statistical_checks(cfg: &StatisticalConfig) -> Vec<Check> {
     );
 
     for (salt, (name, algorithm)) in variant_algorithms().into_iter().enumerate() {
-        let variant = run_zgb_ensemble(cfg, &algorithm, 1 + salt as u64);
+        let variant = timed(cfg, &format!("zgb-{name}"), || {
+            run_zgb_ensemble(cfg, &algorithm, 1 + salt as u64)
+        });
         for observable in ["theta_co", "theta_o", "co2_rate"] {
             let margin = if observable == "co2_rate" {
                 cfg.margins.co2_rate
@@ -253,8 +280,10 @@ pub fn statistical_checks(cfg: &StatisticalConfig) -> Vec<Check> {
         seq.base_seed = cfg.seq.base_seed + 50 * 1_000_000;
         let targets = zgb_targets(&cfg.margins);
         let zgb = cfg.zgb;
-        let sharded = run_sequential(&seq, &targets, move |seed| {
-            zgb_replica_sharded(&zgb, 4, seed)
+        let sharded = timed(cfg, "zgb-sharded", || {
+            run_sequential(&seq, &targets, move |seed| {
+                zgb_replica_sharded(&zgb, 4, seed)
+            })
         });
         for observable in ["theta_co", "theta_o", "co2_rate"] {
             let margin = if observable == "co2_rate" {
@@ -287,7 +316,9 @@ pub fn statistical_checks(cfg: &StatisticalConfig) -> Vec<Check> {
     // bias must be statistically indistinguishable from DMC.
     {
         let (name, algorithm) = splitting_algorithm();
-        let variant = run_zgb_ensemble(cfg, &algorithm, 60);
+        let variant = timed(cfg, &format!("zgb-{name}"), || {
+            run_zgb_ensemble(cfg, &algorithm, 60)
+        });
         for observable in ["theta_co", "theta_o", "co2_rate"] {
             let margin = if observable == "co2_rate" {
                 cfg.margins.co2_rate
@@ -337,8 +368,10 @@ fn deviation_checks(cfg: &StatisticalConfig, reference: &EnsembleOutcome) -> Vec
         let mut seq = cfg.seq.clone();
         seq.base_seed = cfg.seq.base_seed + (500 + salt as u64) * 1_000_000;
         let algorithm = algorithm.clone();
-        let variant = run_sequential(&seq, &[], move |seed| {
-            zgb_replica(&cfg.zgb, &algorithm, seed)
+        let variant = timed(cfg, &format!("zgb-{name}"), || {
+            run_sequential(&seq, &[], move |seed| {
+                zgb_replica(&cfg.zgb, &algorithm, seed)
+            })
         });
         let a = reference
             .observable("theta_co")
@@ -396,8 +429,8 @@ fn oscillation_checks(cfg: &StatisticalConfig, job: &OscillationJob) -> Vec<Chec
             oscillation_replica(job, &algorithm, seed)
         })
     };
-    let reference = run(&ref_algorithm, 100);
-    let variant = run(&lpndca, 101);
+    let reference = timed(cfg, "osc-dmc", || run(&ref_algorithm, 100));
+    let variant = timed(cfg, "osc-lpndca", || run(&lpndca, 101));
 
     let mut checks = Vec::new();
     for (name, out) in [("dmc", &reference), ("lpndca", &variant)] {

@@ -72,6 +72,9 @@ cargo test -q --release -p psr-kernel --test differential
 echo "==> batch identity suite (the AVX-512 sweep under release codegen vs scalar and lone runs)"
 cargo test -q --release -p psr-batch --test identity
 
+echo "==> trajectory pins under release codegen (every executor draws from psr-rng's PCG)"
+cargo test -q --release --test trajectory_pins
+
 echo "==> greedy colouring identity at production sizes (1000², 1024², triangular 128²)"
 cargo test -q --release -p psr-ca --test coloring_identity -- --include-ignored
 
