@@ -248,8 +248,8 @@ impl Anchors<'_> {
 
 /// One anchor's step of a LUT-mode fold: its cell of digit weight `weight`
 /// went `old → new`, so add the digit change to its `code` (wrapping: exact
-/// when cells alias), reload its `mask` from `lut_mask`, and hand `tally`
-/// the old and new masks when they differ.
+/// when cells alias), reload its `mask` from `lut_mask`, and hand `tally`,
+/// if any, the old and new masks when they differ.
 #[inline(always)]
 pub fn fold_anchor(
     lut_mask: &[u64],
