@@ -283,6 +283,23 @@ fn computed() -> Vec<(String, u64)> {
         });
         out.push((format!("vssm-tree/{name}"), d));
     }
+
+    // Kuzovkov's 52 reaction types over a site list: a shuffled NDCA order
+    // and PNDCA's random-order chunks of the greedy colouring.
+    let dims12 = Dims::square(12);
+    let d = serial(&kuzovkov, dims12, 0xD1CE, |state, rng, events| {
+        Ndca::new(&kuzovkov)
+            .with_order(SweepOrder::Shuffled)
+            .run_steps(state, rng, 300, None, events);
+    });
+    out.push(("ndca/kuzovkov/Shuffled".into(), d));
+    let greedy = greedy_coloring(dims12, &kuzovkov);
+    let d = serial(&kuzovkov, dims12, 0xD1CE, |state, rng, events| {
+        Pndca::new(&kuzovkov, &greedy)
+            .with_selection(ChunkSelection::RandomOrder)
+            .run_steps(state, rng, 300, None, events);
+    });
+    out.push(("pndca/kuzovkov/random-order".into(), d));
     out
 }
 
@@ -334,6 +351,10 @@ const PINS: &[(&str, u64)] = &[
     ("frm/kuzovkov", 0xaea66b6ffdaf8578),
     ("vssm-tree/zgb", 0x84f1a724e69fc344),
     ("vssm-tree/kuzovkov", 0x38360ed6039bfff0),
+    // Recorded before the serial sweep drew its reactions in lanes of one
+    // stream and fired interior sites through compiled deltas.
+    ("ndca/kuzovkov/Shuffled", 0x07d0a64a7d0dd5a2),
+    ("pndca/kuzovkov/random-order", 0xb19480b7bfcff3cd),
 ];
 
 #[test]
