@@ -25,16 +25,21 @@
 //! Kernel. The shared tables are one [`CompiledModel`] and one [`Stencil`]
 //! on the lattice's geometry, the addressing [`SiteKernel`] uses; the
 //! initial codes, masks and weighted-selection counts are a `SiteKernel`'s,
-//! broadcast to every lane. An executed trial writes the reaction's
-//! requirements at `stencil.at(site, cell)` and folds every changed cell
-//! through [`fold_anchor`], the kernel's own fold step.
+//! broadcast to every lane. An executed trial away from the edges applies
+//! the kernel's compiled fire ([`Deltas`]) at lane stride: its writes and
+//! merged anchor code deltas through [`fold_code`]. In the edge band it
+//! writes the reaction's requirements at `stencil.at(site, cell)` and
+//! folds every changed cell through [`fold_anchor`], the kernel's own fold
+//! step.
 
 use std::sync::Arc;
 
 use psr_ca::pndca::ChunkSelection;
 use psr_ca::propensity::draw_weighted;
 use psr_ca::Partition;
-use psr_kernel::{count_diff, fold_anchor, group_weights, CompiledModel, SiteKernel};
+use psr_kernel::{
+    count_diff, fold_anchor, fold_code, group_weights, CompiledModel, Deltas, SiteKernel,
+};
 use psr_lattice::{Dims, Lattice, Site, Stencil};
 use psr_model::Model;
 use psr_rng::sample::shuffle;
@@ -122,6 +127,8 @@ pub struct BatchSim {
     stencil: Stencil,
     /// code → enabled-reaction mask (a flat copy of the compiled LUT).
     lut_mask: Vec<u64>,
+    /// The kernel's compiled fires on the shared geometry.
+    deltas: Deltas,
     /// The reaction-type sampler.
     pub(crate) alias: AliasTable,
     // --- partition tables (PNDCA only) ---
@@ -270,6 +277,7 @@ impl BatchSim {
             replicas,
             dt: 1.0 / (n as f64 * model.total_rate()),
             stencil: Stencil::new(dims, compiled.cells()),
+            deltas: Deltas::new(&compiled, dims).expect("has_lut checked above"),
             lut_mask: compiled
                 .lut_masks()
                 .expect("has_lut checked above")
@@ -570,6 +578,29 @@ impl BatchSim {
         let reactions = compiled.num_reactions();
         let row = usize::from(WEIGHTED) * self.chunk_range.len() * reactions;
         let counts = &mut self.prop_counts[slot * row..][..row];
+        if let Some((writes, anchors)) = self.deltas.at(Site(site as u32), reaction) {
+            // Away from the edges: the kernel's compiled fire, at lane
+            // stride.
+            for w in writes {
+                let at = (site as u32).wrapping_add(w.offset) as usize;
+                let old = std::mem::replace(&mut cells[at * LANES], w.tgt);
+                coverage[old as usize] -= 1;
+                coverage[w.tgt as usize] += 1;
+            }
+            for a in anchors {
+                let anchor = (site as u32).wrapping_add(a.offset) as usize;
+                let at = anchor * LANES;
+                fold_code(
+                    lut_mask,
+                    (&mut codes[at], &mut masks[at]),
+                    a.delta,
+                    WEIGHTED.then_some(|was, now| {
+                        count_diff(counts, reactions, self.chunk_of[anchor], was, now)
+                    }),
+                );
+            }
+            return;
+        }
         let c = compiled.cells().len();
         let at = stencil.locate(Site(site as u32));
         for r in compiled.requirements(reaction) {

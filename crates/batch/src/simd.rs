@@ -13,11 +13,10 @@
 //!
 //! Bit-exactness notes:
 //!
-//! - The XSH-RR permutation is computed on whole qwords; only the low
-//!   dword of each lane is meaningful afterwards. `vprorvd` rotates the
-//!   garbage high dword too — harmless, because the bucket product uses
-//!   `vpmuludq` (reads low dwords only) and the accept compare masks the
-//!   qword to 32 bits first.
+//! - The generators are psr-rng's [`draw8`], one per lane; its XSH-RR
+//!   outputs carry a garbage high dword — harmless, because the bucket
+//!   product uses `vpmuludq` (reads low dwords only) and the accept compare
+//!   masks the qword to 32 bits first.
 //! - Lemire short-interval rejection (`lo < n`, probability ~`n/2^32`) is
 //!   detected with one compare+`kortest` and patched on a scalar side
 //!   path that replays the exact redraw loop of `AliasTable::sample`; the
@@ -36,21 +35,13 @@ use std::ops::Range;
 use crate::engine::{soa_index, BatchHook, BatchSim, LANES};
 use psr_lattice::Site;
 use psr_rng::draw_u64;
-use psr_rng::pcg::{MULTIPLIER, MULTIPLIER_SQ};
+use psr_rng::lanes::draw8;
+use psr_rng::pcg::MULTIPLIER;
 
 /// Lane groups one register-array block holds (64 replicas). Wider batches
 /// are swept block after block; groups are independent, so the blocking
 /// moves no trajectory.
 pub const MAX_GROUPS: usize = 8;
-
-/// XSH-RR output permutation of eight packed LCG states; low dword of each
-/// lane holds the 32-bit output, high dword is garbage (see module docs).
-#[inline(always)]
-unsafe fn permute8(s: __m512i) -> __m512i {
-    let x = _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(s, 18), s), 27);
-    let rot = _mm512_srli_epi64(s, 59);
-    _mm512_rorv_epi32(x, rot)
-}
 
 /// The first eight words of `w` as one vector.
 #[inline(always)]
@@ -70,17 +61,6 @@ unsafe fn spill(v: __m512i) -> [u64; LANES] {
 unsafe fn load_rng(state: &[u64], inc: &[u64]) -> [__m512i; 3] {
     let inc2: [u64; LANES] = std::array::from_fn(|l| (MULTIPLIER + 1).wrapping_mul(inc[l]));
     [fill(state), fill(inc), fill(&inc2)]
-}
-
-/// One 64-bit draw per lane from states `s0`: the advanced states and the
-/// draw's two 32-bit outputs, low then high. s1 = s0·M + inc gives the
-/// second output; the next state s0·M² + (M+1)·inc skips it in one step.
-#[inline(always)]
-unsafe fn draw8(s0: __m512i, inc: __m512i, inc2: __m512i) -> [__m512i; 3] {
-    let s1 = _mm512_mullo_epi64(s0, _mm512_set1_epi64(MULTIPLIER as i64));
-    let s2 = _mm512_mullo_epi64(s0, _mm512_set1_epi64(MULTIPLIER_SQ as i64));
-    let s1 = _mm512_add_epi64(s1, inc);
-    [_mm512_add_epi64(s2, inc2), permute8(s0), permute8(s1)]
 }
 
 /// Lanes set in a lane mask, lowest first (not a branch per lane).

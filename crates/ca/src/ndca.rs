@@ -16,7 +16,7 @@
 //! reading) or a freshly shuffled order per step, which reduces (but does
 //! not remove) sweep-direction correlations.
 
-use crate::sweep::{CaSweep, StepSchedule, Trials};
+use crate::sweep::{CaSweep, Sites, StepSchedule, Trials};
 use psr_dmc::events::EventHook;
 use psr_lattice::Site;
 use psr_model::Model;
@@ -65,9 +65,9 @@ impl StepSchedule for WholeLattice {
     const UNCLAMPED_SERIES: bool = true;
 
     fn step<H: EventHook>(&mut self, t: &mut Trials<'_, H>) {
-        let (n, alias) = (t.state.num_sites(), t.alias);
+        let n = t.state.num_sites();
         match self.order {
-            SweepOrder::RowMajor => t.run(n, |i, _| Site(i as u32), |rng| alias.sample(rng)),
+            SweepOrder::RowMajor => t.run_alias(n, Sites::Rows(0)),
             SweepOrder::Shuffled => {
                 // Shuffle from the identity each step so the sweep order is
                 // a pure function of the RNG state: `run_steps(a)` then
@@ -76,8 +76,7 @@ impl StepSchedule for WholeLattice {
                 self.shuffled.clear();
                 self.shuffled.extend((0..n as u32).map(Site));
                 shuffle(t.rng, &mut self.shuffled);
-                let order = &self.shuffled;
-                t.run(n, |i, _| order[i], |rng| alias.sample(rng));
+                t.run_alias(n, Sites::List(&self.shuffled));
             }
         }
     }

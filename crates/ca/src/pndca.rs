@@ -23,7 +23,7 @@
 
 use crate::partition::Partition;
 use crate::propensity::draw_weighted;
-use crate::sweep::{CaSweep, StepSchedule, Trials};
+use crate::sweep::{CaSweep, Sites, StepSchedule, Trials};
 use psr_dmc::events::EventHook;
 use psr_model::Model;
 use psr_rng::sample::shuffle;
@@ -139,8 +139,8 @@ impl StepSchedule for Chunks<'_> {
                 ChunkSelection::RandomWithReplacement => t.rng.index(m),
                 ChunkSelection::InOrder | ChunkSelection::RandomOrder => scheduled,
             };
-            let (sites, alias) = (self.partition.chunk(chunk), t.alias);
-            t.run(sites.len(), |i, _| sites[i], |rng| alias.sample(rng));
+            let sites = self.partition.chunk(chunk);
+            t.run_alias(sites.len(), Sites::List(sites));
         }
     }
 }

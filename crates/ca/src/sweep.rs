@@ -11,6 +11,17 @@
 //! [`SimState::fire`] only on a hit; an untracked kernel fires every trial.
 //! The two are trial-for-trial identical: `fire` draws no randomness and
 //! writes nothing where the reaction's mask bit is clear.
+//!
+//! A segment over a row range or a site list that draws from the global
+//! alias ([`Trials::run_alias`]) runs in the AVX-512 lanes of its one
+//! sequential stream where the host has avx512f and avx512dq: lane `k` of
+//! a block is the generator `k` draws ahead (Brown's jump-ahead), each
+//! block draws eight reactions at once and tests eight masks, and hits are
+//! fired in lane order, each later lane re-testing its re-read mask with
+//! the draw it already has. Same draws, same order, same clock ticks, same
+//! hook calls: the trajectory is the scalar loop's. The scalar loop stays
+//! the runtime fallback and serves stochastic time, untracked kernels,
+//! L-PNDCA's drawn sites and Ω×T's fixed types.
 
 use std::sync::Arc;
 
@@ -23,6 +34,11 @@ use psr_lattice::{Change, Site};
 use psr_model::Model;
 use psr_rng::{exponential, AliasTable, SimRng};
 
+#[cfg(test)]
+mod differential;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
+
 /// A CA executor: the schedule `S` driving the shared trial loop.
 #[derive(Clone, Debug)]
 pub struct CaSweep<'m, S> {
@@ -32,6 +48,9 @@ pub struct CaSweep<'m, S> {
     compiled: Arc<CompiledModel>,
     /// Bound to the lattice every step; kept fresh by the mutation epoch.
     kernel: Option<SiteKernel>,
+    /// Whether alias segments run the lane sweep: the host has it and the
+    /// alias table fits it.
+    lanes: bool,
     pub(crate) schedule: S,
 }
 
@@ -49,9 +68,15 @@ pub trait StepSchedule {
 impl<'m, S: StepSchedule> CaSweep<'m, S> {
     /// Discretised time, the `k_i / K` alias table and `model` compiled.
     pub(crate) fn with_schedule(model: &'m Model, schedule: S) -> Self {
+        let alias = AliasTable::new(&model.rate_weights());
+        #[cfg(target_arch = "x86_64")]
+        let lanes = alias.len() <= lanes::MAX_REACTIONS && lanes::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let lanes = false;
         CaSweep {
             model,
-            alias: AliasTable::new(&model.rate_weights()),
+            lanes,
+            alias,
             time_mode: TimeMode::Discretized,
             compiled: Arc::new(CompiledModel::compile(model)),
             kernel: None,
@@ -62,6 +87,14 @@ impl<'m, S: StepSchedule> CaSweep<'m, S> {
     /// Select the time-advance mode.
     pub fn with_time_mode(mut self, mode: TimeMode) -> Self {
         self.time_mode = mode;
+        self
+    }
+
+    /// The scalar trial loop for every segment: the reference the lane
+    /// sweep is compared against.
+    #[cfg(test)]
+    pub(crate) fn without_lanes(mut self) -> Self {
+        self.lanes = false;
         self
     }
 
@@ -81,6 +114,7 @@ impl<'m, S: StepSchedule> CaSweep<'m, S> {
         );
         let mut trials = Trials {
             alias: &self.alias,
+            lanes: self.lanes,
             kernel,
             time_mode: self.time_mode,
             nk: state.num_sites() as f64 * self.model.total_rate(),
@@ -133,10 +167,26 @@ impl<'m, S: StepSchedule> CaSweep<'m, S> {
     }
 }
 
+/// Whether a CA sweep of `model` takes the lane sweep on this host.
+#[cfg(test)]
+fn lanes_selected(model: &Model) -> bool {
+    crate::Ndca::new(model).lanes
+}
+
+/// The lane sweep's segments and short-interval blocks on this thread.
+#[cfg(test)]
+fn lanes_counts() -> (u64, u64) {
+    #[cfg(target_arch = "x86_64")]
+    return lanes::COUNTS.with(std::cell::Cell::get);
+    #[cfg(not(target_arch = "x86_64"))]
+    (0, 0)
+}
+
 /// One step's trial loop, bound to the state, generator, kernel and hook.
 pub struct Trials<'a, H> {
     /// The global `k_i / K` reaction draw.
     pub(crate) alias: &'a AliasTable,
+    lanes: bool,
     /// The lattice-bound kernel (weighted schedules read its chunk counts).
     pub(crate) kernel: &'a mut SiteKernel,
     pub(crate) state: &'a mut SimState,
@@ -149,7 +199,34 @@ pub struct Trials<'a, H> {
     stats: RunStats,
 }
 
+/// Where a segment's trial `i` happens.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Sites<'s> {
+    /// Site `start + i`: a row-major run of the lattice.
+    Rows(u32),
+    /// Site `list[i]`: a shuffled order or a chunk.
+    List(&'s [Site]),
+}
+
 impl<H: EventHook> Trials<'_, H> {
+    /// One segment of `n` trials at `sites`, each drawing its reaction from
+    /// the global `k_i / K` alias: the lane sweep where the host, the time
+    /// mode and the kernel allow it, else [`run`](Self::run). Both consume
+    /// the stream, tick the clock and tell the hook alike.
+    pub(crate) fn run_alias(&mut self, n: usize, sites: Sites<'_>) {
+        #[cfg(target_arch = "x86_64")]
+        if self.lanes && self.kernel.is_tracked() && self.time_mode == TimeMode::Discretized {
+            // SAFETY: `lanes` is set only where `lanes::available` found
+            // avx512f and avx512dq, for at most `MAX_REACTIONS` entries.
+            return unsafe { lanes::run(self, n, sites) };
+        }
+        let alias = self.alias;
+        match sites {
+            Sites::Rows(start) => self.run(n, |i, _| Site(start + i as u32), |r| alias.sample(r)),
+            Sites::List(list) => self.run(n, |i, _| list[i], |rng| alias.sample(rng)),
+        }
+    }
+
     /// One segment of `n` trials, trial `i` at `site(i, rng)` (row-major, a
     /// list, or a uniform draw) of `reaction(rng)` drawn after it (the
     /// `k_i / K` alias or one fixed type).

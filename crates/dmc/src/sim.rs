@@ -1,7 +1,5 @@
 //! Shared simulation state: lattice + incrementally tracked coverage + clock.
 
-use std::cell::Cell;
-
 use psr_kernel::SiteKernel;
 use psr_lattice::{Change, Coverage, Lattice, Site};
 use psr_model::Model;
@@ -66,9 +64,9 @@ impl SimState {
     }
 
     /// One trial of `reaction` at `site` on this state's lattice:
-    /// [`SiteKernel::fire`], and on a hit the journaled writes (left in
-    /// `changes`, cleared first) folded into the coverage, the mutation
-    /// epoch and the kernel. Returns whether the reaction executed.
+    /// [`SiteKernel::execute`], and on a hit the journaled writes (left in
+    /// `changes`, cleared first) folded into the coverage and the mutation
+    /// epoch the kernel now reflects. Returns whether the reaction executed.
     #[inline]
     pub fn fire(
         &mut self,
@@ -78,18 +76,9 @@ impl SimState {
         changes: &mut Vec<Change>,
     ) -> bool {
         changes.clear();
-        // Reader and writer share the cells; the kernel finishes reading
-        // before it writes.
-        let cells = Cell::from_mut(self.lattice.cells_mut()).as_slice_of_cells();
-        let executed = kernel.fire(
-            site,
-            reaction,
-            |s| cells[s.0 as usize].get(),
-            |s, new| changes.push((s, cells[s.0 as usize].replace(new), new)),
-        );
+        let executed = kernel.execute(&mut self.lattice, site, reaction, changes);
         if executed {
             self.apply_changes(changes);
-            kernel.apply_changes(&self.lattice, changes);
             kernel.note_epoch(self.mutations);
         }
         executed

@@ -20,6 +20,8 @@
 //!    write-back. [`SiteKernel::bind`] is the one build-or-refresh step;
 //!    [`SiteKernel::split_anchors`] lends disjoint site ranges of the codes
 //!    and masks to concurrent folds ([`AnchorRange`]).
+//!    [`SiteKernel::execute`] fires on a plain lattice and folds, through
+//!    the [`delta`] tables away from the edges.
 //! 3. [`counts`] — per-(group, reaction) enabled-site counts, kept by a
 //!    kernel beside its masks once [`SiteKernel::attach_counts`] gives it a
 //!    site → group map, and the `Σ count·k` weights of weighted chunk
@@ -38,10 +40,12 @@
 
 pub mod compiled;
 pub mod counts;
+pub mod delta;
 pub mod site;
 
 pub use compiled::{
     require_masks, CompiledModel, Requirement, DEFAULT_LUT_CAP, MAX_KERNEL_REACTIONS,
 };
 pub use counts::{count_diff, group_weights, NO_GROUP};
-pub use site::{fold_anchor, AnchorRange, RangeTail, SiteKernel};
+pub use delta::{AnchorDelta, DeltaWrite, Deltas};
+pub use site::{fold_anchor, fold_code, AnchorRange, RangeTail, SiteKernel};

@@ -32,6 +32,13 @@
 //! anchor's mask hands the old and the new mask to
 //! [`count_diff`], so the counts cost no walk of their own.
 //!
+//! [`SiteKernel::execute`] is the fire on a plain lattice: the writes
+//! journaled and folded. A LUT kernel compiles every reaction's fire for
+//! its geometry ([`Deltas`]: the writes and the merged anchor code deltas
+//! as flat offsets) and applies it as straight-line adds at a site far
+//! enough from every edge; the edge band, mask mode and untracked kernels
+//! take [`SiteKernel::fire`] and the general fold.
+//!
 //! Freshness follows a mutation-epoch protocol: simulators call
 //! [`SiteKernel::bind`] with the state's `mutation_epoch()` before a sweep
 //! and [`SiteKernel::note_epoch`] after applying changes through the
@@ -42,6 +49,7 @@ use std::sync::Arc;
 
 use crate::compiled::{require_masks, CompiledModel};
 use crate::counts::count_diff;
+use crate::delta::Deltas;
 use psr_lattice::{Change, Dims, Lattice, Site, Stencil};
 use psr_model::Model;
 
@@ -72,6 +80,9 @@ pub struct SiteKernel {
     /// Per map: `counts[g · R + r]` = sites of group `g` where reaction `r`
     /// is enabled.
     counts: Vec<Vec<u32>>,
+    /// LUT mode: every reaction's fire compiled for this geometry, which
+    /// [`execute`](Self::execute) takes away from the edges.
+    deltas: Option<Deltas>,
 }
 
 /// Exclusive access to the codes and masks of the anchors in one contiguous
@@ -253,7 +264,7 @@ impl Anchors<'_> {
 #[inline(always)]
 pub fn fold_anchor(
     lut_mask: &[u64],
-    (code, mask): (&mut u32, &mut u64),
+    anchor: (&mut u32, &mut u64),
     weight: u32,
     (old, new): (u8, u8),
     tally: Option<impl FnOnce(u64, u64)>,
@@ -261,6 +272,18 @@ pub fn fold_anchor(
     let delta = weight
         .wrapping_mul(u32::from(new))
         .wrapping_sub(weight.wrapping_mul(u32::from(old)));
+    fold_code(lut_mask, anchor, delta, tally);
+}
+
+/// [`fold_anchor`] by a code change already computed: a compiled fire's
+/// merged [`AnchorDelta`](crate::AnchorDelta).
+#[inline(always)]
+pub fn fold_code(
+    lut_mask: &[u64],
+    (code, mask): (&mut u32, &mut u64),
+    delta: u32,
+    tally: Option<impl FnOnce(u64, u64)>,
+) {
     *code = code.wrapping_add(delta);
     let now = lut_mask[*code as usize];
     let was = std::mem::replace(mask, now);
@@ -281,6 +304,7 @@ impl SiteKernel {
         let mut kernel = SiteKernel {
             tracked: compiled.tracks_masks(),
             stencil: Stencil::new(lattice.dims(), compiled.cells()),
+            deltas: Deltas::new(&compiled, lattice.dims()),
             compiled,
             codes: Vec::new(),
             lut_mask,
@@ -554,6 +578,72 @@ impl SiteKernel {
             write(self.stencil.at(at, r.cell as usize), r.tgt);
         }
         true
+    }
+
+    /// [`fire`](Self::fire) on `lattice`'s own cells, the writes journaled
+    /// into `changes` (appended, in transform order, with the states they
+    /// replaced) and folded into the codes, masks and counts. Returns
+    /// whether the reaction executed.
+    ///
+    /// A tracked LUT kernel fires a site away from the edges through its
+    /// [`Deltas`]: the writes and merged anchor code deltas as straight-line
+    /// adds, one LUT load and one [`count_diff`] per map per anchor. Every
+    /// other fire takes [`fire`](Self::fire) and
+    /// [`apply_changes`](Self::apply_changes); both leave the same lattice,
+    /// journal, codes, masks and counts.
+    #[inline]
+    pub fn execute(
+        &mut self,
+        lattice: &mut Lattice,
+        site: Site,
+        reaction: usize,
+        changes: &mut Vec<Change>,
+    ) -> bool {
+        if let Some(deltas) = &self.deltas {
+            if (self.masks[site.0 as usize] >> reaction) & 1 == 0 {
+                return false;
+            }
+            if let Some((writes, anchors)) = deltas.at(site, reaction) {
+                let cells = lattice.cells_mut();
+                for w in writes {
+                    let at = site.0.wrapping_add(w.offset);
+                    let old = std::mem::replace(&mut cells[at as usize], w.tgt);
+                    debug_assert_eq!(old, w.src, "mask and cells disagree");
+                    changes.push((Site(at), old, w.tgt));
+                }
+                let (lut_mask, reactions) = (&self.lut_mask[..], self.compiled.num_reactions());
+                let (maps, counts) = (&self.group_maps, &mut self.counts);
+                for a in anchors {
+                    let at = site.0.wrapping_add(a.offset) as usize;
+                    let anchor = (&mut self.codes[at], &mut self.masks[at]);
+                    let tally = |was, now| {
+                        for (map, counts) in maps.iter().zip(counts.iter_mut()) {
+                            count_diff(counts, reactions, map[at], was, now);
+                        }
+                    };
+                    fold_code(
+                        lut_mask,
+                        anchor,
+                        a.delta,
+                        (!maps.is_empty()).then_some(tally),
+                    );
+                }
+                return true;
+            }
+        }
+        // Reader and writer share the cells; the kernel finishes reading
+        // before it writes.
+        let cells = std::cell::Cell::from_mut(lattice.cells_mut()).as_slice_of_cells();
+        let executed = self.fire(
+            site,
+            reaction,
+            |s| cells[s.0 as usize].get(),
+            |s, new| changes.push((s, cells[s.0 as usize].replace(new), new)),
+        );
+        if executed {
+            self.apply_changes(lattice, changes);
+        }
+        executed
     }
 
     /// Is `reaction` enabled at `site`? One mask load when tracked; the
@@ -859,6 +949,7 @@ mod tests {
             tracked: _,
             group_maps: _,
             counts: _,
+            deltas: _,
         } = kernel;
         let bytes = codes.capacity() * std::mem::size_of::<u32>()
             + masks.capacity() * std::mem::size_of::<u64>();

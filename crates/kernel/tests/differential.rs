@@ -314,3 +314,102 @@ proptest! {
         }
     }
 }
+
+/// Compiled delta ≡ general fold: `SiteKernel::execute` (compiled fires
+/// away from the edges) against `fire` + `apply_changes` (the general
+/// fold) on every library model, on sides where no site, some sites and
+/// most sites take compiled fires; with and without attached counts; in
+/// LUT and mask mode (which has no compiled fires). Lattice, coverage,
+/// codes, masks, counts and the change journal must agree after every
+/// trial.
+#[test]
+fn compiled_deltas_match_the_general_fold() {
+    use psr_kernel::Deltas;
+    for (name, model) in library_models() {
+        for side in (2..=9).chain([16]) {
+            let dims = Dims::square(side);
+            for cap in [psr_kernel::DEFAULT_LUT_CAP, 0] {
+                for counting in [false, true] {
+                    let compiled = Arc::new(CompiledModel::compile_with_cap(&model, cap));
+                    let deltas = Deltas::new(&compiled, dims);
+                    assert_eq!(
+                        deltas.is_some(),
+                        compiled.has_lut(),
+                        "{name}: deltas iff a LUT"
+                    );
+                    let mut fast_lattice = random_lattice(&model, dims, u64::from(side) * 31 + 7);
+                    let mut slow_lattice = fast_lattice.clone();
+                    let mut fast = SiteKernel::new(Arc::clone(&compiled), &fast_lattice);
+                    let mut slow = SiteKernel::new(Arc::clone(&compiled), &slow_lattice);
+                    if counting && compiled.tracks_masks() {
+                        let groups: Vec<u32> = (0..dims.sites()).map(|s| s % 3).collect();
+                        fast.attach_counts(groups.clone(), 3);
+                        slow.attach_counts(groups, 3);
+                    }
+                    let species = model.species().len();
+                    let cover = |l: &Lattice| {
+                        let mut c = vec![0usize; species];
+                        l.cells().iter().for_each(|&s| c[s as usize] += 1);
+                        c
+                    };
+                    let (mut fast_cover, mut slow_cover) =
+                        (cover(&fast_lattice), cover(&slow_lattice));
+                    let mut rng = psr_rng::rng_from_seed(u64::from(side));
+                    let (mut fast_changes, mut slow_changes) = (Vec::new(), Vec::new());
+                    let mut compiled_fires = 0;
+                    for _ in 0..400 {
+                        let site = Site(rng.index(dims.sites() as usize) as u32);
+                        let reaction = rng.index(model.num_reactions());
+                        fast_changes.clear();
+                        slow_changes.clear();
+                        let a = fast.execute(&mut fast_lattice, site, reaction, &mut fast_changes);
+                        let cells = Cell::from_mut(slow_lattice.cells_mut()).as_slice_of_cells();
+                        let b = slow.fire(
+                            site,
+                            reaction,
+                            |s| cells[s.0 as usize].get(),
+                            |s, new| slow_changes.push((s, cells[s.0 as usize].replace(new), new)),
+                        );
+                        if b {
+                            slow.apply_changes(&slow_lattice, &slow_changes);
+                        }
+                        let interior = deltas
+                            .as_ref()
+                            .is_some_and(|d| d.at(site, reaction).is_some());
+                        compiled_fires += usize::from(a && interior);
+                        for (cover, changes) in [
+                            (&mut fast_cover, &fast_changes),
+                            (&mut slow_cover, &slow_changes),
+                        ] {
+                            for &(_, old, new) in changes.iter() {
+                                cover[old as usize] -= 1;
+                                cover[new as usize] += 1;
+                            }
+                        }
+                        let what = format!(
+                            "{name} {side}² cap {cap} counting {counting} at {site:?} r{reaction}"
+                        );
+                        assert_eq!(a, b, "{what}: verdict");
+                        assert_eq!(fast_changes, slow_changes, "{what}: journal");
+                        assert_eq!(fast_lattice, slow_lattice, "{what}: lattice");
+                        assert_eq!(fast_cover, slow_cover, "{what}: coverage");
+                        assert_eq!(fast.codes(), slow.codes(), "{what}: codes");
+                        assert_eq!(fast.enabled_masks(), slow.enabled_masks(), "{what}: masks");
+                        if fast.is_counting() {
+                            assert_eq!(fast.counts(0), slow.counts(0), "{what}: counts");
+                        }
+                    }
+                    fast.assert_matches_scan(&model, &fast_lattice);
+                    if let Some(d) = &deltas {
+                        if side > 2 * d.reach() + 2 {
+                            assert!(compiled_fires > 0, "{name} {side}²: no compiled fire taken");
+                        }
+                        if side <= 2 * d.reach() {
+                            assert_eq!(compiled_fires, 0, "{name} {side}²: no site is interior");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -15,7 +15,9 @@ pub struct Dims {
 }
 
 /// A lattice site as a flat row-major index: `index = y * width + x`.
+/// Transparent, so a site list is a `u32` list to vector loads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(transparent)]
 pub struct Site(pub u32);
 
 /// Integer coordinates of a site, `x` along `L0`, `y` along `L1`.

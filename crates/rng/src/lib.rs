@@ -13,18 +13,23 @@
 //!    `k_i / K` happens once per trial; we provide both a linear-scan
 //!    cumulative table and an O(1) Walker alias table.
 //!
+//! [`lanes`] holds the AVX-512 forms of the generator: eight streams per
+//! register, or eight consecutive draws of one stream.
+//!
 //! The generator is our own minimal PCG-XSH-RR 64/32 implementation (public
 //! domain algorithm by M.E. O'Neill); the crate depends on std alone.
 
 #![warn(missing_docs)]
 
 pub mod alias;
+pub mod lanes;
 pub mod pcg;
 pub mod sample;
 pub mod split;
 
 pub use alias::{draw_alias, AliasTable};
-pub use pcg::{draw_u64, Pcg32};
+pub use lanes::StreamLanes;
+pub use pcg::{draw_u64, jump, Pcg32};
 pub use sample::{exponential, CumulativeTable};
 pub use split::{SplitMix64, StreamFactory};
 

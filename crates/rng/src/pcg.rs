@@ -147,22 +147,30 @@ impl Pcg32 {
     ///
     /// Implements the LCG jump-ahead of Brown ("Random number generation
     /// with arbitrary strides", 1994).
-    pub fn advance(&mut self, mut delta: u64) {
-        let mut cur_mult = MULTIPLIER;
-        let mut cur_plus = self.inc;
-        let mut acc_mult: u64 = 1;
-        let mut acc_plus: u64 = 0;
-        while delta > 0 {
-            if delta & 1 == 1 {
-                acc_mult = acc_mult.wrapping_mul(cur_mult);
-                acc_plus = acc_plus.wrapping_mul(cur_mult).wrapping_add(cur_plus);
-            }
-            cur_plus = cur_mult.wrapping_add(1).wrapping_mul(cur_plus);
-            cur_mult = cur_mult.wrapping_mul(cur_mult);
-            delta >>= 1;
-        }
-        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
+    pub fn advance(&mut self, delta: u64) {
+        let (mult, plus) = jump(delta, self.inc);
+        self.state = mult.wrapping_mul(self.state).wrapping_add(plus);
     }
+}
+
+/// The LCG jump-ahead of Brown ("Random number generation with arbitrary
+/// strides", 1994): `delta` steps of a generator with increment `inc` map
+/// its state `s` to `mult·s + plus` (wrapping), in O(log delta).
+pub fn jump(mut delta: u64, inc: u64) -> (u64, u64) {
+    let mut cur_mult = MULTIPLIER;
+    let mut cur_plus = inc;
+    let mut acc_mult: u64 = 1;
+    let mut acc_plus: u64 = 0;
+    while delta > 0 {
+        if delta & 1 == 1 {
+            acc_mult = acc_mult.wrapping_mul(cur_mult);
+            acc_plus = acc_plus.wrapping_mul(cur_mult).wrapping_add(cur_plus);
+        }
+        cur_plus = cur_mult.wrapping_add(1).wrapping_mul(cur_plus);
+        cur_mult = cur_mult.wrapping_mul(cur_mult);
+        delta >>= 1;
+    }
+    (acc_mult, acc_plus)
 }
 
 #[cfg(test)]

@@ -66,11 +66,14 @@ echo "engine socket smoke: socket resume, inline and threaded runs are bit-ident
 echo "==> socket transport suite (bit-identity over 1000 steps + worker-kill fault)"
 cargo test -q --release -p psr-shard --test socket
 
-echo "==> kernel differential suite (proptest: masks and fire vs the model's matcher)"
+echo "==> kernel differential suite (proptest: masks and fire vs the model's matcher; compiled deltas vs the general fold)"
 cargo test -q --release -p psr-kernel --test differential
 
 echo "==> batch identity suite (the AVX-512 sweep under release codegen vs scalar and lone runs)"
 cargo test -q --release -p psr-batch --test identity
+
+echo "==> lanes ≡ scalar (the serial sweep's AVX-512 lanes under release codegen; fails if a host with avx512f+dq skips them)"
+cargo test -q --release -p psr-ca --lib sweep::differential
 
 echo "==> trajectory pins under release codegen (every executor draws from psr-rng's PCG)"
 cargo test -q --release --test trajectory_pins
