@@ -13,7 +13,7 @@
 //! writes nothing where the reaction's mask bit is clear.
 //!
 //! A segment over a row range or a site list that draws from the global
-//! alias ([`Trials::run_alias`]) runs in the AVX-512 lanes of its one
+//! alias (`Trials::run_alias`) runs in the AVX-512 lanes of its one
 //! sequential stream where the host has avx512f and avx512dq: lane `k` of
 //! a block is the generator `k` draws ahead (Brown's jump-ahead), each
 //! block draws eight reactions at once and tests eight masks, and hits are

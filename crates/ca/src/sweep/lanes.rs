@@ -31,7 +31,6 @@ thread_local! {
 /// One trial of `reaction` at `site`, its draw made: the mask test, the
 /// fire on a hit, the clock tick and the hook. Returns whether it executed.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn trial<H: EventHook>(
     kernel: &mut SiteKernel,
     state: &mut SimState,
